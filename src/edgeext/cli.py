@@ -8,6 +8,7 @@ with --pretty) and signals its outcome through the exit code:
     2  input error
     3  node budget exceeded
     4  known exceptional shape reported
+    5  internal error (a bug in edgeext, never a verdict)
 
 All solving commands re-verify any printed colouring before exiting.
 """
@@ -18,6 +19,7 @@ import argparse
 import datetime
 import json
 import sys
+import traceback
 
 from .core import InputError, INFINITE_DISTANCE, MultiGraph, edge_distance
 from .colouring import (Palette, colouring_from_json_obj, colouring_to_json_obj,
@@ -379,6 +381,12 @@ def run(argv=None) -> int:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
+    except Exception as exc:
+        # Any other failure is ours; exit 1 would read as "unsolvable".
+        json.dump({"error": f"internal error: {type(exc).__name__}: {exc}",
+                   "traceback": traceback.format_exc()}, sys.stderr)
+        sys.stderr.write("\n")
+        return 5
 
 
 def main() -> None:  # console-script entry point

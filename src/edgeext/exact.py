@@ -60,10 +60,6 @@ def _colours_of(mask: int) -> list[int]:
     return out
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def solve_list(g: MultiGraph,
                lists: Mapping[EdgeId, Iterable[int]],
                budget: int | None = None) -> SolveOutcome:
@@ -74,6 +70,14 @@ def solve_list(g: MultiGraph,
     When every list is the same full palette {1..k}, interchangeable unused
     colours are skipped (symmetry breaking); list instances are searched
     without it so correctness never depends on the symmetry argument.
+
+    The search runs on an explicit stack over a dense form, and each node
+    costs time in the edges its assignment touches, not in all edges.
+    Edges are numbered in edge-id order, so the lowest number breaks ties.
+    Uncoloured edges sit in buckets by the size of their remaining list.
+    The parity prune (see ``_parity_refutes``) reads one "tight" entry per
+    vertex, refreshed only at the vertices an assignment changes and
+    restored from a trail on undo.
     """
     eids = list(g.edge_ids)
     for eid in eids:
@@ -90,111 +94,157 @@ def solve_list(g: MultiGraph,
     full_mask = _mask_of(range(1, max_colour + 1))
     symmetric = all(masks[eid] == full_mask for eid in eids) and max_colour >= 1
 
-    order_rank = {eid: i for i, eid in
-                  enumerate(sorted(eids, key=_id_sort_key))}
-    ends = {eid: g.endpoints(eid) for eid in eids}
-    used = [0] * g.n
-    assignment: dict[EdgeId, int] = {}
-    stats = {"nodes": 0, "depth": 0}
+    order = sorted(eids, key=_id_sort_key)
+    m = len(order)
+    avail = [masks[eid] for eid in order]
+    ends = [g.endpoints(eid) for eid in order]
+    # incidence[w]: (edge, other endpoint) for every edge at w
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(ends):
+        incidence[u].append((i, v))
+        incidence[v].append((i, u))
+    free = [True] * m
+    buckets: list[set[int]] = [
+        set() for _ in range(max(a.bit_count() for a in avail) + 1)]
+    for i, a in enumerate(avail):
+        buckets[a.bit_count()].add(i)
+    # tight[w] is the union of the remaining lists at w, present only when
+    # w has uncoloured edges and that union has exactly one colour per edge.
+    tight: dict[int, int] = {}
 
-    def class_prune(uncoloured: list[EdgeId]) -> bool:
-        """Parity refutation on single colour classes.
+    def refresh(touched, trail: list) -> None:
+        for w in touched:
+            union = count = 0
+            for j, _ in incidence[w]:
+                if free[j]:
+                    union |= avail[j]
+                    count += 1
+            new = union if count and union.bit_count() == count else None
+            old = tight.get(w)
+            if new != old:
+                trail.append((w, old))
+                if new is None:
+                    del tight[w]
+                else:
+                    tight[w] = new
 
-        A vertex whose remaining edges have exactly as many usable colours
-        as there are edges must see every one of those colours.  For each
-        colour c, the edges that can still take c split into components;
-        a component whose vertices all demand c needs a perfect matching
-        on itself, which an odd component cannot have.
-        """
-        union = {}
-        count = {}
-        for eid in uncoloured:
-            u, v = ends[eid]
-            avail = masks[eid] & ~used[u] & ~used[v]
+    refresh(range(g.n), [])
+
+    nodes = max_depth = max_used = 0
+    # One frame per edge on the current path: [edge, colours left to try,
+    # max_used at its node, colour bit it holds (0 for none), the edges
+    # that lost that colour, the tight-trail].  The last two undo it.
+    stack: list[list] = []
+    while len(stack) < m:
+        nodes += 1
+        if len(stack) > max_depth:
+            max_depth = len(stack)
+        if budget is not None and nodes > budget:
+            return SolveOutcome(BUDGET, None, nodes=nodes, depth=max_depth)
+        if not buckets[0] and not (
+                tight and _parity_refutes(tight, incidence, free, avail)):
+            b = 1
+            while not buckets[b]:
+                b += 1
+            i = min(buckets[b])
+            left = avail[i]
+            if symmetric:
+                left &= (1 << (max_used + 2)) - 1
+            stack.append([i, left, max_used, 0, None, None])
+        while stack:
+            frame = stack[-1]
+            i, left, parent_used, bit, changed, trail = frame
+            if bit:
+                # undo the frame's current colour
+                for w, old in reversed(trail):
+                    if old is None:
+                        del tight[w]
+                    else:
+                        tight[w] = old
+                for j in changed:
+                    a = avail[j]
+                    p = a.bit_count()
+                    buckets[p].remove(j)
+                    buckets[p + 1].add(j)
+                    avail[j] = a | bit
+                free[i] = True
+                buckets[avail[i].bit_count()].add(i)
+            if not left:
+                stack.pop()
+                continue
+            # colour edge i with the next colour: clear it from the
+            # uncoloured edges at both ends, then refresh the vertices
+            # whose remaining lists changed
+            bit = left & -left
+            free[i] = False
+            buckets[avail[i].bit_count()].remove(i)
+            u, v = ends[i]
+            changed = []
+            touched = {u, v}
             for w in (u, v):
-                union[w] = union.get(w, 0) | avail
-                count[w] = count.get(w, 0) + 1
-        needs = {w: union[w] for w in union
-                 if union[w].bit_count() == count[w]}
-        if not needs:
-            return False
-        demanded = 0
-        for mask in needs.values():
-            demanded |= mask
-        for c in _colours_of(demanded):
-            bit = 1 << c
-            adj: dict[int, list[int]] = {}
-            for eid in uncoloured:
-                u, v = ends[eid]
-                if masks[eid] & bit and not (used[u] | used[v]) & bit:
-                    adj.setdefault(u, []).append(v)
-                    adj.setdefault(v, []).append(u)
-            seen = set()
-            for start in adj:
-                if start in seen:
-                    continue
-                comp = [start]
-                seen.add(start)
-                i = 0
-                while i < len(comp):
-                    for w in adj[comp[i]]:
-                        if w not in seen:
-                            seen.add(w)
-                            comp.append(w)
-                    i += 1
-                if len(comp) % 2 == 1 and all(
-                        needs.get(w, 0) & bit for w in comp):
-                    return True
-        return False
-
-    def search(uncoloured: list[EdgeId], depth: int, max_used: int) -> bool:
-        if not uncoloured:
-            return True
-        stats["nodes"] += 1
-        stats["depth"] = max(stats["depth"], depth)
-        if budget is not None and stats["nodes"] > budget:
-            raise _BudgetExceeded
-        if class_prune(uncoloured):
-            return False
-        best = None
-        best_key = None
-        for eid in uncoloured:
-            u, v = ends[eid]
-            avail = masks[eid] & ~used[u] & ~used[v]
-            if avail == 0:
-                return False
-            key = (avail.bit_count(), order_rank[eid])
-            if best_key is None or key < best_key:
-                best, best_key, best_avail = eid, key, avail
-        u, v = ends[best]
-        rest = [eid for eid in uncoloured if eid != best]
-        avail = best_avail
-        if symmetric:
-            avail &= (1 << (max_used + 2)) - 1
-        for c in _colours_of(avail):
-            bit = 1 << c
-            used[u] |= bit
-            used[v] |= bit
-            assignment[best] = c
-            if search(rest, depth + 1, max(max_used, c)):
-                return True
-            del assignment[best]
-            used[u] &= ~bit
-            used[v] &= ~bit
-        return False
-
-    try:
-        ok = search(eids, 0, 0)
-    except _BudgetExceeded:
-        return SolveOutcome(BUDGET, None, nodes=stats["nodes"],
-                            depth=stats["depth"])
-    if not ok:
-        return SolveOutcome(UNSOLVABLE, None, nodes=stats["nodes"],
-                            depth=stats["depth"])
-    result = dict(assignment)
+                for j, x in incidence[w]:
+                    a = avail[j]
+                    if a & bit and free[j]:
+                        p = a.bit_count()
+                        buckets[p].remove(j)
+                        buckets[p - 1].add(j)
+                        avail[j] = a ^ bit
+                        changed.append(j)
+                        touched.add(x)
+            trail = []
+            refresh(touched, trail)
+            frame[1] = left ^ bit
+            frame[3:] = bit, changed, trail
+            max_used = max(parent_used, bit.bit_length() - 1)
+            break
+        else:
+            return SolveOutcome(UNSOLVABLE, None, nodes=nodes, depth=max_depth)
+    result = {order[frame[0]]: frame[3].bit_length() - 1 for frame in stack}
     _check_solution(g, result, masks)
-    return SolveOutcome(SOLVED, result, nodes=stats["nodes"],
-                        depth=stats["depth"])
+    return SolveOutcome(SOLVED, result, nodes=nodes, depth=max_depth)
+
+
+def _parity_refutes(tight, incidence, free, avail) -> bool:
+    """Parity refutation on single colour classes.
+
+    A tight vertex (its remaining edges have exactly as many usable
+    colours as there are edges) must see every one of those colours.  For
+    each colour c, the uncoloured edges that can still take c split into
+    components; a component whose vertices are all tight needs a perfect
+    matching on itself, which an odd component cannot have.  Components
+    are grown from tight vertices only and dropped at their first vertex
+    that is not tight.
+    """
+    owner_by_bit: dict[int, dict[int, int]] = {}
+    for start, union in tight.items():
+        while union:
+            bit = union & -union
+            union ^= bit
+            owner = owner_by_bit.get(bit)
+            if owner is None:
+                owner = owner_by_bit[bit] = {}
+            elif start in owner:
+                continue
+            owner[start] = start
+            comp = [start]
+            closed = True
+            k = 0
+            while closed and k < len(comp):
+                x = comp[k]
+                k += 1
+                for j, y in incidence[x]:
+                    if avail[j] & bit and free[j]:
+                        seen = owner.get(y)
+                        if seen is None and y in tight:
+                            owner[y] = start
+                            comp.append(y)
+                        elif seen != start:
+                            # not tight, or in a component already dropped
+                            closed = False
+                            break
+            if closed and len(comp) % 2:
+                return True
+    return False
 
 
 def _check_solution(g, colouring, masks):

@@ -167,7 +167,9 @@ def solve_vertex_lists(g: MultiGraph,
             assignment[best] = c
             touched = []
             for w in neighbours[best]:
-                if w not in assignment:
+                # a neighbour already barred from c by another coloured
+                # vertex must keep the bar when this assignment is undone
+                if w not in assignment and not used[w] & bit:
                     used[w] |= bit
                     touched.append(w)
             if search(rest):

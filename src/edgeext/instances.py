@@ -374,6 +374,11 @@ CLAIMS = {
     "shannon-extension": "degree-k precolourings extend with floor((3*Delta+k)/2) colours",
 }
 
+#: Claims whose palette ``verify`` can shift by ``palette_offset``; the
+#: others fix their palette inside the extender they check.
+OFFSET_CLAIMS = ("matching-extension", "matching-avoidance",
+                 "distance3-extension")
+
 
 @dataclass
 class VerificationReport:
@@ -579,6 +584,9 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
     if claim not in CLAIMS:
         raise InputError(f"unknown claim {claim!r}; known: "
                          + ", ".join(sorted(CLAIMS)))
+    if palette_offset != 0 and claim not in OFFSET_CLAIMS:
+        raise InputError(f"claim {claim!r} ignores palette_offset; it "
+                         "applies to " + ", ".join(OFFSET_CLAIMS))
     bounds = {"max_n": max_n, "max_e": max_e, "max_mu": max_mu,
               "max_k": max_k, "palette_offset": palette_offset}
     report = VerificationReport(claim=claim, bounds=bounds)

@@ -45,3 +45,34 @@ def bipartite_multigraphs(draw, max_side=4, max_e=9, min_e=0, max_mu=None):
         mults[(u, v)] = mults.get((u, v), 0) + 1
         edges.append((len(edges), u, v))
     return MultiGraph(nx + ny, edges)
+
+
+def random_extension_instance(seed, n, m, precoloured=20):
+    """Seeded random multigraph (multiplicity <= 2) with a precoloured
+    matching of ``precoloured`` edges and the palette Delta+mu."""
+    import random
+
+    from edgeext.colouring import Palette
+
+    rng = random.Random(seed)
+    mults = {}
+    edges = []
+    while len(edges) < m:
+        u, v = rng.sample(range(n), 2)
+        pair = (min(u, v), max(u, v))
+        if mults.get(pair, 0) >= 2:
+            continue
+        mults[pair] = mults.get(pair, 0) + 1
+        edges.append((len(edges), u, v))
+    g = MultiGraph(n, edges)
+    palette = Palette(g.delta() + g.mu())
+    pre = {}
+    covered = set()
+    for eid, u, v in rng.sample(edges, m):
+        if len(pre) == precoloured:
+            break
+        if u in covered or v in covered:
+            continue
+        covered.update((u, v))
+        pre[eid] = rng.randint(1, palette.k)
+    return g, pre, palette

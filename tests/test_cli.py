@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from edgeext import exact
 from edgeext.cli import run
+
+from conftest import random_extension_instance
 
 
 def write(tmp_path, name, obj):
@@ -157,6 +160,13 @@ def test_verify_command(capsys):
     assert out["counterexample"] is not None
 
 
+def test_verify_rejects_ignored_palette_offset(capsys):
+    assert run(["verify", "--claim", "bipartite-extension", "--max-n", "3",
+                "--max-e", "3", "--palette-offset", "-1",
+                "--no-timestamp"]) == 2
+    assert "palette_offset" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_audit_command(tmp_path, capsys):
     from edgeext.planar import wheel
     g, r = wheel(17)
@@ -184,3 +194,34 @@ def test_timestamp_present_by_default(star_files, capsys):
     run(["extend", "--graph", gpath, "--colours", cpath, "--palette", "6"])
     out = json.loads(capsys.readouterr().out)
     assert "generated_at" in out
+
+
+def test_internal_error_exit(star_files, capsys, monkeypatch):
+    # A crash is not a verdict: it must not exit 1 ("unsolvable").
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(exact, "extend", boom)
+    gpath, cpath = star_files
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--palette", "6", "--method", "exact",
+                "--no-timestamp"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert "boom" in err["error"]
+    assert "RuntimeError" in err["traceback"]
+
+
+def test_extend_exact_deep_instance(tmp_path, capsys):
+    # 1,100 edges: the recursive search used to exit 1 with RecursionError
+    g, pre, palette = random_extension_instance(0, 250, 1100)
+    gpath = write(tmp_path, "g.json", g.to_json_obj())
+    cpath = write(tmp_path, "c.json", {
+        "palette": palette.k,
+        "colours": {str(eid): c for eid, c in pre.items()}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--method", "exact", "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved"
+    assert len(out["colouring"]) == 1100

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,8 @@ from edgeext.colouring import Palette, is_proper
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, avoid,
                            chromatic_index, extend, solve_list, vizing_colour)
 
-from conftest import multigraphs
+import oracles
+from conftest import multigraphs, random_extension_instance
 
 
 def brute_solvable(g, lists):
@@ -160,3 +162,53 @@ def test_class_pruning_refutes_odd_demand_component():
     out = solve_list(g, {e: frozenset({1, 2}) for e in g.edge_ids})
     assert out.status == UNSOLVABLE
     assert out.nodes == 1
+
+
+def _outcome_key(out):
+    colouring = None if out.colouring is None else list(out.colouring.items())
+    return out.status, colouring, out.nodes, out.depth
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_n=6, max_e=10), st.data())
+def test_solve_list_matches_recursive_oracle(g, data):
+    # The iterative search must walk the recursive one's tree exactly:
+    # same verdict, same colouring in the same assignment order, same
+    # node count and depth, with or without a budget.
+    k = data.draw(st.integers(min_value=1, max_value=5), label="k")
+    if data.draw(st.booleans(), label="full palette"):
+        full = frozenset(range(1, k + 1))
+        lists = {eid: full for eid in g.edge_ids}
+    else:
+        lists = {eid: frozenset(data.draw(st.sets(
+            st.integers(min_value=1, max_value=k + 1), min_size=1)))
+            for eid in g.edge_ids}
+    budget = data.draw(st.sampled_from([None, 1, 3, 10]), label="budget")
+    assert (_outcome_key(solve_list(g, lists, budget=budget))
+            == _outcome_key(oracles.solve_list(g, lists, budget=budget)))
+
+
+def test_solve_list_matches_oracle_on_string_ids_and_parallels():
+    # mixed id types order by _id_sort_key; parallel edges share both ends
+    edges = [("b", 0, 1), (3, 0, 1), ("a", 1, 2), (1, 2, 0), (0, 2, 3),
+             ("c", 0, 1)]
+    g = MultiGraph(4, edges)
+    for k in range(2, 6):
+        full = frozenset(range(1, k + 1))
+        lists = {eid: full for eid in g.edge_ids}
+        assert (_outcome_key(solve_list(g, lists))
+                == _outcome_key(oracles.solve_list(g, lists)))
+
+
+@pytest.mark.parametrize("m", [1100, 2000])
+def test_extend_has_no_recursion_limit(m):
+    # The recursive search died with RecursionError near 1,000 edges.
+    g, pre, palette = random_extension_instance(0, 250, m)
+    start = time.perf_counter()
+    out = extend(g, pre, palette)
+    elapsed = time.perf_counter() - start
+    assert out.solved
+    assert is_proper(g, out.colouring)
+    assert all(out.colouring[eid] == c for eid, c in pre.items())
+    assert out.depth == m - len(pre) - 1
+    assert elapsed < 10

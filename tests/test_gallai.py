@@ -94,6 +94,21 @@ def test_solve_vertex_lists_agrees_with_brute_force(g, data):
         assert all(got[v] in lists[v] for v in lists)
 
 
+def test_solve_vertex_lists_keeps_bars_on_backtrack():
+    # Undoing a colour must not lift a bar that another coloured neighbour
+    # still imposes; this instance used to come back with vertices 0 and 3
+    # both coloured 2.
+    pairs = [(0, 2), (0, 3), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5)]
+    g = MultiGraph(6, [(i, u, v) for i, (u, v) in enumerate(pairs)])
+    lists = {0: {2, 4}, 1: {2, 3}, 2: {3, 4}, 3: {2, 3, 4}, 4: {2, 3, 4},
+             5: {3, 4}}
+    assert brute_vertex_colourable(g, lists)
+    got = solve_vertex_lists(g, lists)
+    assert got is not None
+    assert all(got[u] != got[v] for _, u, v in g.edges)
+    assert all(got[v] in lists[v] for v in lists)
+
+
 @settings(max_examples=80)
 @given(multigraphs(max_n=6, max_e=8, max_mu=1), st.data())
 def test_degree_list_colour_on_degree_lists(g, data):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import Palette, is_proper
 from edgeext.exact import chromatic_index, extend
-from edgeext.instances import (CLAIMS, FamilySpec, canonical_form,
+from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
+                               canonical_form,
                                compute_rho, enumerate_edge_sets,
                                enumerate_multigraphs,
                                enumerate_precolourings, generate,
@@ -257,3 +258,13 @@ def test_all_claims_run_on_tiny_bounds():
     for claim in sorted(CLAIMS):
         rep = verify(claim, max_n=3, max_e=3, max_mu=2, max_k=1)
         assert rep.ok, claim
+
+
+def test_verify_rejects_an_offset_the_claim_ignores():
+    for claim in sorted(CLAIMS):
+        if claim in OFFSET_CLAIMS:
+            continue
+        with pytest.raises(InputError):
+            verify(claim, max_n=3, max_e=3, max_mu=2, palette_offset=-1)
+    for claim in OFFSET_CLAIMS:
+        verify(claim, max_n=3, max_e=3, max_mu=2, palette_offset=-1)
