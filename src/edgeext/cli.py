@@ -21,10 +21,10 @@ import json
 import sys
 import traceback
 
-from .core import InputError, INFINITE_DISTANCE, MultiGraph, edge_distance
+from .core import (InputError, INFINITE_DISTANCE, MultiGraph, edge_distance,
+                   _is_int)
 from .colouring import (Palette, colouring_from_json_obj, colouring_to_json_obj,
-                        is_proper, precoloured_degree_vertex,
-                        validate_precolouring, _resolve_edge_key)
+                        is_proper, max_precoloured_degree, _resolve_edge_key)
 from . import exact, kernels, gallai, planar, instances
 
 
@@ -55,7 +55,7 @@ def _load_lists(g: MultiGraph, path: str):
     for key, value in obj["lists"].items():
         eid = _resolve_edge_key(g, key)
         if not isinstance(value, list) or not all(
-                isinstance(c, int) and c >= 1 for c in value):
+                _is_int(c) and c >= 1 for c in value):
             raise InputError(f"list for edge {key!r} must hold colours >= 1")
         lists[eid] = frozenset(value)
     return lists
@@ -96,13 +96,7 @@ def _finish_outcome(g: MultiGraph, outcome, args, extra=None) -> int:
 def _cmd_extend(args) -> int:
     g = _load_graph(args.graph)
     pre, declared = _load_colouring(g, args.colours)
-    k = args.palette if args.palette is not None else (
-        declared.k if declared else None)
-    if k is None:
-        raise InputError("no palette size: pass --palette or put it in the "
-                         "colour file")
-    palette = Palette(k)
-    validate_precolouring(g, pre, palette)
+    palette = declared if args.palette is None else Palette(args.palette)
     method = args.method
     if method == "auto":
         method = _pick_method(g, pre, palette)
@@ -140,8 +134,7 @@ def _cmd_extend(args) -> int:
 
 def _pick_method(g, pre, palette) -> str:
     extra = palette.k - g.delta()
-    worst = max((precoloured_degree_vertex(g, pre, v) for v in range(g.n)),
-                default=0)
+    worst = max_precoloured_degree(g, pre)
     if extra >= 1 and worst <= extra:
         try:
             kernels.find_bipartition(g)
@@ -156,13 +149,9 @@ def _pick_method(g, pre, palette) -> str:
 
 def _cmd_avoid(args) -> int:
     g = _load_graph(args.graph)
-    forbidden, declared = _load_colouring(g, args.colours, )
-    k = args.palette if args.palette is not None else (
-        declared.k if declared else None)
-    if k is None:
-        raise InputError("no palette size: pass --palette or put it in the "
-                         "colour file")
-    outcome = exact.avoid(g, forbidden, Palette(k), budget=args.budget)
+    forbidden, declared = _load_colouring(g, args.colours)
+    palette = declared if args.palette is None else Palette(args.palette)
+    outcome = exact.avoid(g, forbidden, palette, budget=args.budget)
     return _finish_outcome(g, outcome, args)
 
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import EdgeId, InputError, MultiGraph
+from .core import EdgeId, InputError, MultiGraph, _is_int
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,16 @@ def precoloured_degree_vertex(g: MultiGraph, precoloured: Iterable[EdgeId],
     return sum(1 for eid, _ in g.incident(v) if eid in pre)
 
 
+def max_precoloured_degree(g: MultiGraph,
+                           colouring: Mapping[EdgeId, int]) -> int:
+    """Most precoloured edges meeting any one vertex (0 when none are)."""
+    count: dict[int, int] = {}
+    for eid in colouring:
+        for v in g.endpoints(eid):
+            count[v] = count.get(v, 0) + 1
+    return max(count.values(), default=0)
+
+
 def validate_precolouring(g: MultiGraph, colouring: Mapping[EdgeId, int],
                           palette: Palette) -> None:
     for eid, colour in colouring.items():
@@ -93,6 +103,23 @@ def reduce_to_lists(
         banned = {colouring[f] for f in g.adjacent_edges(eid) if f in colouring}
         lists[eid] = full - banned
     return reduced, lists
+
+
+def reduce_extension(
+    g: MultiGraph,
+    colouring: Mapping[EdgeId, int],
+    palette: Palette,
+    k: int,
+) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
+    """The extenders' shared preamble: bound, validate and reduce.
+
+    Rejects a precolouring with more than k edges at some vertex, the
+    hypothesis every extension theorem here shares, then validates it and
+    reduces to lists once.
+    """
+    if max_precoloured_degree(g, colouring) > k:
+        raise InputError(f"a vertex meets more than {k} precoloured edges")
+    return reduce_to_lists(g, colouring, palette)
 
 
 def merge_colourings(base: Mapping[EdgeId, int],
@@ -128,15 +155,22 @@ def _resolve_edge_key(g: MultiGraph, key: str) -> EdgeId:
 def colouring_from_json_obj(g: MultiGraph, obj: Mapping
                             ) -> tuple[dict[EdgeId, int], Palette]:
     try:
-        palette = Palette(int(obj["palette"]))
+        k = obj["palette"]
         raw = obj["colours"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError):
         raise InputError("precolouring object needs 'palette' and 'colours'") from None
+    if not _is_int(k):
+        raise InputError(f"palette size {k!r} is not an integer")
+    if not isinstance(raw, Mapping):
+        raise InputError("'colours' must map edge ids to colours")
     colouring = {}
     for key, value in raw.items():
         eid = _resolve_edge_key(g, key)
-        colouring[eid] = int(value)
-    return colouring, palette
+        if not _is_int(value):
+            raise InputError(
+                f"colour {value!r} of edge {key!r} is not an integer")
+        colouring[eid] = value
+    return colouring, Palette(k)
 
 
 def colouring_from_json(g: MultiGraph, text: str
@@ -147,7 +181,3 @@ def colouring_from_json(g: MultiGraph, text: str
         raise InputError(f"invalid JSON: {exc}") from None
     return colouring_from_json_obj(g, obj)
 
-
-def lists_to_json_obj(lists: Mapping[EdgeId, frozenset[int]]) -> dict:
-    """Debug dump of a list assignment."""
-    return {str(eid): sorted(colours) for eid, colours in lists.items()}

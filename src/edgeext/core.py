@@ -11,7 +11,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 EdgeId = Hashable
 
@@ -21,6 +21,11 @@ INFINITE_DISTANCE = math.inf
 
 class InputError(ValueError):
     """Malformed or contract-violating input (CLI exit code 2)."""
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bools, which Python counts as ints.
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _id_sort_key(eid):
@@ -161,13 +166,22 @@ class MultiGraph:
             raw = obj["edges"]
         except (KeyError, TypeError):
             raise InputError("graph object needs 'n' and 'edges'") from None
+        if not _is_int(n):
+            raise InputError(f"vertex count {n!r} is not an integer")
+        if not isinstance(raw, (list, tuple)):
+            raise InputError("'edges' must be a list of [id, u, v] entries")
         edges = []
         for item in raw:
-            if len(item) != 3:
+            if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise InputError(f"bad edge entry {item!r}")
             eid, u, v = item
-            edges.append((eid, int(u), int(v)))
-        return cls(int(n), edges)
+            if isinstance(eid, bool) or not isinstance(eid, (int, str)):
+                raise InputError(f"edge id {eid!r} is neither an integer "
+                                 "nor a string")
+            if not (_is_int(u) and _is_int(v)):
+                raise InputError(f"edge {eid!r}: endpoints must be integers")
+            edges.append((eid, u, v))
+        return cls(n, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "MultiGraph":

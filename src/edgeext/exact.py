@@ -8,12 +8,11 @@ classical Delta+mu (and floor(3*Delta/2)) bound without any search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import EdgeId, InputError, MultiGraph, _id_sort_key
-from .colouring import (Palette, is_proper, merge_colourings, reduce_to_lists,
-                        validate_precolouring)
+from .colouring import Palette, is_proper, merge_colourings, reduce_to_lists
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"

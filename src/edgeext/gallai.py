@@ -15,12 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
-                   degree_stats, line_graph)
-from .colouring import (Palette, merge_colourings, precoloured_degree_vertex,
-                        reduce_to_lists, validate_precolouring)
+from .core import EdgeId, InputError, MultiGraph, degree_stats, line_graph
+from .colouring import Palette, merge_colourings, reduce_extension
 from . import exact
-from .exact import SolveOutcome, SOLVED, UNSOLVABLE
+from .exact import SolveOutcome, SOLVED
 
 ODD_CYCLE_K0 = "odd-cycle-k0"
 TRIANGLE_MULTIPLICITY = "triangle-multiplicity"
@@ -137,8 +135,6 @@ def _block_is_odd_cycle(g: MultiGraph, vs: frozenset[int],
 @dataclass
 class GallaiCertificate:
     is_gallai_tree: bool
-    tight: bool
-    witness_block: frozenset[int] | None = None
 
 
 def solve_vertex_lists(g: MultiGraph,
@@ -251,7 +247,7 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]]
             bad = vs
             break
     if bad is None:
-        return GallaiCertificate(is_gallai_tree=True, tight=True)
+        return GallaiCertificate(is_gallai_tree=True)
 
     repaired = _repair_colour(g, lsets, verts, bad)
     if repaired is not None:
@@ -360,12 +356,7 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     stats = degree_stats(g)
     if stats.line_delta > stats.delta + k:
         raise InputError("line-graph degree exceeds Delta+k")
-    palette = Palette(stats.delta + k)
-    validate_precolouring(g, c, palette)
-    for v in range(g.n):
-        if precoloured_degree_vertex(g, c.keys(), v) > k:
-            raise InputError(
-                f"vertex {v} meets more than {k} precoloured edges")
+    reduced, lists = reduce_extension(g, c, Palette(stats.delta + k), k)
 
     shape = exception_shape(g, k)
     if shape is not None:
@@ -373,20 +364,26 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
         # cheaply for small instances in the test suite.
         return shape
 
-    reduced, lists = reduce_to_lists(g, c, palette)
+    return SolveOutcome(SOLVED, _colour_reduced(c, reduced, lists, budget),
+                        method="gallai")
+
+
+def _colour_reduced(c, reduced: MultiGraph, lists, budget
+                    ) -> dict[EdgeId, int]:
+    """``c`` merged with a colouring of each component of the reduced graph.
+
+    The callers have ruled out both exceptional shapes, so a component
+    that cannot be coloured would be a bug and raises.
+    """
     colouring = dict(c)
     for _, comp_eids in reduced.components():
-        sub = reduced.restrict_edges(comp_eids)
-        part = _colour_component(sub, {eid: lists[eid] for eid in comp_eids},
+        part = _colour_component(reduced.restrict_edges(comp_eids), lists,
                                  budget)
         if part is None:
-            shape = exception_shape(g, k)
-            if shape is None:
-                raise AssertionError(
-                    "extension failed on a non-exceptional instance")
-            return shape
+            raise AssertionError(
+                "extension failed on a non-exceptional instance")
         colouring = merge_colourings(colouring, part)
-    return SolveOutcome(SOLVED, colouring, method="gallai")
+    return colouring
 
 
 def _colour_component(sub: MultiGraph, lists, budget) -> dict[EdgeId, int] | None:
@@ -411,27 +408,16 @@ def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
                     budget: int | None = None) -> SolveOutcome:
     """Extend a precoloured matching of a subcubic multigraph within [4].
 
-    Always succeeds: the exceptional shapes need k = 0 or degree above 3.
+    Always succeeds.  A component of maximum degree Delta_c sees the
+    palette [4] as [Delta_c + k_c] with k_c = 4 - Delta_c >= 1, and its
+    line degree is at most 2*Delta_c - 2 <= 4, so ``extend_gallai``'s
+    hypothesis holds.  Neither exceptional shape can occur: the odd cycle
+    needs k = 0, and the fat triangle needs k = (least multiplicity) - 1,
+    which forces a vertex of degree 4.  So one reduction of the whole
+    graph is coloured component by component.
     """
     if g.delta() > 3:
         raise InputError("graph is not subcubic")
-    palette = Palette(4)
-    validate_precolouring(g, m, palette)
-    for v in range(g.n):
-        if precoloured_degree_vertex(g, m.keys(), v) > 1:
-            raise InputError("precoloured edges do not form a matching")
-
-    colouring = dict(m)
-    for _, comp_eids in g.components():
-        sub = g.restrict_edges(comp_eids)
-        # Per component, pick k so the palette is exactly [4].
-        k_c = 4 - sub.delta()
-        if k_c < 1:
-            raise AssertionError("subcubic component with Delta above 3")
-        part = extend_gallai(sub, {eid: m[eid] for eid in comp_eids
-                                   if eid in m}, k_c, budget=budget)
-        if isinstance(part, ExceptionReport):
-            raise AssertionError(
-                "subcubic matching extension hit an exceptional shape")
-        colouring = merge_colourings(colouring, part.colouring)
-    return SolveOutcome(SOLVED, colouring, method="gallai")
+    reduced, lists = reduce_extension(g, m, Palette(4), 1)
+    return SolveOutcome(SOLVED, _colour_reduced(m, reduced, lists, budget),
+                        method="gallai")

@@ -12,17 +12,16 @@ complete and reproducible.
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                    degree_stats, edge_distance)
-from .colouring import Palette, colouring_to_json_obj, is_proper
+from .colouring import (Palette, colouring_to_json_obj, is_proper,
+                        max_precoloured_degree)
 from . import exact, kernels, gallai
-from .exact import SolveOutcome, SOLVED
 
 
 # -- families ------------------------------------------------------------
@@ -406,16 +405,6 @@ class VerificationReport:
         return obj
 
 
-def _vertex_precol_degree_ok(g, pre, k):
-    count = {}
-    for eid in pre:
-        for v in g.endpoints(eid):
-            count[v] = count.get(v, 0) + 1
-            if count[v] > k:
-                return False
-    return True
-
-
 def _check_graph(claim: str, g: MultiGraph, max_k: int,
                  palette_offset: int, budget) -> tuple[int, dict | None]:
     """Check one graph against the claim; (instances, counterexample)."""
@@ -501,7 +490,7 @@ def _check_graph(claim: str, g: MultiGraph, max_k: int,
                 continue
             palette = Palette(stats.delta + k)
             for pre in enumerate_precolourings(g, palette, t=1):
-                if not _vertex_precol_degree_ok(g, pre, k):
+                if max_precoloured_degree(g, pre) > k:
                     continue
                 checked += 1
                 out = gallai.extend_gallai(g, pre, k, budget=budget)
@@ -524,7 +513,7 @@ def _check_graph(claim: str, g: MultiGraph, max_k: int,
         for k in range(1, max_k + 1):
             palette = Palette(stats.delta + k)
             for pre in enumerate_precolourings(g, palette, t=0):
-                if not _vertex_precol_degree_ok(g, pre, k):
+                if max_precoloured_degree(g, pre) > k:
                     continue
                 checked += 1
                 out = kernels.extend_bipartite(g, side, pre, k, budget=budget)
@@ -537,7 +526,7 @@ def _check_graph(claim: str, g: MultiGraph, max_k: int,
         for k in range(1, max_k + 1):
             palette = Palette((3 * stats.delta + k) // 2)
             for pre in enumerate_precolourings(g, palette, t=0):
-                if not _vertex_precol_degree_ok(g, pre, k):
+                if max_precoloured_degree(g, pre) > k:
                     continue
                 checked += 1
                 out = kernels.extend_shannon(g, pre, k, budget=budget)

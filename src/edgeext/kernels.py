@@ -10,13 +10,12 @@ Shannon-bound palettes, with the exact solver as a total fallback.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import EdgeId, InputError, MultiGraph, _id_sort_key
 from .colouring import (Palette, is_proper, merge_colourings,
-                        precoloured_degree_vertex, reduce_to_lists,
-                        validate_precolouring)
+                        reduce_extension)
 from . import exact
 from .exact import SolveOutcome, SOLVED
 
@@ -199,8 +198,8 @@ def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
     Deferred-acceptance construction: X-vertices offer their active edges
     in increasing base colour, Y-vertices hold the largest base colour
     offered so far.  The held edges form a matching whose stability is
-    exactly the kernel property.  The result is verified; a brute-force
-    search backs it up at small sizes.
+    exactly the kernel property, so by Galvin's argument a kernel always
+    comes out; the result is still verified.
     """
     g = orientation.graph
     phi = orientation.base_colouring
@@ -240,25 +239,9 @@ def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
         # x exhausted its list: it stays unmatched.
 
     result = set(held.values())
-    if is_kernel(orientation, act, result):
-        return result
-    if len(act) <= 12:
-        brute = kernel_brute(orientation, act)
-        if brute is not None:
-            return brute
-    raise AssertionError("no kernel found in induced sub-digraph")
-
-
-def f_bound_bipartite(g: MultiGraph) -> dict[EdgeId, int]:
-    return {eid: max(g.degree(u), g.degree(v)) for eid, u, v in g.edges}
-
-
-def f_bound_shannon(g: MultiGraph) -> dict[EdgeId, int]:
-    out = {}
-    for eid, u, v in g.edges:
-        du, dv = g.degree(u), g.degree(v)
-        out[eid] = max(du, dv) + min(du, dv) // 2
-    return out
+    if not is_kernel(orientation, act, result):
+        raise AssertionError("no kernel found in induced sub-digraph")
+    return result
 
 
 def list_colour_bipartite(g: MultiGraph,
@@ -336,13 +319,7 @@ def extend_bipartite(g: MultiGraph,
     check_bipartition(g, side_of)
     if k < 1:
         raise InputError("k must be positive")
-    palette = Palette(g.delta() + k)
-    validate_precolouring(g, c, palette)
-    for v in range(g.n):
-        if precoloured_degree_vertex(g, c.keys(), v) > k:
-            raise InputError(
-                f"vertex {v} meets more than {k} precoloured edges")
-    reduced, lists = reduce_to_lists(g, c, palette)
+    reduced, lists = reduce_extension(g, c, Palette(g.delta() + k), k)
     for eid, u, v in reduced.edges:
         need = max(reduced.degree(u), reduced.degree(v))
         if len(lists[eid]) < need:
@@ -366,12 +343,7 @@ def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     if not g.edges:
         return SolveOutcome(SOLVED, {}, method=KERNEL)
     palette = Palette((3 * g.delta() + k) // 2)
-    validate_precolouring(g, c, palette)
-    for v in range(g.n):
-        if precoloured_degree_vertex(g, c.keys(), v) > k:
-            raise InputError(
-                f"vertex {v} meets more than {k} precoloured edges")
-    reduced, lists = reduce_to_lists(g, c, palette)
+    reduced, lists = reduce_extension(g, c, palette, k)
     for eid, u, v in reduced.edges:
         du, dv = reduced.degree(u), reduced.degree(v)
         need = max(du, dv) + min(du, dv) // 2

@@ -2,29 +2,28 @@
 configurations, the peel-and-replay extender, and a discharging auditor.
 
 The extender is embedding-free: it repeatedly removes a light edge (small
-degree sum) or an even cycle of the auxiliary subgraph, colours the rest
-recursively, and replays the removed piece greedily; if no configuration
-is found it falls back to exact search, which keeps the contract total on
-arbitrary inputs.  The auditor re-derives, in exact rational arithmetic,
-the charge bookkeeping that shows the fallback is unreachable for plane
-graphs above the degree thresholds (17 for precoloured matchings, 20 for
-distance-3 matchings).
+degree sum) or an even cycle of the auxiliary subgraph, colours what is
+left, and replays the removed pieces greedily in reverse order; if no
+configuration is found it falls back to exact search, which keeps the
+contract total on arbitrary inputs.  The auditor re-derives, in exact
+rational arithmetic, the charge bookkeeping that shows the fallback is
+unreachable for plane graphs above the degree thresholds (17 for
+precoloured matchings, 20 for distance-3 matchings).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                    is_distance_matching)
-from .colouring import (Palette, is_proper, merge_colourings,
-                        validate_precolouring)
+from .colouring import Palette, is_proper, validate_precolouring
 from . import exact
-from .exact import SolveOutcome, SOLVED, UNSOLVABLE, BUDGET
+from .exact import SolveOutcome, SOLVED
 
 VARIANT_MATCHING = "matching"        # palette [Delta+1], threshold 17
 VARIANT_DISTANCE3 = "distance-3"     # palette [Delta], threshold 20
@@ -87,9 +86,6 @@ class FaceSet:
 
     def __len__(self):
         return len(self.faces)
-
-    def walk_vertices(self, i: int) -> list[int]:
-        return [v for v, _ in self.faces[i]]
 
 
 def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
@@ -169,7 +165,7 @@ def find_reducible(g: MultiGraph, m: Iterable[EdgeId], mode: str,
     or the all-precoloured base case; None when nothing applies.
 
     ``delta`` is the maximum degree of the original instance, which stays
-    fixed while recursion peels the graph down.
+    fixed while the extender peels the graph down.
     """
     m_ids = set(m)
     if delta is None:
@@ -298,14 +294,6 @@ def colour_even_cycle_lists(g: MultiGraph, cycle: Sequence[EdgeId],
     return assignment
 
 
-class _Unsolvable(Exception):
-    pass
-
-
-class _Budget(Exception):
-    pass
-
-
 def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
                   budget: int | None = None) -> SolveOutcome:
     """Extend a precoloured (distance-3) matching by peel-and-replay.
@@ -328,46 +316,44 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
         raise InputError(
             "precoloured edges do not form the required distance matching")
 
-    fallback_used = False
-
-    def solve(h: MultiGraph) -> dict[EdgeId, int]:
-        nonlocal fallback_used
+    # Peel configurations off until none applies or only precoloured edges
+    # are left, settle that core, then replay the configurations in reverse.
+    # At replay time the coloured edges are exactly those of the graph the
+    # configuration was peeled from, minus the configuration itself.
+    peeled = []
+    h = g
+    while True:
         active_m = {eid: m[eid] for eid in h.edge_ids if eid in m}
         cfg = find_reducible(h, active_m.keys(), mode, delta0)
-        if cfg is not None and cfg.kind == BASE_CASE:
-            return dict(active_m)
-        if cfg is not None and cfg.kind == LIGHT_EDGE:
+        if cfg is None or cfg.kind == BASE_CASE:
+            break
+        peeled.append(cfg)
+        h = h.delete_edges(cfg.edges)
+    fallback_used = cfg is None
+    if fallback_used:
+        # No configuration: exact search settles the subgraph.
+        outcome = exact.extend(h, active_m, palette, budget=budget)
+        if not outcome.solved:
+            return SolveOutcome(outcome.status, None, method=EXACT_FALLBACK)
+        colouring = outcome.colouring
+    else:
+        colouring = active_m
+
+    def free_colours(eid):
+        banned = {colouring[f] for f in g.adjacent_edges(eid)
+                  if f in colouring}
+        return [c for c in palette.colours if c not in banned]
+
+    for cfg in reversed(peeled):
+        if cfg.kind == LIGHT_EDGE:
             eid = cfg.edges[0]
-            col = solve(h.delete_edges([eid]))
-            banned = {col[f] for f in h.adjacent_edges(eid) if f in col}
-            free = [c for c in palette.colours if c not in banned]
+            free = free_colours(eid)
             if not free:
                 raise AssertionError("light edge had no free colour")
-            col[eid] = free[0]
-            return col
-        if cfg is not None and cfg.kind == EVEN_CYCLE:
-            col = solve(h.delete_edges(cfg.edges))
-            lists = {}
-            for eid in cfg.edges:
-                banned = {col[f] for f in h.adjacent_edges(eid) if f in col}
-                lists[eid] = set(palette.colours) - banned
-            part = colour_even_cycle_lists(h, cfg.edges, lists)
-            return merge_colourings(col, part)
-        # No configuration: exact search settles the subgraph.
-        fallback_used = True
-        outcome = exact.extend(h, active_m, palette, budget=budget)
-        if outcome.status == BUDGET:
-            raise _Budget
-        if not outcome.solved:
-            raise _Unsolvable
-        return outcome.colouring
-
-    try:
-        colouring = solve(g)
-    except _Budget:
-        return SolveOutcome(BUDGET, None, method=EXACT_FALLBACK)
-    except _Unsolvable:
-        return SolveOutcome(UNSOLVABLE, None, method=EXACT_FALLBACK)
+            colouring[eid] = free[0]
+        else:
+            lists = {eid: set(free_colours(eid)) for eid in cfg.edges}
+            colouring.update(colour_even_cycle_lists(g, cfg.edges, lists))
     if not is_proper(g, colouring):
         raise AssertionError("planar extension is improper")
     for eid, c in colouring.items():

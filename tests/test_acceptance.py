@@ -10,7 +10,8 @@ import time
 from fractions import Fraction
 
 from edgeext.core import MultiGraph, edges_cycle
-from edgeext.colouring import Palette, is_proper, reduce_to_lists
+from edgeext.colouring import (Palette, is_proper, max_precoloured_degree,
+                               reduce_to_lists)
 from edgeext import exact, kernels, gallai, planar, instances
 
 
@@ -75,7 +76,7 @@ def test_criterion_4_bipartite_extension_sweep(capsys):
                 palette = Palette(delta + k)
                 for pre in instances.enumerate_precolourings(
                         g, palette, t=0):
-                    if not instances._vertex_precol_degree_ok(g, pre, k):
+                    if max_precoloured_degree(g, pre) > k:
                         continue
                     out = kernels.extend_bipartite(g, side, pre, k)
                     assert out.solved and is_proper(g, out.colouring)

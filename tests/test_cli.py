@@ -225,3 +225,49 @@ def test_extend_exact_deep_instance(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "solved"
     assert len(out["colouring"]) == 1100
+
+
+_GOOD_GRAPH = {"n": 3, "edges": [[0, 0, 1], [1, 1, 2]]}
+_GOOD_COLOURS = {"palette": 3, "colours": {"0": 1}}
+
+
+@pytest.mark.parametrize("graph, colours", [
+    ({"n": "x", "edges": [[0, 0, 1]]}, _GOOD_COLOURS),
+    ({"n": 3, "edges": [[[0], 0, 1], [1, 1, 2]]}, _GOOD_COLOURS),
+    ({"n": 3, "edges": 5}, _GOOD_COLOURS),
+    (_GOOD_GRAPH, {"palette": 3, "colours": {"0": "a"}}),
+    (_GOOD_GRAPH, {"palette": 3, "colours": [1]}),
+    (_GOOD_GRAPH, {"palette": 3, "colours": {"0": True}}),
+], ids=["n-not-int", "list-edge-id", "edges-not-list", "colour-string",
+        "colours-not-object", "colour-bool"])
+def test_malformed_input_exits_2(tmp_path, capsys, graph, colours):
+    gpath = write(tmp_path, "g.json", graph)
+    cpath = write(tmp_path, "c.json", colours)
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "traceback" not in json.loads(captured.err)
+
+
+def test_solve_list_rejects_bool_colour(tmp_path, capsys):
+    gpath = write(tmp_path, "g.json", _GOOD_GRAPH)
+    lpath = write(tmp_path, "l.json", {"lists": {"0": [True], "1": [2]}})
+    assert run(["solve-list", "--graph", gpath, "--lists", lpath,
+                "--no-timestamp"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_extend_planar_deep_wheel(tmp_path, capsys):
+    # 1,000 peel steps, more than the default recursion limit allows
+    from edgeext.planar import wheel
+    g, _ = wheel(500)
+    gpath = write(tmp_path, "w.json", g.to_json_obj())
+    cpath = write(tmp_path, "c.json", {"palette": g.delta() + 1,
+                                       "colours": {}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--method", "planar", "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved"
+    assert out["method"] == "reduction"
+    assert len(out["colouring"]) == len(g.edges)

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from edgeext.core import InputError, MultiGraph, edges_path
 from edgeext.colouring import (Palette, colouring_from_json,
                                colouring_to_json_obj, is_proper,
-                               merge_colourings, precoloured_degree_edge,
+                               max_precoloured_degree, merge_colourings,
+                               precoloured_degree_edge,
                                precoloured_degree_vertex, reduce_to_lists,
                                validate_precolouring)
 
@@ -40,6 +41,24 @@ def test_precoloured_degrees():
     assert precoloured_degree_vertex(g, [0, 2], 2) == 1
     with pytest.raises(InputError):
         precoloured_degree_edge(g, [0], 0)
+
+
+def test_max_precoloured_degree_edge_cases():
+    h = MultiGraph(3, [(0, 0, 1), (1, 0, 1), (2, 1, 2)])
+    assert max_precoloured_degree(h, {}) == 0
+    # parallel edges both count at each shared endpoint
+    assert max_precoloured_degree(h, {0: 1, 1: 2}) == 2
+    assert max_precoloured_degree(h, {0: 1, 1: 2, 2: 3}) == 3
+    with pytest.raises(InputError):
+        max_precoloured_degree(h, {42: 1})
+
+
+@given(multigraphs(max_mu=3), st.data())
+def test_max_precoloured_degree_matches_per_vertex_count(g, data):
+    pre = {eid: 1 for eid in g.edge_ids if data.draw(st.booleans())}
+    oracle = max((precoloured_degree_vertex(g, pre, v) for v in range(g.n)),
+                 default=0)
+    assert max_precoloured_degree(g, pre) == oracle
 
 
 def test_validate_precolouring():

@@ -125,7 +125,7 @@ def test_degree_list_colour_on_degree_lists(g, data):
     result = degree_list_colour(g, lists)
     if isinstance(result, GallaiCertificate):
         assert surplus == 0
-        assert result.is_gallai_tree and result.tight
+        assert result.is_gallai_tree
     else:
         assert all(result[u] != result[v] for _, u, v in g.edges)
         assert all(result[v] in lists[v] for v in lists)
