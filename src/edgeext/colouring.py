@@ -78,15 +78,56 @@ def max_precoloured_degree(g: MultiGraph,
     return max(count.values(), default=0)
 
 
+def check_load(g: MultiGraph, colouring: Mapping[EdgeId, int], k: int) -> None:
+    """Reject unknown edges and a vertex meeting more than k of them."""
+    if max_precoloured_degree(g, colouring) > k:
+        raise InputError(f"a vertex meets more than {k} precoloured edges")
+
+
 def validate_precolouring(g: MultiGraph, colouring: Mapping[EdgeId, int],
-                          palette: Palette) -> None:
+                          palette: Palette) -> list[int]:
+    """Reject unknown edges, colours outside the palette and an improper
+    precolouring; return each vertex's used colours as a bitmask."""
+    used = [0] * g.n
+    proper = True
     for eid, colour in colouring.items():
-        g.endpoints(eid)
+        u, v = g.endpoints(eid)
         if colour not in palette:
             raise InputError(
                 f"edge {eid!r} has colour {colour!r} outside palette [{palette.k}]")
-    if not is_proper(g, colouring):
+        bit = 1 << colour
+        if (used[u] | used[v]) & bit:
+            proper = False
+        used[u] |= bit
+        used[v] |= bit
+    if not proper:
         raise InputError("precolouring is not proper")
+    return used
+
+
+def extension_masks(g: MultiGraph, colouring: Mapping[EdgeId, int],
+                    palette: Palette, k: int) -> list[int]:
+    """The extenders' shared preamble: bound, then validate.
+
+    Rejects a precolouring with more than k edges at some vertex, the
+    hypothesis every extension theorem here shares, then validates it;
+    returns each vertex's used colours as a bitmask.  An uncoloured edge
+    uv may take exactly the palette colours outside ``used[u] | used[v]``.
+    """
+    check_load(g, colouring, k)
+    return validate_precolouring(g, colouring, palette)
+
+
+def _reduce(g: MultiGraph, colouring: Mapping[EdgeId, int],
+            palette: Palette, used: list[int]
+            ) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
+    reduced = g.delete_edges(colouring.keys())
+    lists = {}
+    for eid, u, v in reduced.edges:
+        banned = used[u] | used[v]
+        lists[eid] = frozenset(c for c in palette.colours
+                               if not banned >> c & 1)
+    return reduced, lists
 
 
 def reduce_to_lists(
@@ -95,14 +136,8 @@ def reduce_to_lists(
     palette: Palette,
 ) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
     """Delete precoloured edges; list each survivor's still-usable colours."""
-    validate_precolouring(g, colouring, palette)
-    reduced = g.delete_edges(colouring.keys())
-    full = frozenset(palette.colours)
-    lists = {}
-    for eid in reduced.edge_ids:
-        banned = {colouring[f] for f in g.adjacent_edges(eid) if f in colouring}
-        lists[eid] = full - banned
-    return reduced, lists
+    return _reduce(g, colouring, palette,
+                   validate_precolouring(g, colouring, palette))
 
 
 def reduce_extension(
@@ -111,15 +146,10 @@ def reduce_extension(
     palette: Palette,
     k: int,
 ) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
-    """The extenders' shared preamble: bound, validate and reduce.
-
-    Rejects a precolouring with more than k edges at some vertex, the
-    hypothesis every extension theorem here shares, then validates it and
-    reduces to lists once.
-    """
-    if max_precoloured_degree(g, colouring) > k:
-        raise InputError(f"a vertex meets more than {k} precoloured edges")
-    return reduce_to_lists(g, colouring, palette)
+    """The preamble of ``extension_masks``, then ``reduce_to_lists``'s
+    reduction (with no second validation)."""
+    return _reduce(g, colouring, palette,
+                   extension_masks(g, colouring, palette, k))
 
 
 def merge_colourings(base: Mapping[EdgeId, int],

@@ -11,7 +11,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 EdgeId = Hashable
 
@@ -40,7 +40,8 @@ class MultiGraph:
     edges are distinct entries with distinct ids.
     """
 
-    __slots__ = ("n", "edges", "_endpoints", "_incident", "_degrees")
+    __slots__ = ("n", "edges", "_endpoints", "_incident", "_degrees",
+                 "_dense")
 
     def __init__(self, n: int, edges: Iterable[tuple[EdgeId, int, int]]):
         if n < 0:
@@ -64,6 +65,13 @@ class MultiGraph:
         self._endpoints = endpoints
         self._incident = tuple(tuple(entries) for entries in incident)
         self._degrees = tuple(len(entries) for entries in incident)
+        self._dense = None
+
+    def dense(self) -> "DenseForm":
+        """The graph's index form, built on first use and kept."""
+        if self._dense is None:
+            self._dense = DenseForm(self)
+        return self._dense
 
     # -- basic accessors -------------------------------------------------
 
@@ -205,6 +213,46 @@ class MultiGraph:
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, edges={len(self.edges)})"
+
+
+class DenseForm:
+    """A graph's edges as indices, for hot paths that would otherwise key
+    dicts by edge id.
+
+    Edge i is ``g.edges[i]``; bit i of an edge mask stands for edge i.
+    ``rank[i]`` is edge i's position in edge-id order (``_id_sort_key``),
+    so ties broken by rank fall as they would by id.
+    """
+
+    __slots__ = ("ids", "index", "ends", "incident", "adjacent", "rank")
+
+    def __init__(self, g: MultiGraph):
+        self.ids = tuple(eid for eid, _, _ in g.edges)
+        self.index = {eid: i for i, eid in enumerate(self.ids)}
+        self.ends = tuple((u, v) for _, u, v in g.edges)
+        incident: list[list[int]] = [[] for _ in range(g.n)]
+        at_vertex = [0] * g.n
+        for i, (u, v) in enumerate(self.ends):
+            for w in (u, v):
+                incident[w].append(i)
+                at_vertex[w] |= 1 << i
+        self.incident = tuple(tuple(entries) for entries in incident)
+        #: line-graph neighbours of each edge, as an edge mask
+        self.adjacent = tuple((at_vertex[u] | at_vertex[v]) & ~(1 << i)
+                              for i, (u, v) in enumerate(self.ends))
+        rank = [0] * len(self.ids)
+        for r, i in enumerate(sorted(range(len(self.ids)),
+                                     key=lambda i: _id_sort_key(self.ids[i]))):
+            rank[i] = r
+        self.rank = tuple(rank)
+
+
+def edge_bits(mask: int) -> Iterator[int]:
+    """The edge indices in a mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import EdgeId, InputError, MultiGraph, degree_stats, line_graph
 from .colouring import Palette, merge_colourings, reduce_extension
 from . import exact
-from .exact import SolveOutcome, SOLVED
+from .exact import BUDGET, SOLVED, SolveOutcome
 
 ODD_CYCLE_K0 = "odd-cycle-k0"
 TRIANGLE_MULTIPLICITY = "triangle-multiplicity"
@@ -137,9 +137,22 @@ class GallaiCertificate:
     is_gallai_tree: bool
 
 
+class BudgetSpent(Exception):
+    """A bounded ``solve_vertex_lists`` search passed its node budget."""
+
+    def __init__(self, nodes: int):
+        super().__init__(f"search passed its budget at {nodes} nodes")
+        self.nodes = nodes
+
+
 def solve_vertex_lists(g: MultiGraph,
-                       lists: Mapping[int, Iterable[int]]) -> dict[int, int] | None:
-    """Exact vertex list-colouring by backtracking (smallest list first)."""
+                       lists: Mapping[int, Iterable[int]],
+                       budget: int | None = None) -> dict[int, int] | None:
+    """Exact vertex list-colouring by backtracking (smallest list first).
+
+    Each call of the search on a non-empty set of vertices is one node;
+    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.
+    """
     verts = [v for v in range(g.n) if g.incident(v) or v in lists]
     masks = {}
     for v in verts:
@@ -149,10 +162,15 @@ def solve_vertex_lists(g: MultiGraph,
     neighbours = {v: sorted({w for _, w in g.incident(v)}) for v in verts}
     assignment: dict[int, int] = {}
     used: dict[int, int] = {v: 0 for v in verts}
+    nodes = 0
 
     def search(todo: list[int]) -> bool:
+        nonlocal nodes
         if not todo:
             return True
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetSpent(nodes)
         best = min(todo, key=lambda v: ((masks[v] & ~used[v]).bit_count(), v))
         avail = masks[best] & ~used[best]
         if avail == 0:
@@ -210,13 +228,16 @@ def _greedy_from_root(g: MultiGraph, lists: Mapping[int, set],
         colouring[v] = choice[0]
 
 
-def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]]
+def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
+                       budget: int | None = None
                        ) -> dict[int, int] | GallaiCertificate:
     """Colour vertices from lists at least as large as their degrees.
 
     Returns a proper colouring, or a certificate that the graph is a tight
     Gallai tree (every list exactly the degree), the one situation with no
     constructive guarantee — the caller decides by exact search.
+    ``budget`` bounds the search a failed repair falls back to (see
+    ``solve_vertex_lists``).
     """
     if not g.is_connected():
         raise InputError("degree-list colouring needs a connected graph")
@@ -253,7 +274,7 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]]
     if repaired is not None:
         return repaired | iso_colours
     # A colouring is still guaranteed to exist here; find it directly.
-    solved = solve_vertex_lists(g, lsets)
+    solved = solve_vertex_lists(g, lsets, budget)
     if solved is None:
         raise AssertionError(
             "tight non-Gallai-tree instance turned out uncolourable")
@@ -347,7 +368,8 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     Requires the line graph's maximum degree to stay within Delta+k and
     every vertex to meet at most k precoloured edges.  Either returns a
     Solved outcome or reports one of the two exceptional shapes; any other
-    failure would be a bug and raises.
+    failure would be a bug and raises.  ``budget`` bounds each fallback
+    search; one that passes it gives a ``BUDGET`` outcome.
     """
     if k < 0:
         raise InputError("k must be non-negative")
@@ -364,26 +386,30 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
         # cheaply for small instances in the test suite.
         return shape
 
-    return SolveOutcome(SOLVED, _colour_reduced(c, reduced, lists, budget),
-                        method="gallai")
+    return _colour_reduced(c, reduced, lists, budget)
 
 
-def _colour_reduced(c, reduced: MultiGraph, lists, budget
-                    ) -> dict[EdgeId, int]:
+def _colour_reduced(c, reduced: MultiGraph, lists, budget) -> SolveOutcome:
     """``c`` merged with a colouring of each component of the reduced graph.
 
     The callers have ruled out both exceptional shapes, so a component
-    that cannot be coloured would be a bug and raises.
+    that cannot be coloured would be a bug and raises.  ``budget`` bounds
+    each search a component falls back to; a search that passes it makes
+    the outcome ``BUDGET``.
     """
     colouring = dict(c)
     for _, comp_eids in reduced.components():
-        part = _colour_component(reduced.restrict_edges(comp_eids), lists,
-                                 budget)
+        try:
+            part = _colour_component(reduced.restrict_edges(comp_eids),
+                                     lists, budget)
+        except BudgetSpent as spent:
+            return SolveOutcome(BUDGET, None, nodes=spent.nodes,
+                                method="gallai")
         if part is None:
             raise AssertionError(
                 "extension failed on a non-exceptional instance")
         colouring = merge_colourings(colouring, part)
-    return colouring
+    return SolveOutcome(SOLVED, colouring, method="gallai")
 
 
 def _colour_component(sub: MultiGraph, lists, budget) -> dict[EdgeId, int] | None:
@@ -395,9 +421,9 @@ def _colour_component(sub: MultiGraph, lists, budget) -> dict[EdgeId, int] | Non
             return None
         if len(vlists[i]) < lg.degree(i):
             raise AssertionError("edge list smaller than line-graph degree")
-    result = degree_list_colour(lg, vlists) if lg.n else {}
+    result = degree_list_colour(lg, vlists, budget) if lg.n else {}
     if isinstance(result, GallaiCertificate):
-        solved = solve_vertex_lists(lg, vlists)
+        solved = solve_vertex_lists(lg, vlists, budget)
         if solved is None:
             return None
         result = solved
@@ -419,5 +445,4 @@ def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
     if g.delta() > 3:
         raise InputError("graph is not subcubic")
     reduced, lists = reduce_extension(g, m, Palette(4), 1)
-    return SolveOutcome(SOLVED, _colour_reduced(m, reduced, lists, budget),
-                        method="gallai")
+    return _colour_reduced(m, reduced, lists, budget)

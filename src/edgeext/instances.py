@@ -18,9 +18,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
-                   degree_stats, edge_distance)
-from .colouring import (Palette, colouring_to_json_obj, is_proper,
-                        max_precoloured_degree)
+                   degree_stats, edge_bits, edge_distance)
+from .colouring import Palette, colouring_to_json_obj, is_proper
 from . import exact, kernels, gallai
 
 
@@ -286,40 +285,77 @@ def _augment(g: MultiGraph, n_max, mu_max, connected_only):
         yield MultiGraph(g.n + 2, list(g.edges) + [(e, g.n, g.n + 1)])
 
 
-def enumerate_edge_sets(g: MultiGraph, t: int = 1) -> Iterator[tuple]:
+def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
+    """The edges within line-graph distance t of each edge (itself
+    excluded), by one breadth-first search to depth t from each edge."""
+    d = g.dense()
+    out = {}
+    for i, eid in enumerate(d.ids):
+        reached = 1 << i
+        frontier = reached
+        for _ in range(t):
+            grown = 0
+            for j in edge_bits(frontier):
+                grown |= d.adjacent[j]
+            frontier = grown & ~reached
+            if not frontier:
+                break
+            reached |= frontier
+        out[eid] = {d.ids[j] for j in edge_bits(reached & ~(1 << i))}
+    return out
+
+
+def enumerate_edge_sets(g: MultiGraph, t: int = 1,
+                        max_load: int | None = None) -> Iterator[tuple]:
     """All edge sets of pairwise distance > t, in deterministic order.
 
     t=0 yields every subset; t=1 the matchings; t=2 induced matchings.
+    With ``max_load``, only sets meeting each vertex at most that many
+    times; a set over the bound is pruned with all its supersets, so the
+    stream is the unbounded one filtered, in the same order.
     """
     ids = sorted(g.edge_ids, key=_id_sort_key)
-    conflict = {eid: set() for eid in ids}
+    position = {eid: p for p, eid in enumerate(ids)}
+    conflict = [0] * len(ids)
     if t >= 1:
-        for a, b in itertools.combinations(ids, 2):
-            if edge_distance(g, a, b) <= t:
-                conflict[a].add(b)
-                conflict[b].add(a)
+        for eid, near in distance_conflicts(g, t).items():
+            for f in near:
+                conflict[position[eid]] |= 1 << position[f]
+    ends = [g.endpoints(eid) for eid in ids]
+    load = [0] * g.n
+    # no set meets a vertex more than len(ids) times
+    cap = len(ids) if max_load is None else max_load
 
-    def grow(start: int, chosen: tuple, blocked: set):
+    def grow(start: int, chosen: tuple, blocked: int):
         yield chosen
-        for i in range(start, len(ids)):
-            eid = ids[i]
-            if eid in blocked:
+        for p in range(start, len(ids)):
+            if blocked >> p & 1:
                 continue
-            yield from grow(i + 1, chosen + (eid,), blocked | conflict[eid])
+            u, v = ends[p]
+            if load[u] >= cap or load[v] >= cap:
+                continue
+            load[u] += 1
+            load[v] += 1
+            yield from grow(p + 1, chosen + (ids[p],), blocked | conflict[p])
+            load[u] -= 1
+            load[v] -= 1
 
-    yield from grow(0, (), set())
+    yield from grow(0, (), 0)
 
 
 def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
-                            up_to_colour_permutation: bool = True
+                            up_to_colour_permutation: bool = True,
+                            max_load: int | None = None
                             ) -> Iterator[dict[EdgeId, int]]:
     """All proper precolourings whose support has pairwise distance > t.
 
     With ``up_to_colour_permutation`` exactly one representative per
     colour-permutation orbit is produced (colours appear in first-use
-    order along increasing edge id).
+    order along increasing edge id).  With ``max_load``, only those with
+    at most that many precoloured edges at each vertex (see
+    ``enumerate_edge_sets``).
     """
-    for subset in enumerate_edge_sets(g, t):
+    for subset in enumerate_edge_sets(g, t, max_load):
         yield from _colourings_of(g, subset, palette,
                                   up_to_colour_permutation)
 
@@ -489,9 +525,7 @@ def _check_graph(claim: str, g: MultiGraph, max_k: int,
             if stats.line_delta > stats.delta + k:
                 continue
             palette = Palette(stats.delta + k)
-            for pre in enumerate_precolourings(g, palette, t=1):
-                if max_precoloured_degree(g, pre) > k:
-                    continue
+            for pre in enumerate_precolourings(g, palette, t=1, max_load=k):
                 checked += 1
                 out = gallai.extend_gallai(g, pre, k, budget=budget)
                 if isinstance(out, gallai.ExceptionReport):
@@ -512,9 +546,7 @@ def _check_graph(claim: str, g: MultiGraph, max_k: int,
             return 0, None
         for k in range(1, max_k + 1):
             palette = Palette(stats.delta + k)
-            for pre in enumerate_precolourings(g, palette, t=0):
-                if max_precoloured_degree(g, pre) > k:
-                    continue
+            for pre in enumerate_precolourings(g, palette, t=0, max_load=k):
                 checked += 1
                 out = kernels.extend_bipartite(g, side, pre, k, budget=budget)
                 if not out.solved or not is_proper(g, out.colouring):
@@ -525,9 +557,7 @@ def _check_graph(claim: str, g: MultiGraph, max_k: int,
     if claim == "shannon-extension":
         for k in range(1, max_k + 1):
             palette = Palette((3 * stats.delta + k) // 2)
-            for pre in enumerate_precolourings(g, palette, t=0):
-                if max_precoloured_degree(g, pre) > k:
-                    continue
+            for pre in enumerate_precolourings(g, palette, t=0, max_load=k):
                 checked += 1
                 out = kernels.extend_shannon(g, pre, k, budget=budget)
                 if not out.solved or not is_proper(g, out.colouring):

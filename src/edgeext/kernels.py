@@ -5,17 +5,23 @@ so that every induced sub-digraph has a kernel; extracting kernels colour
 by colour solves list instances whose lists have size at least Delta.
 The same pipeline powers the precolouring extenders for bipartite and
 Shannon-bound palettes, with the exact solver as a total fallback.
+
+The pipeline runs on the graph's dense form (``MultiGraph.dense``):
+colour sets and lists are colour bitmasks, arcs and kernels are edge
+masks.  ``konig_colour``, ``galvin_orient``, ``kernel`` and ``is_kernel``
+translate edge ids to indices and back around the same routines.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .core import EdgeId, InputError, MultiGraph, _id_sort_key
-from .colouring import (Palette, is_proper, merge_colourings,
-                        reduce_extension)
+from .core import (DenseForm, EdgeId, InputError, MultiGraph, _id_sort_key,
+                   edge_bits)
+from .colouring import (Palette, check_load, extension_masks, is_proper,
+                        merge_colourings, reduce_extension)
 from . import exact
 from .exact import SolveOutcome, SOLVED
 
@@ -53,61 +59,139 @@ def check_bipartition(g: MultiGraph, side_of: Mapping[int, str]) -> None:
             raise InputError("bipartition does not split every edge")
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _x_sides(g: MultiGraph, side_of: Mapping[int, str]) -> list[bool]:
+    return [side_of.get(v) == "X" for v in range(g.n)]
+
+
+def _degrees(d: DenseForm, edges: Sequence[int]) -> list[int]:
+    deg = [0] * len(d.incident)
+    for i in edges:
+        u, v = d.ends[i]
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _edge_mask(d: DenseForm, ids: Iterable[EdgeId]) -> int:
+    mask = 0
+    for eid in ids:
+        i = d.index.get(eid)
+        if i is None:
+            raise InputError(f"unknown edge id {eid!r}")
+        mask |= 1 << i
+    return mask
+
+
+def _konig(d: DenseForm, edges: Sequence[int], delta: int) -> list[int]:
+    """Proper colouring of ``edges`` within [delta] of a bipartite graph;
+    entry i is edge i's colour, 0 for an edge not listed.
+
+    Alternating-path augmentation: for an edge uv take the least colour a
+    free at u and b free at v; if no colour is free at both, flipping the
+    a/b path from v frees a at both ends (the path cannot reach u, by
+    parity).  ``at[w]`` maps each colour present at w to its edge.
+    """
+    ends = d.ends
+    phi = [0] * len(ends)
+    at: list[dict[int, int]] = [{} for _ in d.incident]
+    used = [0] * len(d.incident)
+    full = (1 << (delta + 1)) - 2
+    for i in edges:
+        u, v = ends[i]
+        common = full & ~(used[u] | used[v])
+        if not common:
+            a = _lowest(full & ~used[u])
+            b = _lowest(full & ~used[v])
+            path = []
+            w, want = v, a
+            while want in at[w]:
+                e = at[w][want]
+                path.append(e)
+                x, y = ends[e]
+                w = y if x == w else x
+                want = a + b - want
+            for e in path:
+                for x in ends[e]:
+                    del at[x][phi[e]]
+            for e in path:
+                phi[e] = a + b - phi[e]
+                for x in ends[e]:
+                    at[x][phi[e]] = e
+            # Inner vertices keep both colours; at v and at the path's
+            # far end w the one present and the one missing trade places.
+            swap = (1 << a) | (1 << b)
+            used[v] ^= swap
+            used[w] ^= swap
+            common = full & ~(used[u] | used[v])
+        c = _lowest(common)
+        phi[i] = c
+        at[u][c] = at[v][c] = i
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    for i in edges:
+        c = phi[i]
+        u, v = ends[i]
+        if not 1 <= c <= delta or at[u].get(c) != i or at[v].get(c) != i:
+            raise AssertionError("alternating-path colouring is improper "
+                                 "or exceeded Delta")
+    return phi
+
+
 def konig_colour(g: MultiGraph,
                  side_of: Mapping[int, str] | None = None) -> dict[EdgeId, int]:
-    """Proper Delta-edge-colouring of a bipartite multigraph.
-
-    Alternating-path augmentation: for an edge uv pick a colour a free at u
-    and b free at v; if they differ, flipping the a/b path from v frees a
-    at both ends (the path cannot reach u, by parity).
-    """
+    """Proper Delta-edge-colouring of a bipartite multigraph (see
+    ``_konig``)."""
     if side_of is None:
         side_of = find_bipartition(g)
     check_bipartition(g, side_of)
-    delta = g.delta()
-    colour: dict[EdgeId, int] = {}
-    free = [set(range(1, delta + 1)) for _ in range(g.n)]
+    d = g.dense()
+    return dict(zip(d.ids, _konig(d, range(len(d.ids)), g.delta())))
 
-    def flip_path(start: int, a: int, b: int) -> None:
-        # Flip the a/b alternating path from ``start`` (where b is free and
-        # a present); afterwards a is free at ``start``.
-        path = []
-        v, want, prev = start, a, None
-        while True:
-            eid = next((e for e, _ in g.incident(v)
-                        if e != prev and colour.get(e) == want), None)
-            if eid is None:
-                break
-            path.append(eid)
-            u1, u2 = g.endpoints(eid)
-            v, prev = (u2 if u1 == v else u1), eid
-            want = b if want == a else a
-        touched = {start, v}
-        for eid in path:
-            u1, u2 = g.endpoints(eid)
-            touched.update((u1, u2))
-            colour[eid] = b if colour[eid] == a else a
-        for w in touched:
-            present = {colour[e] for e, _ in g.incident(w) if e in colour}
-            free[w] = set(range(1, delta + 1)) - present
 
-    for eid, u, v in g.edges:
-        common = free[u] & free[v]
-        if not common:
-            a = min(free[u])
-            b = min(free[v])
-            flip_path(v, a, b)
-            common = free[u] & free[v]
-        c = min(common)
-        colour[eid] = c
-        free[u].discard(c)
-        free[v].discard(c)
+class _Orientation:
+    """A Galvin orientation on some edges of a dense graph.
 
-    if not is_proper(g, colour):
-        raise AssertionError("alternating-path colouring is improper")
-    if colour and max(colour.values()) > delta:
-        raise AssertionError("alternating-path colouring exceeded Delta")
-    return colour
+    ``arcs[i]`` is edge i's out-neighbours as an edge mask.  Kernels offer
+    edges in ``order`` (base colour, then edge id); ``place[i]`` is edge i's
+    position in it.
+    """
+
+    __slots__ = ("adjacent", "arcs", "x_end", "y_end", "order", "place")
+
+    def __init__(self, d: DenseForm, edges: Sequence[int],
+                 phi: Sequence[int], is_x: Sequence[bool], delta: int):
+        m = len(d.ids)
+        here: list[list[int]] = [[] for _ in d.incident]
+        self.x_end = [0] * m
+        self.y_end = [0] * m
+        for i in edges:
+            u, v = d.ends[i]
+            here[u].append(i)
+            here[v].append(i)
+            self.x_end[i], self.y_end[i] = (u, v) if is_x[u] else (v, u)
+        arcs = [0] * m
+        for w, at in enumerate(here):
+            # At an X-vertex arcs run towards smaller base colours, at a
+            # Y-vertex towards larger ones.
+            at.sort(key=phi.__getitem__, reverse=not is_x[w])
+            towards = 0
+            for i in at:
+                arcs[i] |= towards
+                towards |= 1 << i
+        for i in edges:
+            if arcs[i].bit_count() > delta - 1:
+                raise AssertionError("orientation out-degree exceeded Delta-1")
+        self.adjacent = d.adjacent
+        self.arcs = arcs
+        rank = d.rank
+        self.order = sorted(edges, key=lambda i: (phi[i], rank[i]))
+        self.place = [0] * m
+        for p, i in enumerate(self.order):
+            self.place[i] = p
 
 
 @dataclass
@@ -122,13 +206,20 @@ class GalvinOrientation:
     graph: MultiGraph
     side_of: Mapping[int, str]
     base_colouring: dict[EdgeId, int]
-    arcs: dict[EdgeId, frozenset[EdgeId]]
+    dense: _Orientation
+
+    @property
+    def arcs(self) -> dict[EdgeId, frozenset[EdgeId]]:
+        ids = self.graph.dense().ids
+        return {ids[i]: frozenset(ids[j] for j in edge_bits(mask))
+                for i, mask in enumerate(self.dense.arcs)}
 
     def out_degree(self, eid: EdgeId) -> int:
-        return len(self.arcs[eid])
+        return self.dense.arcs[self.graph.dense().index[eid]].bit_count()
 
     def has_arc(self, e: EdgeId, f: EdgeId) -> bool:
-        return f in self.arcs[e]
+        index = self.graph.dense().index
+        return bool(self.dense.arcs[index[e]] >> index[f] & 1)
 
 
 def galvin_orient(g: MultiGraph, side_of: Mapping[int, str] | None,
@@ -144,40 +235,34 @@ def galvin_orient(g: MultiGraph, side_of: Mapping[int, str] | None,
                              f"leaves the range [1..{delta}]")
     if not is_proper(g, phi):
         raise InputError("base colouring is not proper")
+    d = g.dense()
+    dense = _Orientation(d, range(len(d.ids)),
+                         [phi[eid] for eid in d.ids], _x_sides(g, side_of),
+                         delta)
+    return GalvinOrientation(g, dict(side_of), dict(phi), dense)
 
-    arcs: dict[EdgeId, set[EdgeId]] = {eid: set() for eid in g.edge_ids}
-    for v in range(g.n):
-        at_x = side_of[v] == "X"
-        entries = g.incident(v)
-        for (e, _), (f, _) in itertools.permutations(entries, 2):
-            if at_x:
-                if phi[e] > phi[f]:
-                    arcs[e].add(f)
-            else:
-                if phi[e] < phi[f]:
-                    arcs[e].add(f)
-    orient = GalvinOrientation(g, dict(side_of), dict(phi),
-                               {e: frozenset(s) for e, s in arcs.items()})
-    for eid in g.edge_ids:
-        if orient.out_degree(eid) > delta - 1:
-            raise AssertionError("orientation out-degree exceeded Delta-1")
-    return orient
+
+def _is_kernel(o: _Orientation, active: int, candidate: int) -> bool:
+    """Kernel test in the sub-digraph induced by ``active`` (edge masks)."""
+    if candidate & ~active:
+        return False
+    for i in edge_bits(candidate):
+        if o.adjacent[i] & candidate:
+            return False
+    for i in edge_bits(active & ~candidate):
+        if not o.arcs[i] & candidate:
+            return False
+    return True
 
 
 def is_kernel(orientation: GalvinOrientation, active: set,
               candidate: set) -> bool:
     """Kernel test in the sub-digraph induced by ``active``."""
-    g = orientation.graph
     if not candidate <= active:
         return False
-    for e in candidate:
-        for f in candidate:
-            if e != f and f in g.adjacent_edges(e):
-                return False
-    for e in active - candidate:
-        if not any(f in candidate for f in orientation.arcs[e]):
-            return False
-    return True
+    d = orientation.graph.dense()
+    return _is_kernel(orientation.dense, _edge_mask(d, active),
+                      _edge_mask(d, candidate))
 
 
 def kernel_brute(orientation: GalvinOrientation,
@@ -192,8 +277,8 @@ def kernel_brute(orientation: GalvinOrientation,
     return None
 
 
-def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
-    """Kernel of the sub-digraph induced by the active edges.
+def _kernel(o: _Orientation, active: int) -> int:
+    """Kernel of the sub-digraph induced by the active edges (a mask).
 
     Deferred-acceptance construction: X-vertices offer their active edges
     in increasing base colour, Y-vertices hold the largest base colour
@@ -201,47 +286,121 @@ def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
     exactly the kernel property, so by Galvin's argument a kernel always
     comes out; the result is still verified.
     """
-    g = orientation.graph
-    phi = orientation.base_colouring
-    side_of = orientation.side_of
-    act = set(active)
-    for eid in act:
-        g.endpoints(eid)
-    if not act:
-        return set()
-
-    x_end = {}
-    y_end = {}
-    for eid in act:
-        u, v = g.endpoints(eid)
-        x_end[eid], y_end[eid] = (u, v) if side_of[u] == "X" else (v, u)
-
-    queue_at_x: dict[int, list[EdgeId]] = {}
-    for eid in sorted(act, key=lambda e: (phi[e], _id_sort_key(e))):
-        queue_at_x.setdefault(x_end[eid], []).append(eid)
-    held: dict[int, EdgeId] = {}
-    free_x = list(queue_at_x)
+    offers: dict[int, list[int]] = {}
+    for i in o.order:
+        if active >> i & 1:
+            offers.setdefault(o.x_end[i], []).append(i)
+    held: dict[int, int] = {}
+    free_x = list(offers)
     while free_x:
-        x = free_x.pop()
-        queue = queue_at_x[x]
+        queue = offers[free_x.pop()]
         while queue:
             e = queue.pop(0)
-            y = y_end[e]
+            y = o.y_end[e]
             rival = held.get(y)
-            if rival is None:
+            if rival is None or o.place[e] > o.place[rival]:
                 held[y] = e
+                if rival is not None:
+                    # rival's X-end resumes offering from its next edge
+                    free_x.append(o.x_end[rival])
                 break
-            if (phi[e], _id_sort_key(e)) > (phi[rival], _id_sort_key(rival)):
-                # rival's X-end resumes proposing from its next edge.
-                held[y] = e
-                free_x.append(x_end[rival])
-                break
-        # x exhausted its list: it stays unmatched.
-
-    result = set(held.values())
-    if not is_kernel(orientation, act, result):
+        # an X-vertex whose offers ran out stays unmatched
+    chosen = 0
+    for e in held.values():
+        chosen |= 1 << e
+    if not _is_kernel(o, active, chosen):
         raise AssertionError("no kernel found in induced sub-digraph")
-    return result
+    return chosen
+
+
+def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
+    """Kernel of the sub-digraph induced by the active edges (see
+    ``_kernel``)."""
+    d = orientation.graph.dense()
+    mask = _edge_mask(d, active)
+    if not mask:
+        return set()
+    return {d.ids[i] for i in edge_bits(_kernel(orientation.dense, mask))}
+
+
+def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
+                 deg: Sequence[int], lists: Sequence[int], used: Sequence[int],
+                 budget: int | None) -> SolveOutcome:
+    """List-colour ``edges`` of the dense graph, kernel extraction first.
+
+    ``lists[i]`` is edge i's colour mask and ``deg`` counts ``edges`` at
+    each vertex.  ``used`` holds the colours other, already coloured edges
+    take at each vertex; a kernel colouring that clashes with them, or
+    with itself, is a bug and raises.
+    """
+    d = g.dense()
+    ids, ends = d.ids, d.ends
+    if not edges:
+        return SolveOutcome(SOLVED, {}, method=KERNEL)
+    delta = max(deg)
+    orientation = _Orientation(d, edges, _konig(d, edges, delta), is_x,
+                               delta)
+    live = union = 0
+    for i in edges:
+        live |= 1 << i
+        union |= lists[i]
+    colour = [0] * len(ids)
+    left = live
+    pending = list(edges)
+    # one kernel per colour, in increasing order, among the edges still
+    # uncoloured whose lists hold it
+    for c in range(union.bit_length()):
+        if not pending:
+            break
+        active = 0
+        for i in pending:
+            if lists[i] >> c & 1:
+                active |= 1 << i
+        if active:
+            chosen = _kernel(orientation, active)
+            left &= ~chosen
+            for i in edge_bits(chosen):
+                colour[i] = c
+            pending = [i for i in pending if left >> i & 1]
+
+    if not left:
+        seen = list(used)
+        for i in edges:
+            bit = 1 << colour[i]
+            u, v = ends[i]
+            if (seen[u] | seen[v]) & bit:
+                raise AssertionError("kernel colouring is improper")
+            seen[u] |= bit
+            seen[v] |= bit
+        return SolveOutcome(SOLVED, {ids[i]: colour[i] for i in edges},
+                            method=KERNEL)
+
+    # Some list ran dry before its edge was chosen: solve the residual
+    # exactly, honouring the colours already committed.
+    done = live & ~left
+    residual_lists = {}
+    for i in edge_bits(left):
+        banned = 0
+        for j in edge_bits(d.adjacent[i] & done):
+            banned |= 1 << colour[j]
+        residual_lists[ids[i]] = exact._colours_of(lists[i] & ~banned)
+    outcome = exact.solve_list(g.restrict_edges(residual_lists),
+                               residual_lists, budget=budget)
+    if outcome.solved:
+        merged = merge_colourings({ids[i]: colour[i]
+                                   for i in edge_bits(done)},
+                                  outcome.colouring)
+        if not is_proper(g, merged):
+            raise AssertionError("residual merge is improper")
+        return SolveOutcome(SOLVED, merged, nodes=outcome.nodes,
+                            depth=outcome.depth, method=EXACT_FALLBACK)
+    # The committed kernel colours may themselves be the obstruction;
+    # retry from scratch.
+    all_lists = {ids[i]: exact._colours_of(lists[i]) for i in edges}
+    outcome = exact.solve_list(g.restrict_edges(all_lists), all_lists,
+                               budget=budget)
+    outcome.method = EXACT_FALLBACK
+    return outcome
 
 
 def list_colour_bipartite(g: MultiGraph,
@@ -259,50 +418,12 @@ def list_colour_bipartite(g: MultiGraph,
     if side_of is None:
         side_of = find_bipartition(g)
     check_bipartition(g, side_of)
-    remaining = {eid: set(lists[eid]) for eid in g.edge_ids}
-    if not remaining:
-        return SolveOutcome(SOLVED, {}, method=KERNEL)
-
-    phi = konig_colour(g, side_of)
-    orientation = galvin_orient(g, side_of, phi)
-    colour: dict[EdgeId, int] = {}
-    all_colours = sorted(set().union(*remaining.values())) \
-        if any(remaining.values()) else []
-    for c in all_colours:
-        active = {eid for eid in remaining if c in remaining[eid]}
-        if not active:
-            continue
-        chosen = kernel(orientation, active)
-        for eid in chosen:
-            colour[eid] = c
-            del remaining[eid]
-        for eid in active - chosen:
-            remaining[eid].discard(c)
-
-    if not remaining:
-        if not is_proper(g, colour):
-            raise AssertionError("kernel colouring is improper")
-        return SolveOutcome(SOLVED, colour, method=KERNEL)
-
-    # Some list ran dry before its edge was chosen: solve the residual
-    # exactly, honouring the colours already committed.
-    residual = g.restrict_edges(remaining.keys())
-    residual_lists = {}
-    for eid in residual.edge_ids:
-        banned = {colour[f] for f in g.adjacent_edges(eid) if f in colour}
-        residual_lists[eid] = set(lists[eid]) - banned
-    outcome = exact.solve_list(residual, residual_lists, budget=budget)
-    if outcome.solved:
-        merged = merge_colourings(colour, outcome.colouring)
-        if not is_proper(g, merged):
-            raise AssertionError("residual merge is improper")
-        return SolveOutcome(SOLVED, merged, nodes=outcome.nodes,
-                            depth=outcome.depth, method=EXACT_FALLBACK)
-    # The committed kernel colours may themselves be the obstruction;
-    # retry from scratch.
-    outcome = exact.solve_list(g, lists, budget=budget)
-    outcome.method = EXACT_FALLBACK
-    return outcome
+    d = g.dense()
+    edges = range(len(d.ids))
+    return _list_colour(g, _x_sides(g, side_of), edges,
+                        _degrees(d, edges),
+                        [exact._mask_of(lists[eid]) for eid in d.ids],
+                        [0] * g.n, budget)
 
 
 def extend_bipartite(g: MultiGraph,
@@ -312,19 +433,28 @@ def extend_bipartite(g: MultiGraph,
     """Extend a precolouring of a bipartite multigraph within [Delta+k].
 
     Requires every vertex to meet at most k precoloured edges; under that
-    hypothesis an extension always exists and is returned.
+    hypothesis an extension always exists and is returned.  The uncoloured
+    edges are list-coloured in place, with no reduced graph built.
     """
     if side_of is None:
         side_of = find_bipartition(g)
     check_bipartition(g, side_of)
     if k < 1:
         raise InputError("k must be positive")
-    reduced, lists = reduce_extension(g, c, Palette(g.delta() + k), k)
-    for eid, u, v in reduced.edges:
-        need = max(reduced.degree(u), reduced.degree(v))
-        if len(lists[eid]) < need:
+    palette = Palette(g.delta() + k)
+    used = extension_masks(g, c, palette, k)
+    d = g.dense()
+    edges = [i for i, eid in enumerate(d.ids) if eid not in c]
+    deg = _degrees(d, edges)
+    full = (1 << (palette.k + 1)) - 2
+    lists = [0] * len(d.ids)
+    for i in edges:
+        u, v = d.ends[i]
+        lists[i] = full & ~(used[u] | used[v])
+        if lists[i].bit_count() < max(deg[u], deg[v]):
             raise AssertionError("list inequality failed after reduction")
-    outcome = list_colour_bipartite(reduced, side_of, lists, budget=budget)
+    outcome = _list_colour(g, _x_sides(g, side_of), edges, deg, lists, used,
+                           budget)
     if not outcome.solved:
         raise AssertionError("bipartite extension failed despite guarantee")
     outcome.colouring = merge_colourings(c, outcome.colouring)
@@ -341,6 +471,7 @@ def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     if k < 1:
         raise InputError("k must be positive")
     if not g.edges:
+        check_load(g, c, k)    # an edge id the graph lacks still raises
         return SolveOutcome(SOLVED, {}, method=KERNEL)
     palette = Palette((3 * g.delta() + k) // 2)
     reduced, lists = reduce_extension(g, c, palette, k)

@@ -31,7 +31,11 @@ def multigraphs(draw, max_n=6, max_e=9, min_e=0, max_mu=None, max_degree=None):
 
 
 @st.composite
-def bipartite_multigraphs(draw, max_side=4, max_e=9, min_e=0, max_mu=None):
+def bipartite_multigraphs(draw, max_side=4, max_e=9, min_e=0, max_mu=None,
+                          mixed_ids=False):
+    """Bipartite multigraphs, X-side first.  With ``mixed_ids`` the edge
+    ids are a shuffled 0..e-1, each kept as an int or turned into a str,
+    so that edge order and edge-id order differ."""
     nx = draw(st.integers(min_value=1, max_value=max_side))
     ny = draw(st.integers(min_value=1, max_value=max_side))
     e = draw(st.integers(min_value=min_e, max_value=max_e))
@@ -44,6 +48,10 @@ def bipartite_multigraphs(draw, max_side=4, max_e=9, min_e=0, max_mu=None):
             continue
         mults[(u, v)] = mults.get((u, v), 0) + 1
         edges.append((len(edges), u, v))
+    if mixed_ids:
+        labels = draw(st.permutations(range(len(edges))))
+        edges = [(label if draw(st.booleans()) else str(label), u, v)
+                 for label, (_, u, v) in zip(labels, edges)]
     return MultiGraph(nx + ny, edges)
 
 

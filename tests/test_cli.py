@@ -72,6 +72,23 @@ def test_extend_budget_exit(star_files, capsys):
     capsys.readouterr()
 
 
+def test_extend_gallai_budget_exit(tmp_path, capsys):
+    # K4 with a precoloured matching: its one component needs a 4-node
+    # search, so a budget of 1 is spent.
+    pairs = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (1, 2)]
+    gpath = write(tmp_path, "k4.json",
+                  {"n": 4, "edges": [[i, u, v] for i, (u, v)
+                                     in enumerate(pairs)]})
+    cpath = write(tmp_path, "c.json",
+                  {"palette": 4, "colours": {"0": 1, "3": 2}})
+    args = ["extend", "--graph", gpath, "--colours", cpath,
+            "--method", "gallai", "--no-timestamp"]
+    assert run(args + ["--budget", "1"]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "budget"
+    assert run(args) == 0
+    capsys.readouterr()
+
+
 def test_known_exception_exit(tmp_path, capsys):
     g = {"n": 5, "edges": [[i, i, (i + 1) % 5] for i in range(5)]}
     gpath = write(tmp_path, "c5.json", g)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from edgeext.core import (InputError, MultiGraph, degree_stats, edges_cycle,
                           edges_path, line_graph)
 from edgeext.colouring import Palette, is_proper, precoloured_degree_vertex
-from edgeext.exact import extend as exact_extend
+from edgeext.exact import BUDGET, extend as exact_extend
 from edgeext.gallai import (ExceptionReport, GallaiCertificate,
                             ODD_CYCLE_K0, TRIANGLE_MULTIPLICITY,
                             block_decompose, degree_list_colour,
@@ -254,3 +254,21 @@ def test_extend_subcubic_rejects_non_matching():
     g = edges_path(4)
     with pytest.raises(InputError):
         extend_subcubic(g, {0: 1, 1: 2})
+
+
+def test_gallai_extenders_honour_budget():
+    # K4 with two precoloured edges: the reduced line graph is a tight
+    # 4-cycle of equal lists, so the component goes to search, which
+    # needs one node per vertex.
+    pairs = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (1, 2)]
+    g = MultiGraph(4, [(i, u, v) for i, (u, v) in enumerate(pairs)])
+    pre = {0: 1, 3: 2}
+    spent = extend_subcubic(g, pre, budget=3)
+    assert spent.status == BUDGET and spent.nodes == 4
+    assert spent.colouring is None
+    assert extend_gallai(g, pre, 1, budget=1).status == BUDGET
+    for out in (extend_subcubic(g, pre, budget=4),
+                extend_gallai(g, pre, 1, budget=4),
+                extend_subcubic(g, pre)):
+        assert out.solved and is_proper(g, out.colouring)
+        assert len(out.colouring) == 6

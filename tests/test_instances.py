@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
-from edgeext.colouring import Palette, is_proper
+import oracles
+from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
+                          edges_path)
+from edgeext.colouring import Palette, is_proper, max_precoloured_degree
 from edgeext.exact import chromatic_index, extend
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                canonical_form,
-                               compute_rho, enumerate_edge_sets,
+                               compute_rho, distance_conflicts,
+                               enumerate_edge_sets,
                                enumerate_multigraphs,
                                enumerate_precolourings, generate,
                                random_distance_matching, verify)
@@ -173,6 +176,33 @@ def test_edge_sets_distance_filter():
     assert matchings == {(), (0,), (1,), (2,), (0, 2)}
     induced = set(enumerate_edge_sets(g, t=2))
     assert induced == {(), (0,), (1,), (2,)}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@settings(max_examples=60)
+@given(g=multigraphs(max_n=6, max_e=8, max_mu=2))
+def test_edge_sets_match_pairwise_oracle(t, g):
+    # conflicts from one BFS per edge equal the pairwise distances, and
+    # the enumeration keeps the pairwise version's sets and order
+    conflicts = distance_conflicts(g, t)
+    for e in g.edge_ids:
+        assert conflicts[e] == {f for f in g.edge_ids
+                                if f != e and edge_distance(g, e, f) <= t}
+    assert list(enumerate_edge_sets(g, t)) == \
+        list(oracles.enumerate_edge_sets(g, t))
+
+
+@settings(max_examples=60)
+@given(multigraphs(max_n=5, max_e=6, max_mu=2),
+       st.integers(min_value=0, max_value=2),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=1, max_value=2))
+def test_bounded_precolourings_are_the_filtered_stream(g, t, bound, extra):
+    palette = Palette(g.delta() + extra)
+    filtered = [pre for pre in enumerate_precolourings(g, palette, t=t)
+                if max_precoloured_degree(g, pre) <= bound]
+    assert list(enumerate_precolourings(g, palette, t=t,
+                                        max_load=bound)) == filtered
 
 
 def test_precolourings_up_to_colour_permutation():

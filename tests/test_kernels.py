@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import Palette, is_proper
 from edgeext.kernels import (EXACT_FALLBACK, KERNEL, extend_bipartite,
@@ -172,3 +173,62 @@ def test_extend_bipartite_rejects_overloaded_vertex():
     g = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)])
     with pytest.raises(InputError):
         extend_bipartite(g, None, {0: 1, 1: 2}, 1)
+
+
+def test_extend_shannon_edgeless_rejects_unknown_edge():
+    g = MultiGraph(2, [])
+    with pytest.raises(InputError):
+        extend_shannon(g, {5: 1}, 1)
+    out = extend_shannon(g, {}, 1)
+    assert out.solved and out.colouring == {}
+
+
+def _outcome_key(out):
+    return out.status, out.method, out.nodes, out.depth, out.colouring
+
+
+@settings(max_examples=300)
+@given(bipartite_multigraphs(max_side=3, max_e=8, max_mu=3, mixed_ids=True),
+       st.integers(min_value=1, max_value=2), st.data())
+def test_extend_bipartite_matches_id_keyed_oracle(g, k, data):
+    # random precolouring within the bound: proper, at most k per vertex
+    palette = Palette(g.delta() + k)
+    pre = {}
+    load = [0] * g.n
+    for eid, u, v in g.edges:
+        if load[u] == k or load[v] == k or not data.draw(st.booleans()):
+            continue
+        trial = dict(pre)
+        trial[eid] = data.draw(st.sampled_from(palette.colours))
+        if is_proper(g, trial):
+            pre = trial
+            load[u] += 1
+            load[v] += 1
+    side = find_bipartition(g)
+    got = extend_bipartite(g, side, pre, k)
+    want = oracles.extend_bipartite(g, side, pre, k)
+    assert _outcome_key(got) == _outcome_key(want)
+
+
+@settings(max_examples=200)
+@given(bipartite_multigraphs(max_side=3, max_e=7, max_mu=3, mixed_ids=True),
+       st.data())
+def test_list_colour_and_kernels_match_id_keyed_oracle(g, data):
+    side = find_bipartition(g)
+    # lists from 1..4 of any size, so that the residual and whole-instance
+    # exact fallbacks and unsolvable outcomes are all reached
+    lists = {eid: data.draw(st.sets(st.integers(min_value=1, max_value=4)))
+             for eid in g.edge_ids}
+    budget = data.draw(st.sampled_from([None, 1, 5]))
+    got = list_colour_bipartite(g, side, lists, budget=budget)
+    want = oracles.list_colour_bipartite(g, side, lists, budget=budget)
+    assert _outcome_key(got) == _outcome_key(want)
+
+    phi = konig_colour(g, side)
+    assert phi == oracles.konig_colour(g, side)
+    orient = galvin_orient(g, side, phi)
+    reference = oracles.galvin_orient(g, side, phi)
+    assert orient.arcs == reference.arcs
+    active = data.draw(st.sets(st.sampled_from(g.edge_ids))) \
+        if g.edges else set()
+    assert kernel(orient, active) == oracles.kernel(reference, active)
