@@ -108,6 +108,8 @@ def _cmd_extend(args) -> int:
             raise InputError("kernel method needs palette size above Delta")
         outcome = kernels.extend_bipartite(g, None, pre, extra,
                                            budget=args.budget)
+    elif method == "subcubic":
+        outcome = gallai.extend_subcubic(g, pre, budget=args.budget)
     elif method == "gallai":
         extra = palette.k - g.delta()
         if extra < 0:
@@ -143,7 +145,9 @@ def _pick_method(g, pre, palette) -> str:
         else:
             return "kernel"
     if g.delta() <= 3 and palette.k == 4 and worst <= 1:
-        return "gallai"
+        # extend_subcubic's hypothesis; unlike extend_gallai it colours a
+        # disconnected graph component by component
+        return "subcubic"
     return "exact"
 
 

@@ -41,7 +41,7 @@ class MultiGraph:
     """
 
     __slots__ = ("n", "edges", "_endpoints", "_incident", "_degrees",
-                 "_dense")
+                 "_dense", "_stats")
 
     def __init__(self, n: int, edges: Iterable[tuple[EdgeId, int, int]]):
         if n < 0:
@@ -66,6 +66,7 @@ class MultiGraph:
         self._incident = tuple(tuple(entries) for entries in incident)
         self._degrees = tuple(len(entries) for entries in incident)
         self._dense = None
+        self._stats = None
 
     def dense(self) -> "DenseForm":
         """The graph's index form, built on first use and kept."""
@@ -220,11 +221,14 @@ class DenseForm:
     dicts by edge id.
 
     Edge i is ``g.edges[i]``; bit i of an edge mask stands for edge i.
-    ``rank[i]`` is edge i's position in edge-id order (``_id_sort_key``),
-    so ties broken by rank fall as they would by id.
+    ``at_vertex[v]`` is the mask of the edges at vertex v.  ``rank[i]`` is
+    edge i's position in edge-id order (``_id_sort_key``), so ties broken
+    by rank fall as they would by id.  ``connected`` is
+    ``g.is_connected()``.
     """
 
-    __slots__ = ("ids", "index", "ends", "incident", "adjacent", "rank")
+    __slots__ = ("ids", "index", "ends", "incident", "at_vertex", "adjacent",
+                 "rank", "connected")
 
     def __init__(self, g: MultiGraph):
         self.ids = tuple(eid for eid, _, _ in g.edges)
@@ -237,6 +241,7 @@ class DenseForm:
                 incident[w].append(i)
                 at_vertex[w] |= 1 << i
         self.incident = tuple(tuple(entries) for entries in incident)
+        self.at_vertex = tuple(at_vertex)
         #: line-graph neighbours of each edge, as an edge mask
         self.adjacent = tuple((at_vertex[u] | at_vertex[v]) & ~(1 << i)
                               for i, (u, v) in enumerate(self.ends))
@@ -245,6 +250,45 @@ class DenseForm:
                                      key=lambda i: _id_sort_key(self.ids[i]))):
             rank[i] = r
         self.rank = tuple(rank)
+        self.connected = len(self.components((1 << len(self.ids)) - 1)) <= 1
+
+    def line_neighbours(self, i: int, within: int) -> list[int]:
+        """Edge i's neighbours among the ``within`` edges, in the order
+        ``line_graph``'s incidence lists them: earlier edges, then later
+        edges at i's first end, then later edges at its second end only,
+        each ascending."""
+        u, v = self.ends[i]
+        later = -2 << i
+        at_u = self.at_vertex[u] & within
+        out = []
+        for mask in (self.adjacent[i] & within & ~later, at_u & later,
+                     self.at_vertex[v] & within & later & ~at_u):
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+        return out
+
+    def components(self, live: int) -> list[int]:
+        """Connected components of the ``live`` edges, as edge masks, in
+        order of their least vertex (as ``MultiGraph.components`` lists
+        them)."""
+        adjacent = self.adjacent
+        out = []
+        for at in self.at_vertex:
+            comp = frontier = at & live
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= adjacent[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & live & ~comp
+                comp |= frontier
+            if comp:
+                live &= ~comp
+                out.append(comp)
+        return out
 
 
 def edge_bits(mask: int) -> Iterator[int]:
@@ -263,12 +307,16 @@ class DegreeStats:
 
 
 def degree_stats(g: MultiGraph) -> DegreeStats:
-    """Maximum degree, maximum multiplicity and line-graph maximum degree."""
-    # d(u)+d(v)-2 counts each parallel edge twice; count neighbours exactly.
-    line_delta = 0
-    for eid, _, _ in g.edges:
-        line_delta = max(line_delta, len(g.adjacent_edges(eid)))
-    return DegreeStats(delta=g.delta(), mu=g.mu(), line_delta=line_delta)
+    """Maximum degree, maximum multiplicity and line-graph maximum degree,
+    worked out once per graph."""
+    if g._stats is None:
+        # d(u)+d(v)-2 counts each parallel edge twice; count neighbours
+        # exactly.
+        line_delta = max((a.bit_count() for a in g.dense().adjacent),
+                         default=0)
+        g._stats = DegreeStats(delta=g.delta(), mu=g.mu(),
+                               line_delta=line_delta)
+    return g._stats
 
 
 def line_adjacency(g: MultiGraph) -> dict[EdgeId, tuple[EdgeId, ...]]:

@@ -3,25 +3,45 @@ built on them.
 
 A connected graph whose blocks are all complete graphs or odd cycles is
 the only obstruction to colouring vertices from lists as large as their
-degrees.  Applied to the line graph of the reduced instance, this yields
+degrees.  Applied to the line graph of the uncoloured edges, this yields
 extenders for palettes [Delta+k] with two well-understood failure shapes:
 the bare odd cycle with an empty precolouring, and the fat triangle whose
 palette is one colour short of its chromatic index.
+
+One greedy, one repair, one block decomposition and one list search work
+on vertex and colour bitmasks.  Each sees the graph as ``nbrs(v, within)``,
+v's neighbours in the vertex mask ``within`` in visiting order (once per
+parallel edge), and ``nmask[v]``, the mask of all of them.  The extenders
+read the uncoloured edges' line graph off the dense form; the public
+functions pass ``g.incident`` order.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import EdgeId, InputError, MultiGraph, degree_stats, line_graph
-from .colouring import Palette, merge_colourings, reduce_extension
-from . import exact
-from .exact import BUDGET, SOLVED, SolveOutcome
+from .core import EdgeId, InputError, MultiGraph, degree_stats, edge_bits
+from .colouring import Palette, extension_masks
+from .exact import BUDGET, SOLVED, SolveOutcome, _mask_of
 
 ODD_CYCLE_K0 = "odd-cycle-k0"
 TRIANGLE_MULTIPLICITY = "triangle-multiplicity"
+
+Neighbours = Callable[[int, int], Sequence[int]]
+
+
+def _neighbours(g: MultiGraph) -> tuple[Neighbours, list[int], int]:
+    """``g`` in ``incident`` order: neighbours, their masks, and the mask
+    of the vertices that have edges."""
+    lists = [tuple(w for _, w in g.incident(v)) for v in range(g.n)]
+
+    def nbrs(v: int, within: int) -> list[int]:
+        return [w for w in lists[v] if within >> w & 1]
+    return (nbrs, [_mask_of(ws) for ws in lists],
+            _mask_of(v for v in range(g.n) if lists[v]))
 
 
 @dataclass
@@ -31,105 +51,86 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
 
 
-def block_decompose(g: MultiGraph) -> BlockDecomposition:
-    """Biconnected blocks (including bridge edges) and cut vertices."""
+def _blocks(nbrs: Neighbours, region: int
+            ) -> tuple[list[list[tuple[int, int, int]]], set[int]]:
+    """Biconnected blocks (including bridge edges) and cut vertices of the
+    graph on ``region``.  A block lists its edges as (v, w, j), w being v's
+    j-th neighbour, last discovered first."""
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     cut: set[int] = set()
-    blocks: list[list] = []
+    blocks = []
     counter = itertools.count()
-    for root in range(g.n):
-        if root in disc or not g.incident(root):
+    for root in edge_bits(region):
+        if root in disc:
             continue
-        edge_stack: list[tuple[EdgeId, int, int]] = []
-        # Iterative DFS: (vertex, parent edge, iterator over incidences).
+        edge_stack: list[tuple[int, int, int]] = []
         disc[root] = low[root] = next(counter)
-        stack = [(root, None, iter(g.incident(root)))]
+        # Frames: [vertex, parent, neighbours, tree edge's place on the edge
+        # stack].  The first entry back to the parent is the tree edge (edge
+        # order at both ends); parallel edges after it are back edges.
+        stack = [[root, None, enumerate(nbrs(root, region)), 0]]
         root_children = 0
         while stack:
-            v, pedge, it = stack[-1]
-            advanced = False
-            for eid, w in it:
-                if eid == pedge:
-                    continue
-                if w not in disc:
-                    edge_stack.append((eid, v, w))
+            frame = stack[-1]
+            v = frame[0]
+            for j, w in frame[2]:
+                if w == frame[1]:
+                    frame[1] = None
+                elif w not in disc:
+                    stack.append([w, v, enumerate(nbrs(w, region)),
+                                  len(edge_stack)])
+                    edge_stack.append((v, w, j))
                     disc[w] = low[w] = next(counter)
-                    stack.append((w, eid, iter(g.incident(w))))
-                    if v == root:
-                        root_children += 1
-                    advanced = True
+                    root_children += v == root
                     break
-                if disc[w] < disc[v]:
-                    edge_stack.append((eid, v, w))
+                elif disc[w] < disc[v]:
+                    edge_stack.append((v, w, j))
                     low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if stack and pedge is not None:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # Pop everything discovered in v's subtree down to and
-                    # including the tree edge u-v: that is one block.
-                    block = []
-                    while True:
-                        entry = edge_stack.pop()
-                        block.append(entry)
-                        if entry[0] == pedge:
-                            break
-                    blocks.append(block)
-                    if u != root:
-                        cut.add(u)
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        # v's subtree down to the tree edge u-v is a block
+                        blocks.append(edge_stack[frame[3]:][::-1])
+                        del edge_stack[frame[3]:]
+                        if u != root:
+                            cut.add(u)
         if root_children > 1:
             cut.add(root)
+    return blocks, cut
 
-    out_vertices = []
-    out_edges = []
-    for block in blocks:
-        vs = set()
-        es = []
-        for eid, a, b in block:
-            vs.update((a, b))
-            es.append(eid)
-        out_vertices.append(frozenset(vs))
-        out_edges.append(tuple(es))
-    return BlockDecomposition(out_vertices, out_edges, frozenset(cut))
+
+def _is_gallai_block(block: Sequence[tuple[int, int, int]]) -> bool:
+    """True iff the block is a complete graph or an odd cycle."""
+    pairs = [(v, w) if v < w else (w, v) for v, w, _ in block]
+    degree = Counter(x for pair in pairs for x in pair)
+    t = len(degree)
+    if len(pairs) == t * (t - 1) // 2 and len(set(pairs)) == len(pairs):
+        return True
+    return (t >= 3 and t % 2 == 1 and len(pairs) == t
+            and all(d == 2 for d in degree.values()))
+
+
+def block_decompose(g: MultiGraph) -> BlockDecomposition:
+    """Biconnected blocks (including bridge edges) and cut vertices."""
+    nbrs, _, region = _neighbours(g)
+    blocks, cut = _blocks(nbrs, region)
+    return BlockDecomposition(
+        [frozenset(x for v, w, _ in block for x in (v, w))
+         for block in blocks],
+        [tuple(g.incident(v)[j][0] for v, _, j in block) for block in blocks],
+        frozenset(cut))
 
 
 def is_gallai_tree(g: MultiGraph) -> bool:
     """True iff every block of the connected graph is complete or an odd cycle."""
     if not g.is_connected():
         raise InputError("Gallai-tree test needs a connected graph")
-    dec = block_decompose(g)
-    for vs, es in zip(dec.blocks, dec.block_edges):
-        if not _block_is_complete(g, vs, es) and not _block_is_odd_cycle(g, vs, es):
-            return False
-    return True
-
-
-def _block_is_complete(g: MultiGraph, vs: frozenset[int],
-                       es: Sequence[EdgeId]) -> bool:
-    t = len(vs)
-    if len(es) != t * (t - 1) // 2:
-        return False
-    pairs = set()
-    for eid in es:
-        u, v = g.endpoints(eid)
-        pair = (u, v) if u < v else (v, u)
-        if pair in pairs:
-            return False
-        pairs.add(pair)
-    return True
-
-
-def _block_is_odd_cycle(g: MultiGraph, vs: frozenset[int],
-                        es: Sequence[EdgeId]) -> bool:
-    t = len(vs)
-    if t < 3 or t % 2 == 0 or len(es) != t:
-        return False
-    sub = g.restrict_edges(es)
-    return all(sub.degree(v) == 2 for v in vs)
+    nbrs, _, region = _neighbours(g)
+    return all(_is_gallai_block(block) for block in _blocks(nbrs, region)[0])
 
 
 @dataclass
@@ -138,30 +139,19 @@ class GallaiCertificate:
 
 
 class BudgetSpent(Exception):
-    """A bounded ``solve_vertex_lists`` search passed its node budget."""
+    """A bounded list search passed its node budget."""
 
     def __init__(self, nodes: int):
         super().__init__(f"search passed its budget at {nodes} nodes")
         self.nodes = nodes
 
 
-def solve_vertex_lists(g: MultiGraph,
-                       lists: Mapping[int, Iterable[int]],
-                       budget: int | None = None) -> dict[int, int] | None:
-    """Exact vertex list-colouring by backtracking (smallest list first).
-
-    Each call of the search on a non-empty set of vertices is one node;
-    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.
-    """
-    verts = [v for v in range(g.n) if g.incident(v) or v in lists]
-    masks = {}
-    for v in verts:
-        if v not in lists:
-            raise InputError(f"vertex {v} has no colour list")
-        masks[v] = exact._mask_of(lists[v])
-    neighbours = {v: sorted({w for _, w in g.incident(v)}) for v in verts}
+def _search(nmask: Sequence[int], lists: Mapping[int, int], region: int,
+            budget: int | None) -> dict[int, int] | None:
+    """``solve_vertex_lists`` on the ``region``'s vertices: smallest
+    remaining list first (ties to the smaller vertex), colours ascending."""
     assignment: dict[int, int] = {}
-    used: dict[int, int] = {v: 0 for v in verts}
+    used = dict.fromkeys(edge_bits(region), 0)
     nodes = 0
 
     def search(todo: list[int]) -> bool:
@@ -171,16 +161,16 @@ def solve_vertex_lists(g: MultiGraph,
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetSpent(nodes)
-        best = min(todo, key=lambda v: ((masks[v] & ~used[v]).bit_count(), v))
-        avail = masks[best] & ~used[best]
+        best = min(todo, key=lambda v: ((lists[v] & ~used[v]).bit_count(), v))
+        avail = lists[best] & ~used[best]
         if avail == 0:
             return False
         rest = [v for v in todo if v != best]
-        for c in exact._colours_of(avail):
+        for c in edge_bits(avail):
             bit = 1 << c
             assignment[best] = c
             touched = []
-            for w in neighbours[best]:
+            for w in edge_bits(nmask[best] & region):
                 # a neighbour already barred from c by another coloured
                 # vertex must keep the bar when this assignment is undone
                 if w not in assignment and not used[w] & bit:
@@ -193,39 +183,115 @@ def solve_vertex_lists(g: MultiGraph,
                 used[w] &= ~bit
         return False
 
-    if search(verts):
-        return dict(assignment)
+    return assignment if search(list(used)) else None
+
+
+def solve_vertex_lists(g: MultiGraph,
+                       lists: Mapping[int, Iterable[int]],
+                       budget: int | None = None) -> dict[int, int] | None:
+    """Exact vertex list-colouring by backtracking (smallest list first).
+
+    Each call of the search on a non-empty set of vertices is one node;
+    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.
+    """
+    _, nmask, region = _neighbours(g)
+    masks = {}
+    for v in range(g.n):
+        if v in lists:
+            masks[v] = _mask_of(lists[v])
+            region |= 1 << v
+        elif region >> v & 1:
+            raise InputError(f"vertex {v} has no colour list")
+    return _search(nmask, masks, region, budget)
+
+
+def _bfs(nbrs: Neighbours, root: int, region: int) -> list[int] | None:
+    """The ``region``'s vertices in BFS order from ``root``; None if they
+    are not connected."""
+    order = [root]
+    seen = 1 << root
+    for v in order:
+        for w in nbrs(v, region & ~seen):
+            if not seen >> w & 1:
+                seen |= 1 << w
+                order.append(w)
+    return order if seen == region else None
+
+
+def _greedy(nmask: Sequence[int], lists: Mapping[int, int],
+            order: Sequence[int], colouring: dict[int, int]) -> bool:
+    """Colour ``order``'s vertices last to first, each with its lowest
+    colour no coloured neighbour has; False if one runs out.  In reversed
+    BFS order each non-root vertex still has an uncoloured neighbour (its
+    BFS parent), so a list as large as its degree suffices; the callers
+    give the root a list larger than its coloured neighbours."""
+    classes: dict[int, int] = {}       # the vertices of each colour
+    for v, c in colouring.items():
+        classes[c] = classes.get(c, 0) | 1 << v
+    for v in reversed(order):
+        near = nmask[v]
+        avail = lists[v]
+        while avail:
+            low = avail & -avail
+            c = low.bit_length() - 1
+            if not near & classes.get(c, 0):
+                break
+            avail ^= low
+        else:
+            return False
+        colouring[v] = c
+        classes[c] = classes.get(c, 0) | 1 << v
+    return True
+
+
+def _repair(nbrs: Neighbours, nmask: Sequence[int], lists: Mapping[int, int],
+            region: int, block: int) -> dict[int, int] | None:
+    """Same-colour two non-adjacent neighbours a, b of a vertex v of a
+    block that is neither complete nor an odd cycle: v keeps a colour
+    surplus, and greedy colouring of the rest (still connected) finishes."""
+    for v in edge_bits(block):
+        for a, b in itertools.combinations(edge_bits(nmask[v] & block), 2):
+            common = lists[a] & lists[b]
+            if nmask[a] >> b & 1 or not common:
+                continue
+            order = _bfs(nbrs, v, region & ~(1 << a | 1 << b))
+            if order is None:
+                continue
+            c = (common & -common).bit_length() - 1
+            colouring = {a: c, b: c}
+            return colouring if _greedy(nmask, lists, order, colouring) \
+                else None
     return None
 
 
-def _greedy_from_root(g: MultiGraph, lists: Mapping[int, set],
-                      root: int, verts: set[int],
-                      colouring: dict[int, int]) -> None:
-    """Colour ``verts`` greedily in reverse BFS order from ``root``.
-
-    Every non-root vertex still has an uncoloured neighbour (its BFS
-    parent) when its turn comes, so its list suffices; the root must have
-    strictly more colours than coloured neighbours, which the callers
-    guarantee.
-    """
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for _, w in g.incident(v):
-            if w in verts and w not in seen:
-                seen.add(w)
-                order.append(w)
-    if seen != verts:
-        raise AssertionError("greedy region is not connected")
-    for v in reversed(order):
-        banned = {colouring[w] for _, w in g.incident(v) if w in colouring}
-        choice = sorted(set(lists[v]) - banned)
-        if not choice:
-            raise AssertionError("greedy colouring ran out of colours")
-        colouring[v] = choice[0]
+def _degree_colour(nbrs: Neighbours, nmask: Sequence[int],
+                   lists: Mapping[int, int], region: int,
+                   root: int | None, budget: int | None
+                   ) -> dict[int, int] | None:
+    """Colour the connected graph on ``region`` from lists at least as
+    large as the degrees; ``root`` is the least vertex whose list is
+    larger, or None.  None means a tight Gallai tree.  A failed repair
+    falls back to a search bounded by ``budget``."""
+    colouring: dict[int, int] = {}
+    if root is not None:
+        order = _bfs(nbrs, root, region)
+        if order is None or not _greedy(nmask, lists, order, colouring):
+            raise AssertionError("greedy colouring failed")
+        return colouring
+    bad = next((block for block in _blocks(nbrs, region)[0]
+                if not _is_gallai_block(block)), None)
+    if bad is None:
+        return None
+    repaired = _repair(nbrs, nmask, lists, region,
+                       _mask_of(x for v, w, _ in bad for x in (v, w)))
+    if repaired is not None:
+        return repaired
+    # A colouring is still guaranteed to exist here; find it directly.
+    solved = _search(nmask, lists, region, budget)
+    if solved is None:
+        raise AssertionError(
+            "tight non-Gallai-tree instance turned out uncolourable")
+    return solved
 
 
 def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
@@ -241,93 +307,25 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
     """
     if not g.is_connected():
         raise InputError("degree-list colouring needs a connected graph")
-    verts = {v for v in range(g.n) if g.incident(v)}
-    isolated = {v for v in lists if v not in verts}
-    iso_colours = {v: min(lists[v]) for v in isolated}
-    if not verts:
-        # Only isolated vertices: any list choice works.
-        return iso_colours
-    lsets = {}
-    for v in verts:
+    nbrs, nmask, region = _neighbours(g)
+    # Isolated vertices: any list choice works.
+    verts = set(edge_bits(region))
+    colouring = {v: min(lists[v]) for v in lists if v not in verts}
+    masks = {}
+    root = None
+    for v in edge_bits(region):
         if v not in lists:
             raise InputError(f"vertex {v} has no colour list")
-        lsets[v] = set(lists[v])
-        if len(lsets[v]) < g.degree(v):
+        masks[v] = _mask_of(lists[v])
+        if masks[v].bit_count() < g.degree(v):
             raise InputError(f"list at vertex {v} is smaller than its degree")
-
-    surplus = [v for v in sorted(verts) if len(lsets[v]) > g.degree(v)]
-    colouring: dict[int, int] = {}
-    if surplus:
-        _greedy_from_root(g, lsets, surplus[0], verts, colouring)
-        return colouring | iso_colours
-
-    dec = block_decompose(g)
-    bad = None
-    for vs, es in zip(dec.blocks, dec.block_edges):
-        if not _block_is_complete(g, vs, es) and not _block_is_odd_cycle(g, vs, es):
-            bad = vs
-            break
-    if bad is None:
+        if root is None and masks[v].bit_count() > g.degree(v):
+            root = v
+    result = _degree_colour(nbrs, nmask, masks, region, root, budget) \
+        if region else {}
+    if result is None:
         return GallaiCertificate(is_gallai_tree=True)
-
-    repaired = _repair_colour(g, lsets, verts, bad)
-    if repaired is not None:
-        return repaired | iso_colours
-    # A colouring is still guaranteed to exist here; find it directly.
-    solved = solve_vertex_lists(g, lsets, budget)
-    if solved is None:
-        raise AssertionError(
-            "tight non-Gallai-tree instance turned out uncolourable")
-    return solved | iso_colours
-
-
-def _repair_colour(g: MultiGraph, lsets, verts, block) -> dict[int, int] | None:
-    """Same-colour two non-adjacent neighbours of a common vertex.
-
-    Inside a block that is neither complete nor an odd cycle, giving two
-    non-adjacent vertices a and b a shared colour leaves their common
-    neighbour v with a colour surplus, and greedy colouring of the rest of
-    the (still connected) graph finishes the job.
-    """
-    adj = {v: {w for _, w in g.incident(v)} for v in verts}
-    for v in sorted(block):
-        nbrs = sorted(adj[v] & block)
-        for a, b in itertools.combinations(nbrs, 2):
-            if b in adj[a]:
-                continue
-            common = sorted(set(lsets[a]) & set(lsets[b]))
-            if not common:
-                continue
-            rest = verts - {a, b}
-            if not _connected_within(g, rest):
-                continue
-            c = common[0]
-            colouring = {a: c, b: c}
-            reduced = {w: set(lsets[w]) - ({c} if w in adj[a] | adj[b] else set())
-                       for w in rest}
-            try:
-                _greedy_from_root(g.delete_edges(
-                    [eid for eid, x, y in g.edges if a in (x, y) or b in (x, y)]),
-                    reduced, v, rest, colouring)
-            except AssertionError:
-                return None
-            return colouring
-    return None
-
-
-def _connected_within(g: MultiGraph, verts: set[int]) -> bool:
-    if not verts:
-        return True
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for _, w in g.incident(v):
-            if w in verts and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == verts
+    return result | colouring
 
 
 # -- extenders ----------------------------------------------------------
@@ -344,15 +342,12 @@ class ExceptionReport:
 def exception_shape(g: MultiGraph, k: int) -> ExceptionReport | None:
     """Detect the two always-unextendable shapes for palette [Delta+k]."""
     verts = [v for v in range(g.n) if g.incident(v)]
-    if k == 0 and g.mu() == 1 and len(verts) >= 3 and len(verts) % 2 == 1 \
-            and len(g.edges) == len(verts) \
-            and all(g.degree(v) == 2 for v in verts) and g.is_connected():
+    if k == 0 and degree_stats(g).mu == 1 and len(verts) >= 3 \
+            and len(verts) % 2 == 1 and len(g.edges) == len(verts) \
+            and all(g.degree(v) == 2 for v in verts) and g.dense().connected:
         return ExceptionReport(ODD_CYCLE_K0, {"cycle_length": len(verts)})
     if len(verts) == 3:
-        mults: dict[tuple[int, int], int] = {}
-        for _, u, v in g.edges:
-            pair = (u, v) if u < v else (v, u)
-            mults[pair] = mults.get(pair, 0) + 1
+        mults = Counter((u, v) if u < v else (v, u) for _, u, v in g.edges)
         if len(mults) == 3 and k == min(mults.values()) - 1:
             return ExceptionReport(
                 TRIANGLE_MULTIPLICITY,
@@ -373,12 +368,13 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    if not g.is_connected():
+    if not g.dense().connected:
         raise InputError("extender needs a connected graph")
     stats = degree_stats(g)
     if stats.line_delta > stats.delta + k:
         raise InputError("line-graph degree exceeds Delta+k")
-    reduced, lists = reduce_extension(g, c, Palette(stats.delta + k), k)
+    palette = Palette(stats.delta + k)
+    used = extension_masks(g, c, palette, k)
 
     shape = exception_shape(g, k)
     if shape is not None:
@@ -386,48 +382,51 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
         # cheaply for small instances in the test suite.
         return shape
 
-    return _colour_reduced(c, reduced, lists, budget)
+    return _extend(g, c, used, palette, budget)
 
 
-def _colour_reduced(c, reduced: MultiGraph, lists, budget) -> SolveOutcome:
-    """``c`` merged with a colouring of each component of the reduced graph.
-
-    The callers have ruled out both exceptional shapes, so a component
-    that cannot be coloured would be a bug and raises.  ``budget`` bounds
-    each search a component falls back to; a search that passes it makes
-    the outcome ``BUDGET``.
-    """
+def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
+            palette: Palette, budget: int | None) -> SolveOutcome:
+    """``c`` and a colouring of each component of the uncoloured edges'
+    line graph from the palette colours neither end ``used``.  The callers
+    ruled out both exceptional shapes, so a failure is a bug and raises; a
+    search that passes ``budget`` makes the outcome ``BUDGET``."""
+    d = g.dense()
+    adjacent = d.adjacent
+    live = (1 << len(d.ids)) - 1
+    for eid in c:
+        live ^= 1 << d.index[eid]
+    full = (1 << (palette.k + 1)) - 2
+    lists = [full & ~(used[u] | used[v]) for u, v in d.ends]
     colouring = dict(c)
-    for _, comp_eids in reduced.components():
+    for comp in d.components(live):
+        root = None
+        rest = comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            size = lists[i].bit_count()
+            degree = (adjacent[i] & comp).bit_count()
+            if size > degree:
+                if root is None:
+                    root = i
+            elif size < degree or not size:
+                raise AssertionError("edge list empty or smaller than its "
+                                     "line-graph degree")
         try:
-            part = _colour_component(reduced.restrict_edges(comp_eids),
-                                     lists, budget)
+            part = _degree_colour(d.line_neighbours, adjacent, lists, comp,
+                                  root, budget)
+            if part is None:
+                part = _search(adjacent, lists, comp, budget)
         except BudgetSpent as spent:
             return SolveOutcome(BUDGET, None, nodes=spent.nodes,
                                 method="gallai")
         if part is None:
-            raise AssertionError(
-                "extension failed on a non-exceptional instance")
-        colouring = merge_colourings(colouring, part)
+            raise AssertionError("non-exceptional instance failed")
+        for i, colour in part.items():
+            colouring[d.ids[i]] = colour
     return SolveOutcome(SOLVED, colouring, method="gallai")
-
-
-def _colour_component(sub: MultiGraph, lists, budget) -> dict[EdgeId, int] | None:
-    lg = line_graph(sub)
-    index = {i: eid for i, (eid, _, _) in enumerate(sub.edges)}
-    vlists = {i: set(lists[index[i]]) for i in range(lg.n)}
-    for i in range(lg.n):
-        if not vlists[i]:
-            return None
-        if len(vlists[i]) < lg.degree(i):
-            raise AssertionError("edge list smaller than line-graph degree")
-    result = degree_list_colour(lg, vlists, budget) if lg.n else {}
-    if isinstance(result, GallaiCertificate):
-        solved = solve_vertex_lists(lg, vlists, budget)
-        if solved is None:
-            return None
-        result = solved
-    return {index[i]: colour for i, colour in result.items()}
 
 
 def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
@@ -439,10 +438,10 @@ def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
     line degree is at most 2*Delta_c - 2 <= 4, so ``extend_gallai``'s
     hypothesis holds.  Neither exceptional shape can occur: the odd cycle
     needs k = 0, and the fat triangle needs k = (least multiplicity) - 1,
-    which forces a vertex of degree 4.  So one reduction of the whole
-    graph is coloured component by component.
+    which forces a vertex of degree 4.  So the whole graph is coloured
+    component by component.
     """
     if g.delta() > 3:
         raise InputError("graph is not subcubic")
-    reduced, lists = reduce_extension(g, m, Palette(4), 1)
-    return _colour_reduced(m, reduced, lists, budget)
+    palette = Palette(4)
+    return _extend(g, m, extension_masks(g, m, palette, 1), palette, budget)

@@ -6,7 +6,10 @@ from edgeext.core import MultiGraph
 
 
 @st.composite
-def multigraphs(draw, max_n=6, max_e=9, min_e=0, max_mu=None, max_degree=None):
+def multigraphs(draw, max_n=6, max_e=9, min_e=0, max_mu=None, max_degree=None,
+                mixed_ids=False):
+    """Loopless multigraphs, possibly disconnected; ``mixed_ids`` as in
+    ``bipartite_multigraphs``."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     e = draw(st.integers(min_value=min_e, max_value=max_e))
     edges = []
@@ -27,7 +30,13 @@ def multigraphs(draw, max_n=6, max_e=9, min_e=0, max_mu=None, max_degree=None):
         degrees[u] += 1
         degrees[v] += 1
         edges.append((len(edges), u, v))
-    return MultiGraph(n, edges)
+    return MultiGraph(n, _mixed(draw, edges) if mixed_ids else edges)
+
+
+def _mixed(draw, edges):
+    labels = draw(st.permutations(range(len(edges))))
+    return [(label if draw(st.booleans()) else str(label), u, v)
+            for label, (_, u, v) in zip(labels, edges)]
 
 
 @st.composite
@@ -48,11 +57,7 @@ def bipartite_multigraphs(draw, max_side=4, max_e=9, min_e=0, max_mu=None,
             continue
         mults[(u, v)] = mults.get((u, v), 0) + 1
         edges.append((len(edges), u, v))
-    if mixed_ids:
-        labels = draw(st.permutations(range(len(edges))))
-        edges = [(label if draw(st.booleans()) else str(label), u, v)
-                 for label, (_, u, v) in zip(labels, edges)]
-    return MultiGraph(nx + ny, edges)
+    return MultiGraph(nx + ny, _mixed(draw, edges) if mixed_ids else edges)
 
 
 def random_extension_instance(seed, n, m, precoloured=20):

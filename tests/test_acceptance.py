@@ -10,8 +10,7 @@ import time
 from fractions import Fraction
 
 from edgeext.core import MultiGraph, edges_cycle
-from edgeext.colouring import (Palette, is_proper, max_precoloured_degree,
-                               reduce_to_lists)
+from edgeext.colouring import Palette, extension_masks, is_proper
 from edgeext import exact, kernels, gallai, planar, instances
 
 
@@ -75,18 +74,22 @@ def test_criterion_4_bipartite_extension_sweep(capsys):
             for k in (1, 2):
                 palette = Palette(delta + k)
                 for pre in instances.enumerate_precolourings(
-                        g, palette, t=0):
-                    if max_precoloured_degree(g, pre) > k:
-                        continue
+                        g, palette, t=0, max_load=k):
                     out = kernels.extend_bipartite(g, side, pre, k)
                     assert out.solved and is_proper(g, out.colouring)
                     checked += 1
                     # Galvin-bound sub-family: lists at least Delta of
                     # the reduced graph must go through pure kernels.
-                    reduced, lists = reduce_to_lists(g, pre, palette)
-                    if reduced.edges and min(
-                            len(lists[e]) for e in reduced.edge_ids
-                            ) >= reduced.delta():
+                    used = extension_masks(g, pre, palette, k)
+                    degree = [0] * g.n
+                    sizes = []
+                    for eid, u, v in g.edges:
+                        if eid not in pre:
+                            degree[u] += 1
+                            degree[v] += 1
+                            sizes.append(
+                                palette.k - (used[u] | used[v]).bit_count())
+                    if sizes and min(sizes) >= max(degree):
                         assert out.method == kernels.KERNEL, (pre, k)
                         kernel_checked += 1
         assert checked > 100000

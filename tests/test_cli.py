@@ -89,6 +89,26 @@ def test_extend_gallai_budget_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_extend_auto_disconnected_subcubic(tmp_path, capsys):
+    # two disjoint triangles, one edge precoloured, palette [4]: auto
+    # picks the subcubic extender, which colours each component
+    edges = [[i, u, v] for i, (u, v) in enumerate(
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]
+    gpath = write(tmp_path, "g.json", {"n": 6, "edges": edges})
+    cpath = write(tmp_path, "c.json", {"palette": 4, "colours": {"0": 1}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved" and out["method"] == "gallai"
+    colouring = {int(e): c for e, c in out["colouring"].items()}
+    assert colouring[0] == 1 and set(colouring) == set(range(6))
+    for a, (_, u, v) in enumerate(edges):
+        for b, (_, x, y) in enumerate(edges[:a]):
+            if {u, v} & {x, y}:
+                assert colouring[a] != colouring[b]
+    assert all(1 <= c <= 4 for c in colouring.values())
+
+
 def test_known_exception_exit(tmp_path, capsys):
     g = {"n": 5, "edges": [[i, i, (i + 1) % 5] for i in range(5)]}
     gpath = write(tmp_path, "c5.json", g)

@@ -57,6 +57,30 @@ def test_line_graph_degree_counts_parallels_once():
     assert len(g.adjacent_edges(0)) == 5
 
 
+@given(multigraphs(max_n=5, max_e=12))
+def test_dense_line_degree_counts_neighbours(g):
+    # small vertex counts make parallel edges common
+    want = max((len(g.adjacent_edges(eid)) for eid in g.edge_ids), default=0)
+    assert degree_stats(g).line_delta == want
+
+
+@given(multigraphs(max_n=7, max_e=10, mixed_ids=True), st.data())
+def test_dense_components_and_line_order(g, data):
+    # line_neighbours lists a live edge's neighbours as the line graph of
+    # the live edges orders them; components() agrees with MultiGraph's
+    d = g.dense()
+    live_ids = [eid for eid in g.edge_ids if data.draw(st.booleans())]
+    live = sum(1 << d.index[eid] for eid in live_ids)
+    sub = g.restrict_edges(live_ids)
+    comps = d.components(live)
+    assert [tuple(d.ids[i] for i in range(len(d.ids)) if comp >> i & 1)
+            for comp in comps] == [eids for _, eids in sub.components()]
+    lg = line_graph(sub)
+    for j, (eid, _, _) in enumerate(sub.edges):
+        assert [d.ids[i] for i in d.line_neighbours(d.index[eid], live)] == \
+            [sub.edges[w][0] for _, w in lg.incident(j)]
+
+
 def test_delete_and_restrict_keep_ids():
     g = MultiGraph(4, [(7, 0, 1), (3, 1, 2), (9, 2, 3)])
     h = g.delete_edges([3])

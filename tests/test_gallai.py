@@ -7,12 +7,13 @@ from edgeext.core import (InputError, MultiGraph, degree_stats, edges_cycle,
                           edges_path, line_graph)
 from edgeext.colouring import Palette, is_proper, precoloured_degree_vertex
 from edgeext.exact import BUDGET, extend as exact_extend
-from edgeext.gallai import (ExceptionReport, GallaiCertificate,
+from edgeext.gallai import (BudgetSpent, ExceptionReport, GallaiCertificate,
                             ODD_CYCLE_K0, TRIANGLE_MULTIPLICITY,
                             block_decompose, degree_list_colour,
                             exception_shape, extend_gallai, extend_subcubic,
                             is_gallai_tree, solve_vertex_lists)
 
+import oracles
 from conftest import multigraphs
 
 
@@ -272,3 +273,82 @@ def test_gallai_extenders_honour_budget():
                 extend_subcubic(g, pre)):
         assert out.solved and is_proper(g, out.colouring)
         assert len(out.colouring) == 6
+
+
+# -- agreement with the id-keyed pipeline -----------------------------------
+
+BUDGETS = st.sampled_from([None, 1, 3, 10])
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns or raises, in a form two pipelines can share."""
+    try:
+        out = fn(*args, **kwargs)
+    except InputError:
+        return "input-error"
+    except BudgetSpent as spent:
+        return ("budget-spent", spent.nodes)
+    if isinstance(out, ExceptionReport):
+        return ("exception", out.kind, out.data)
+    if isinstance(out, GallaiCertificate):
+        return ("certificate", out.is_gallai_tree)
+    if isinstance(out, dict) or out is None:
+        return out
+    return (out.status, out.method, out.nodes, out.colouring)
+
+
+def _precolouring(g, data, palette, load):
+    """A proper precolouring from the palette with at most ``load`` edges
+    at any vertex, drawn edge by edge in a drawn order."""
+    pre = {}
+    count = [0] * g.n
+    for eid in data.draw(st.permutations(g.edge_ids)):
+        colour = data.draw(st.integers(min_value=0, max_value=palette.k))
+        u, v = g.endpoints(eid)
+        if not colour or max(count[u], count[v]) >= load:
+            continue
+        trial = dict(pre)
+        trial[eid] = colour
+        if is_proper(g, trial):
+            pre = trial
+            count[u] += 1
+            count[v] += 1
+    return pre
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=7, max_e=10, max_degree=3, mixed_ids=True),
+       st.data(), BUDGETS)
+def test_extend_subcubic_matches_oracle(g, data, budget):
+    pre = _precolouring(g, data, Palette(4), 1)
+    assert _outcome(extend_subcubic, g, pre, budget=budget) == \
+        _outcome(oracles.extend_subcubic, g, pre, budget=budget)
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=6, max_e=8, mixed_ids=True), st.data(), BUDGETS)
+def test_extend_gallai_matches_oracle(g, data, budget):
+    k = data.draw(st.integers(min_value=0, max_value=2))
+    pre = _precolouring(g, data, Palette(max(1, g.delta() + k)), k)
+    assert _outcome(extend_gallai, g, pre, k, budget=budget) == \
+        _outcome(oracles.extend_gallai, g, pre, k, budget=budget)
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=7, max_e=10), st.data(), BUDGETS)
+def test_degree_list_colour_matches_oracle(g, data, budget):
+    lists = {}
+    for v in range(g.n):
+        base = data.draw(st.integers(min_value=1, max_value=3))
+        size = g.degree(v) + data.draw(st.integers(min_value=0, max_value=1))
+        lists[v] = set(range(base, base + max(1, size)))
+    assert _outcome(degree_list_colour, g, lists, budget) == \
+        _outcome(oracles.degree_list_colour, g, lists, budget)
+    assert _outcome(solve_vertex_lists, g, lists, budget) == \
+        _outcome(oracles.solve_vertex_lists, g, lists, budget)
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=8, max_e=12))
+def test_block_decompose_matches_oracle(g):
+    assert block_decompose(g) == oracles.block_decompose(g)
