@@ -107,15 +107,39 @@ def validate_precolouring(g: MultiGraph, colouring: Mapping[EdgeId, int],
 
 def extension_masks(g: MultiGraph, colouring: Mapping[EdgeId, int],
                     palette: Palette, k: int) -> list[int]:
-    """The extenders' shared preamble: bound, then validate.
+    """The extenders' shared preamble: bound, then validate, in one pass.
 
     Rejects a precolouring with more than k edges at some vertex, the
-    hypothesis every extension theorem here shares, then validates it;
-    returns each vertex's used colours as a bitmask.  An uncoloured edge
-    uv may take exactly the palette colours outside ``used[u] | used[v]``.
+    hypothesis every extension theorem here shares, then validates it as
+    ``validate_precolouring`` does; the errors come in the order of
+    ``check_load`` followed by ``validate_precolouring``.  Returns each
+    vertex's used colours as a bitmask.  An uncoloured edge uv may take
+    exactly the palette colours outside ``used[u] | used[v]``.
     """
-    check_load(g, colouring, k)
-    return validate_precolouring(g, colouring, palette)
+    used = [0] * g.n
+    load = [0] * g.n
+    outside = None
+    proper = True
+    for eid, colour in colouring.items():
+        u, v = g.endpoints(eid)
+        load[u] += 1
+        load[v] += 1
+        if colour not in palette:
+            outside = outside or (eid, colour)
+            continue
+        bit = 1 << colour
+        if (used[u] | used[v]) & bit:
+            proper = False
+        used[u] |= bit
+        used[v] |= bit
+    if max(load, default=0) > k:
+        raise InputError(f"a vertex meets more than {k} precoloured edges")
+    if outside:
+        raise InputError(f"edge {outside[0]!r} has colour {outside[1]!r} "
+                         f"outside palette [{palette.k}]")
+    if not proper:
+        raise InputError("precolouring is not proper")
+    return used
 
 
 def _reduce(g: MultiGraph, colouring: Mapping[EdgeId, int],

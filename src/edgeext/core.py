@@ -364,13 +364,39 @@ def edge_distance(g: MultiGraph, e: EdgeId, f: EdgeId):
 def is_distance_matching(g: MultiGraph, ids: Iterable[EdgeId], t: int) -> bool:
     """True iff all pairs in the set are at edge distance greater than t.
 
-    t=1 is an ordinary matching, t=2 an induced matching; t=0 accepts any set.
+    t=1 is an ordinary matching, t=2 an induced matching; t=0 accepts any
+    set without a repeated id.  Unknown ids raise ``InputError``.  An edge
+    lies within distance t of e exactly when it touches a vertex within
+    t-1 steps of e's ends, so one bounded vertex search per edge does.
     """
     id_list = list(ids)
-    for i, e in enumerate(id_list):
-        for f in id_list[i + 1:]:
-            if edge_distance(g, e, f) <= t:
+    ends = [g.endpoints(eid) for eid in id_list]
+    if t < 0:
+        return True
+    if len(set(id_list)) < len(id_list):
+        return False                   # a repeated id is at distance 0
+    if t == 0:
+        return True
+    owner: dict[int, int] = {}         # vertex -> the set's edge there
+    for j, (u, v) in enumerate(ends):
+        for w in (u, v):
+            if owner.setdefault(w, j) != j:
                 return False
+    for j, (u, v) in enumerate(ends):
+        seen = {u, v}
+        frontier = [u, v]
+        for _ in range(t - 1):
+            reached = []
+            for w in frontier:
+                for _, x in g.incident(w):
+                    if x not in seen:
+                        if owner.get(x, j) != j:
+                            return False
+                        seen.add(x)
+                        reached.append(x)
+            if not reached:
+                break
+            frontier = reached
     return True
 
 

@@ -13,6 +13,7 @@ precoloured matchings, 20 for distance-3 matchings).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                    is_distance_matching)
 from .colouring import Palette, is_proper, validate_precolouring
 from . import exact
-from .exact import SolveOutcome, SOLVED
+from .exact import SolveOutcome, SOLVED, _colours_of
 
 VARIANT_MATCHING = "matching"        # palette [Delta+1], threshold 17
 VARIANT_DISTANCE3 = "distance-3"     # palette [Delta], threshold 20
@@ -206,14 +207,13 @@ def _find_even_cycle(g: MultiGraph, eids: Sequence[EdgeId]) -> list | None:
         u, v = g.endpoints(eid)
         adj.setdefault(u, []).append((eid, v))
         adj.setdefault(v, []).append((eid, u))
-    visited = set()
+    parent: dict[int, tuple[int, EdgeId] | None] = {}
+    depth: dict[int, int] = {}
     for root in sorted(adj):
-        if root in visited:
+        if root in parent:
             continue
-        parent: dict[int, tuple[int, EdgeId] | None] = {root: None}
-        depth = {root: 0}
+        parent[root], depth[root] = None, 0
         stack = [(root, None)]
-        visited.add(root)
         while stack:
             v, pedge = stack.pop()
             for eid, w in adj[v]:
@@ -222,27 +222,18 @@ def _find_even_cycle(g: MultiGraph, eids: Sequence[EdgeId]) -> list | None:
                 if w not in parent:
                     parent[w] = (v, eid)
                     depth[w] = depth[v] + 1
-                    visited.add(w)
                     stack.append((w, eid))
-                elif depth.get(w) is not None and depth.get(v) is not None:
+                else:
                     # Back edge: climb both endpoints to their meeting point.
                     path_v, path_w = [], []
                     a, b = v, w
-                    while depth[a] > depth[b]:
-                        pa, pe = parent[a]
-                        path_v.append(pe)
-                        a = pa
-                    while depth[b] > depth[a]:
-                        pb, pe = parent[b]
-                        path_w.append(pe)
-                        b = pb
                     while a != b:
-                        pa, pe = parent[a]
-                        path_v.append(pe)
-                        a = pa
-                        pb, pe = parent[b]
-                        path_w.append(pe)
-                        b = pb
+                        if depth[a] >= depth[b]:
+                            a, pe = parent[a]
+                            path_v.append(pe)
+                        else:
+                            b, pe = parent[b]
+                            path_w.append(pe)
                     # Meeting point -> v, jump to w, climb back up.
                     cycle = path_v[::-1] + [eid] + path_w
                     if len(cycle) % 2 == 0 and len(set(cycle)) == len(cycle):
@@ -289,7 +280,7 @@ def colour_even_cycle_lists(g: MultiGraph, cycle: Sequence[EdgeId],
                 raise AssertionError("even-cycle colouring ran out of colours")
             assignment[cyc[j]] = choice[0]
 
-    if not is_proper(g.restrict_edges(cyc), assignment):
+    if not is_proper(g, assignment):
         raise AssertionError("even-cycle colouring is improper")
     return assignment
 
@@ -316,44 +307,94 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
         raise InputError(
             "precoloured edges do not form the required distance matching")
 
-    # Peel configurations off until none applies or only precoloured edges
-    # are left, settle that core, then replay the configurations in reverse.
-    # At replay time the coloured edges are exactly those of the graph the
-    # configuration was peeled from, minus the configuration itself.
-    peeled = []
-    h = g
-    while True:
-        active_m = {eid: m[eid] for eid in h.edge_ids if eid in m}
-        cfg = find_reducible(h, active_m.keys(), mode, delta0)
-        if cfg is None or cfg.kind == BASE_CASE:
-            break
-        peeled.append(cfg)
-        h = h.delete_edges(cfg.edges)
-    fallback_used = cfg is None
-    if fallback_used:
-        # No configuration: exact search settles the subgraph.
-        outcome = exact.extend(h, active_m, palette, budget=budget)
-        if not outcome.solved:
-            return SolveOutcome(outcome.status, None, method=EXACT_FALLBACK)
-        colouring = outcome.colouring
-    else:
-        colouring = active_m
+    # Peel configurations off, in the order ``find_reducible`` picks them,
+    # until none applies or only precoloured edges are left; settle that
+    # core, then replay the configurations in reverse.  Edge i is
+    # g.edges[i].  Degrees only fall, so a light edge stays light: light
+    # edges wait in a heap by id order, the others at both ends.
+    ids = [eid for eid, _, _ in g.edges]
+    ends = [(u, v) for _, u, v in g.edges]
+    index = {eid: i for i, eid in enumerate(ids)}
+    deg = [g.degree(v) for v in range(g.n)]
+    bound = _light_threshold(mode, delta0)
+    done = bytearray(len(ids))       # 1 once queued as light, or peeled
+    waiting = [[index[eid] for eid, _ in g.incident(w) if eid not in m]
+               for w in range(g.n)]
+    light: list = []                 # (id key, i) of queued, unpeeled i
 
-    def free_colours(eid):
-        banned = {colouring[f] for f in g.adjacent_edges(eid)
-                  if f in colouring}
-        return [c for c in palette.colours if c not in banned]
+    def recheck(vertices):
+        for w in vertices:
+            keep = []
+            for i in waiting[w]:
+                if not done[i]:
+                    u, v = ends[i]
+                    if deg[u] + deg[v] <= bound:
+                        done[i] = 1
+                        heapq.heappush(light, (_id_sort_key(ids[i]), i))
+                    else:
+                        keep.append(i)
+            waiting[w] = keep
 
-    for cfg in reversed(peeled):
-        if cfg.kind == LIGHT_EDGE:
-            eid = cfg.edges[0]
-            free = free_colours(eid)
-            if not free:
-                raise AssertionError("light edge had no free colour")
-            colouring[eid] = free[0]
+    recheck(range(g.n))
+    uncoloured = len(ids) - len(m)
+    peeled: list = []                # light edge indices and even cycles
+    colouring = {eid: m[eid] for eid in ids if eid in m}
+    method = REDUCTION
+    while uncoloured:
+        if light:
+            step = heapq.heappop(light)[1]
+            cut = (step,)
         else:
-            lists = {eid: set(free_colours(eid)) for eid in cfg.edges}
-            colouring.update(colour_even_cycle_lists(g, cfg.edges, lists))
+            # Nothing queued: the live edges are those never queued.
+            h = MultiGraph(g.n, (g.edges[i] for i in range(len(ids))
+                                 if not done[i]))
+            step = find_reducible(h, m.keys(), mode, delta0)
+            if step is None:
+                # No configuration: exact search settles the subgraph.
+                outcome = exact.extend(h, colouring, palette, budget=budget)
+                if not outcome.solved:
+                    return SolveOutcome(outcome.status, None,
+                                        method=EXACT_FALLBACK)
+                colouring, method = outcome.colouring, EXACT_FALLBACK
+                break
+            cut = [index[eid] for eid in step.edges]
+        peeled.append(step)
+        for i in cut:
+            done[i] = 1
+            for w in ends[i]:
+                deg[w] -= 1
+        uncoloured -= len(cut)
+        recheck({w for i in cut for w in ends[i]})
+
+    # The colours at each vertex, kept while an edge there is uncoloured.
+    used = [0] * g.n
+    left = [g.degree(w) for w in range(g.n)]
+    free_mask = (1 << (k + 1)) - 2   # bits 1..k
+
+    def place(i, c):
+        colouring[ids[i]] = c
+        for w in ends[i]:
+            left[w] -= 1
+            used[w] = used[w] | 1 << c if left[w] else 0
+
+    def free(i):
+        u, v = ends[i]
+        return free_mask & ~(used[u] | used[v])
+
+    for eid, c in list(colouring.items()):
+        place(index[eid], c)
+    for step in reversed(peeled):
+        if isinstance(step, int):
+            bits = free(step)
+            if not bits:
+                raise AssertionError("light edge had no free colour")
+            place(step, (bits & -bits).bit_length() - 1)
+        else:
+            lists = {eid: set(_colours_of(free(index[eid])))
+                     for eid in step.edges}
+            for eid, c in colour_even_cycle_lists(g, step.edges,
+                                                  lists).items():
+                place(index[eid], c)
     if not is_proper(g, colouring):
         raise AssertionError("planar extension is improper")
     for eid, c in colouring.items():
@@ -364,7 +405,6 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
             raise AssertionError("planar extension changed a precoloured edge")
     if len(colouring) != len(g.edges):
         raise AssertionError("planar extension left edges uncoloured")
-    method = EXACT_FALLBACK if fallback_used else REDUCTION
     return SolveOutcome(SOLVED, colouring, method=method)
 
 

@@ -21,6 +21,12 @@ pipeline (a reduced ``MultiGraph``, its ``components()``, a
 dense one in ``edgeext.gallai`` replaced.  Both visit line-graph
 neighbours in the same order, so they must agree on status, method, node
 count and the colouring as a mapping.
+
+``extend_planar`` is the peel-and-replay extender that rebuilt the peeled
+``MultiGraph`` and re-ran ``find_reducible`` on every step.  The
+incremental one in ``edgeext.planar`` peels the same configurations in
+the same order, so the two must agree on status, method and the
+colouring as a mapping.
 """
 
 from __future__ import annotations
@@ -31,9 +37,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from edgeext import exact
 from edgeext.colouring import (Palette, is_proper, merge_colourings,
-                               reduce_extension)
+                               reduce_extension, validate_precolouring)
 from edgeext.core import (EdgeId, InputError, MultiGraph, _id_sort_key,
-                          degree_stats, edge_distance, line_graph)
+                          degree_stats, edge_distance, is_distance_matching,
+                          line_graph)
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, SolveOutcome,
                            _check_solution, _colours_of, _mask_of)
 from edgeext.gallai import (BlockDecomposition, BudgetSpent,
@@ -41,6 +48,9 @@ from edgeext.gallai import (BlockDecomposition, BudgetSpent,
                             exception_shape)
 from edgeext.kernels import (EXACT_FALLBACK, KERNEL, check_bipartition,
                              find_bipartition)
+from edgeext.planar import (BASE_CASE, LIGHT_EDGE, REDUCTION,
+                            VARIANT_DISTANCE3, VARIANT_MATCHING,
+                            colour_even_cycle_lists, find_reducible)
 
 
 class _BudgetExceeded(Exception):
@@ -837,3 +847,77 @@ def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
         raise InputError("graph is not subcubic")
     reduced, lists = reduce_extension(g, m, Palette(4), 1)
     return _colour_reduced(m, reduced, lists, budget)
+
+
+def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
+                  budget: int | None = None) -> SolveOutcome:
+    """Extend a precoloured (distance-3) matching by peel-and-replay.
+
+    Palette is [Delta+1] in matching mode and [Delta] in distance-3 mode.
+    When no reducible configuration exists the exact solver takes over on
+    the current subgraph, which is sound: a subgraph that cannot be
+    extended proves the original cannot either.
+    """
+    if mode not in (VARIANT_MATCHING, VARIANT_DISTANCE3):
+        raise InputError(f"unknown mode {mode!r}")
+    if not g.edges:
+        return SolveOutcome(SOLVED, {}, method=REDUCTION)
+    delta0 = g.delta()
+    k = delta0 + 1 if mode == VARIANT_MATCHING else delta0
+    palette = Palette(k)
+    validate_precolouring(g, m, palette)
+    t = 1 if mode == VARIANT_MATCHING else 3
+    if not is_distance_matching(g, m.keys(), t):
+        raise InputError(
+            "precoloured edges do not form the required distance matching")
+
+    # Peel configurations off until none applies or only precoloured edges
+    # are left, settle that core, then replay the configurations in reverse.
+    # At replay time the coloured edges are exactly those of the graph the
+    # configuration was peeled from, minus the configuration itself.
+    peeled = []
+    h = g
+    while True:
+        active_m = {eid: m[eid] for eid in h.edge_ids if eid in m}
+        cfg = find_reducible(h, active_m.keys(), mode, delta0)
+        if cfg is None or cfg.kind == BASE_CASE:
+            break
+        peeled.append(cfg)
+        h = h.delete_edges(cfg.edges)
+    fallback_used = cfg is None
+    if fallback_used:
+        # No configuration: exact search settles the subgraph.
+        outcome = exact.extend(h, active_m, palette, budget=budget)
+        if not outcome.solved:
+            return SolveOutcome(outcome.status, None, method=EXACT_FALLBACK)
+        colouring = outcome.colouring
+    else:
+        colouring = active_m
+
+    def free_colours(eid):
+        banned = {colouring[f] for f in g.adjacent_edges(eid)
+                  if f in colouring}
+        return [c for c in palette.colours if c not in banned]
+
+    for cfg in reversed(peeled):
+        if cfg.kind == LIGHT_EDGE:
+            eid = cfg.edges[0]
+            free = free_colours(eid)
+            if not free:
+                raise AssertionError("light edge had no free colour")
+            colouring[eid] = free[0]
+        else:
+            lists = {eid: set(free_colours(eid)) for eid in cfg.edges}
+            colouring.update(colour_even_cycle_lists(g, cfg.edges, lists))
+    if not is_proper(g, colouring):
+        raise AssertionError("planar extension is improper")
+    for eid, c in colouring.items():
+        if c not in palette:
+            raise AssertionError("planar extension left the palette")
+    for eid, c in m.items():
+        if colouring.get(eid) != c:
+            raise AssertionError("planar extension changed a precoloured edge")
+    if len(colouring) != len(g.edges):
+        raise AssertionError("planar extension left edges uncoloured")
+    method = EXACT_FALLBACK if fallback_used else REDUCTION
+    return SolveOutcome(SOLVED, colouring, method=method)

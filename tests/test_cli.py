@@ -308,3 +308,21 @@ def test_extend_planar_deep_wheel(tmp_path, capsys):
     assert out["status"] == "solved"
     assert out["method"] == "reduction"
     assert len(out["colouring"]) == len(g.edges)
+
+
+def test_extend_planar_large_wheel_with_matching(tmp_path, capsys):
+    # 10,000 edges with a 1,250-edge precoloured matching: the distance
+    # check and the peel both stay near linear
+    from edgeext.planar import wheel
+    g, _ = wheel(5000)
+    pre = {str(5000 + 4 * j): 1 + j % 5001 for j in range(1250)}
+    gpath = write(tmp_path, "w.json", g.to_json_obj())
+    cpath = write(tmp_path, "c.json", {"palette": g.delta() + 1,
+                                       "colours": pre})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--method", "planar", "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved"
+    assert out["method"] == "reduction"
+    assert len(out["colouring"]) == len(g.edges)
+    assert all(out["colouring"][eid] == c for eid, c in pre.items())

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgeext.core import InputError, MultiGraph, edges_path
-from edgeext.colouring import (Palette, colouring_from_json,
-                               colouring_to_json_obj, is_proper,
+from edgeext.colouring import (Palette, check_load, colouring_from_json,
+                               colouring_to_json_obj, extension_masks,
+                               is_proper,
                                max_precoloured_degree, merge_colourings,
                                precoloured_degree_edge,
                                precoloured_degree_vertex, reduce_to_lists,
@@ -70,6 +71,63 @@ def test_validate_precolouring():
         validate_precolouring(g, {0: 1, 1: 1}, Palette(2))
     with pytest.raises(InputError):
         validate_precolouring(g, {42: 1}, Palette(2))
+
+
+def _two_pass_masks(g, colouring, palette, k):
+    # the preamble before it was fused into one loop
+    check_load(g, colouring, k)
+    return validate_precolouring(g, colouring, palette)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+# Each entry is one fault, on edges of its own, so that every fault of a
+# combination is present; two colours lie outside the palette, so the
+# first one must be reported.
+_FAULTS = {
+    "unknown": {42: 1, "x": 2},
+    "load": {0: 1, 1: 2, 3: 3},        # vertex 1 meets three edges
+    "palette": {5: 7, 7: 9},
+    "improper": {2: 3, 4: 3},          # both at vertex 3
+}
+
+
+@pytest.mark.parametrize("kinds", [
+    ("unknown", "load"), ("unknown", "palette"), ("unknown", "improper"),
+    ("load", "palette"), ("load", "improper"), ("palette", "improper"),
+    ("improper", "palette"), ("improper", "unknown"),
+    ("unknown", "load", "palette"), ("load", "palette", "improper"),
+    ("improper", "palette", "unknown"), ("palette", "improper", "load"),
+])
+def test_extension_masks_reports_faults_in_two_pass_order(kinds):
+    g = MultiGraph(9, [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 1, 4), (4, 3, 5),
+                       (5, 5, 6), (6, 6, 7), (7, 7, 8)])
+    palette, k = Palette(4), 2
+    pre = {}
+    for kind in kinds:
+        pre.update(_FAULTS[kind])
+    fused = _outcome(extension_masks, g, pre, palette, k)
+    assert isinstance(fused, str)
+    assert fused == _outcome(_two_pass_masks, g, pre, palette, k)
+
+
+@given(multigraphs(), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_extension_masks_matches_two_passes(g, k, extra, data):
+    palette = Palette(g.delta() + extra)
+    ids = list(g.edge_ids) + [99]
+    chosen = data.draw(st.lists(st.sampled_from(ids), max_size=6,
+                                unique=True))
+    pre = {eid: data.draw(st.integers(min_value=0,
+                                      max_value=palette.k + 1))
+           for eid in chosen}
+    assert (_outcome(extension_masks, g, pre, palette, k)
+            == _outcome(_two_pass_masks, g, pre, palette, k))
 
 
 def test_reduce_to_lists_removes_adjacent_colours():

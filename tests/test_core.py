@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +138,43 @@ def test_distance_matching_predicate():
     assert not is_distance_matching(g, [ids[0], ids[2]], 2)
     assert is_distance_matching(g, [ids[0], ids[3]], 2)
     assert is_distance_matching(g, [], 3)
+
+
+def _pairwise_distance_matching(g, ids, t):
+    # the check before it searched balls: one line-graph search per pair
+    id_list = list(ids)
+    for i, e in enumerate(id_list):
+        for f in id_list[i + 1:]:
+            if edge_distance(g, e, f) <= t:
+                return False
+    return True
+
+
+def test_distance_matching_agrees_with_pairwise_distances():
+    rng = random.Random(3)
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        ends = [(rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(1, 12))]
+        g = MultiGraph(n, [(i if rng.random() < 0.8 else f"e{i}", u, v)
+                           for i, (u, v) in enumerate(ends) if u != v])
+        ids = list(g.edge_ids)
+        chosen = rng.sample(ids, rng.randint(0, min(5, len(ids))))
+        if chosen and rng.random() < 0.1:
+            chosen.append(chosen[0])
+        t = rng.randint(-1, 4)
+        assert (is_distance_matching(g, chosen, t)
+                == _pairwise_distance_matching(g, chosen, t)), (g.edges,
+                                                                chosen, t)
+
+
+def test_distance_matching_rejects_unknown_ids_up_front():
+    g = edges_path(5)
+    for ids in ([42], [0, 1, 42], [42, 0]):
+        with pytest.raises(InputError):
+            is_distance_matching(g, ids, 1)
+    assert not is_distance_matching(g, [0, 0], 0)   # a repeat is at 0
+    assert is_distance_matching(g, [0, 1, 2, 3], 0)
 
 
 @given(multigraphs())

@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgeext import planar
 from edgeext.core import InputError, MultiGraph, edges_cycle
 from edgeext.colouring import Palette, is_proper
 from edgeext.exact import extend as exact_extend
 from edgeext.instances import random_distance_matching
-from edgeext.planar import (REDUCTION, EXACT_FALLBACK, RotationSystem,
+from edgeext.planar import (REDUCTION, EXACT_FALLBACK, EVEN_CYCLE,
+                            LIGHT_EDGE, RotationSystem,
                             VARIANT_DISTANCE3, VARIANT_MATCHING,
                             audit_discharge, check_rotation,
                             colour_even_cycle_lists, extend_planar,
                             find_reducible, hub_triangulation, icosahedron,
                             random_plane_graph, rotation_from_points,
                             trace_faces, wheel)
+
+import oracles
 
 
 # -- rotation systems and face tracing ----------------------------------
@@ -150,6 +154,78 @@ def test_extend_planar_agrees_with_exact_on_small_plane_graphs(seed):
     assert out.solved == ex.solved
     if out.solved:
         assert is_proper(g, out.colouring)
+
+
+def _same_outcome(g, pre, mode, budget=None):
+    out = extend_planar(g, pre, mode, budget)
+    ref = oracles.extend_planar(g, pre, mode, budget)
+    assert (out.status, out.method) == (ref.status, ref.method)
+    assert out.colouring == ref.colouring
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["plane", "hub", "wheel"]),
+       st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([VARIANT_MATCHING, VARIANT_DISTANCE3]),
+       st.sampled_from([None, 1, 10]))
+def test_extend_planar_agrees_with_rebuilding_oracle(kind, seed, mode, budget):
+    # Small plane graphs have small Delta and reach even cycles and the
+    # exact fallback; wheels and hub triangulations peel by light edges.
+    # With hub degree k >= 16 up to 12 extra vertices always find a face:
+    # before each one, no other vertex has degree above 3 + 11 <= k - 2.
+    rng = random.Random(seed)
+    if kind == "plane":
+        g, _ = random_plane_graph(rng.randint(3, 16), seed)
+    elif kind == "hub":
+        g, _ = hub_triangulation(rng.randint(16, 20), rng.randint(0, 12), seed)
+    else:
+        g, _ = wheel(rng.randint(3, 40))
+    t = 1 if mode == VARIANT_MATCHING else 3
+    palette = Palette(g.delta() + 1 if mode == VARIANT_MATCHING
+                      else g.delta())
+    pre = random_distance_matching(g, t, palette, rng)
+    _same_outcome(g, pre, mode, budget)
+
+
+def test_extend_planar_peels_even_cycles_incrementally(monkeypatch):
+    # Each of these peels an even cycle when no light edge is left, then
+    # goes on peeling; find_reducible runs only at those points.
+    kinds = []
+    original = planar.find_reducible
+
+    def spy(*args):
+        cfg = original(*args)
+        kinds.append(cfg and cfg.kind)
+        return cfg
+
+    monkeypatch.setattr(planar, "find_reducible", spy)
+    for seed, pre in ((5, {}), (5, {2: 4, 5: 2}), (6, {5: 1, 6: 3})):
+        g, _ = random_plane_graph(5, seed)
+        kinds.clear()
+        out = _same_outcome(g, pre, VARIANT_MATCHING)
+        assert out.solved
+        assert EVEN_CYCLE in kinds
+        assert LIGHT_EDGE not in kinds
+
+
+def test_extend_planar_large_wheel_builds_no_graph(monkeypatch):
+    # every fourth rim edge, coloured round the palette [5001]
+    g, _ = wheel(5000)
+    pre = {5000 + 4 * j: 1 + j % 5001 for j in range(1250)}
+    built = []
+    original = MultiGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiGraph, "__init__", counting_init)
+    out = extend_planar(g, pre, VARIANT_MATCHING)
+    assert out.solved and out.method == REDUCTION
+    assert len(out.colouring) == len(g.edges)
+    assert all(out.colouring[eid] == c for eid, c in pre.items())
+    assert built == []
 
 
 # -- the discharging audit ----------------------------------------------
