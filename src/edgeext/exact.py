@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import EdgeId, InputError, MultiGraph, _id_sort_key
-from .colouring import Palette, is_proper, merge_colourings, reduce_to_lists
+from .colouring import Palette, is_proper, validate_precolouring
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -61,7 +61,8 @@ def _colours_of(mask: int) -> list[int]:
 
 def solve_list(g: MultiGraph,
                lists: Mapping[EdgeId, Iterable[int]],
-               budget: int | None = None) -> SolveOutcome:
+               budget: int | None = None,
+               fixed: Mapping[EdgeId, int] | None = None) -> SolveOutcome:
     """Decide a list-edge-colouring instance by exhaustive backtracking.
 
     Deterministic: the most constrained edge (smallest remaining list) is
@@ -70,39 +71,98 @@ def solve_list(g: MultiGraph,
     colours are skipped (symmetry breaking); list instances are searched
     without it so correctness never depends on the symmetry argument.
 
-    The search runs on an explicit stack over a dense form, and each node
-    costs time in the edges its assignment touches, not in all edges.
-    Edges are numbered in edge-id order, so the lowest number breaks ties.
-    Uncoloured edges sit in buckets by the size of their remaining list.
-    The parity prune (see ``_parity_refutes``) reads one "tight" entry per
-    vertex, refreshed only at the vertices an assignment changes and
-    restored from a trail on undo.
+    Edges coloured by ``fixed``, a proper partial colouring of g, keep
+    their colours and need no list; every other edge also loses the
+    colours fixed at its ends, and a solution comes back merged into a
+    copy of ``fixed``.  The symmetry test reads the lists after that loss.
+
+    The solution is checked on every run, not just in tests: each colour
+    must be in its edge's list and new at both of its ends.
     """
-    eids = list(g.edge_ids)
-    for eid in eids:
+    base = {} if fixed is None else fixed
+    used = [0] * g.n
+    for eid, c in base.items():
+        u, v = g.endpoints(eid)
+        bit = 1 << c
+        if (used[u] | used[v]) & bit:
+            raise InputError("fixed colouring is not proper")
+        used[u] |= bit
+        used[v] |= bit
+    ids, ends, masks = [], [], []
+    last = mask = None
+    for eid, u, v in sorted(g.edges, key=lambda e: _id_sort_key(e[0])):
+        if eid in base:
+            continue
         if eid not in lists:
             raise InputError(f"edge {eid!r} has no colour list")
-    if not eids:
-        return SolveOutcome(SOLVED, {}, nodes=0, depth=0)
+        colours = lists[eid]
+        if colours is not last:  # callers often give every edge one list
+            last, mask = colours, _mask_of(colours)
+        ids.append(eid)
+        ends.append((u, v))
+        masks.append(mask & ~(used[u] | used[v]))
+    if not ids:
+        return SolveOutcome(SOLVED, dict(base), nodes=0, depth=0)
+    union = 0
+    for mask in masks:
+        union |= mask
+    full = (1 << union.bit_length()) - 2
+    symmetric = full > 0 and all(mask == full for mask in masks)
+    status, assigned, nodes, depth = _search(g.n, ends, masks, symmetric,
+                                             budget)
+    if status != SOLVED:
+        return SolveOutcome(status, None, nodes=nodes, depth=depth)
+    colouring = dict(base)
+    for i, c in assigned:
+        bit = 1 << c
+        u, v = ends[i]
+        if not masks[i] & bit:
+            raise AssertionError(f"edge {ids[i]!r} coloured outside its list")
+        if (used[u] | used[v]) & bit:
+            raise AssertionError("solver produced an improper colouring")
+        used[u] |= bit
+        used[v] |= bit
+        colouring[ids[i]] = c
+    return SolveOutcome(SOLVED, colouring, nodes=nodes, depth=depth)
 
-    masks = {eid: _mask_of(lists[eid]) for eid in eids}
-    all_colours = set()
-    for eid in eids:
-        all_colours.update(lists[eid])
-    max_colour = max(all_colours, default=0)
-    full_mask = _mask_of(range(1, max_colour + 1))
-    symmetric = all(masks[eid] == full_mask for eid in eids) and max_colour >= 1
 
-    order = sorted(eids, key=_id_sort_key)
-    m = len(order)
-    avail = [masks[eid] for eid in order]
-    ends = [g.endpoints(eid) for eid in order]
+def extend(g: MultiGraph, colouring: Mapping[EdgeId, int], palette: Palette,
+           budget: int | None = None) -> SolveOutcome:
+    """Decide whether the proper precolouring extends within the palette.
+
+    This is ``solve_list`` with the precolouring fixed and the palette as
+    every edge's list: each uncoloured edge uv may take the palette
+    colours seen at neither u nor v.
+    """
+    validate_precolouring(g, colouring, palette)
+    return solve_list(g, dict.fromkeys(g.edge_ids, palette.colours), budget,
+                      colouring)
+
+
+def _search(n, ends, masks, symmetric, budget):
+    """Backtracking over edges 0..m-1 (m >= 1): edge i joins ``ends[i]``
+    and may take the colours whose bits are set in ``masks[i]``.
+
+    The search runs on an explicit stack, and each node costs time in the
+    edges its assignment touches, not in all edges.  The lowest-numbered
+    edge breaks ties.  Uncoloured edges sit in buckets by the size of
+    their remaining list.  The parity prune (see ``_parity_refutes``)
+    reads one "tight" entry per vertex, refreshed only where an
+    assignment can change it and restored from a trail on undo.
+
+    Returns ``(status, assigned, nodes, depth)``; ``assigned`` lists the
+    solution's (edge, colour) pairs in assignment order, or is None.
+    """
+    m = len(ends)
+    avail = list(masks)
     # incidence[w]: (edge, other endpoint) for every edge at w
-    incidence: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(ends):
         incidence[u].append((i, v))
         incidence[v].append((i, u))
     free = [True] * m
+    # cnt[w]: the uncoloured edges at w
+    cnt = [len(entries) for entries in incidence]
     buckets: list[set[int]] = [
         set() for _ in range(max(a.bit_count() for a in avail) + 1)]
     for i, a in enumerate(avail):
@@ -111,23 +171,21 @@ def solve_list(g: MultiGraph,
     # w has uncoloured edges and that union has exactly one colour per edge.
     tight: dict[int, int] = {}
 
-    def refresh(touched, trail: list) -> None:
-        for w in touched:
-            union = count = 0
-            for j, _ in incidence[w]:
-                if free[j]:
-                    union |= avail[j]
-                    count += 1
-            new = union if count and union.bit_count() == count else None
-            old = tight.get(w)
-            if new != old:
-                trail.append((w, old))
-                if new is None:
-                    del tight[w]
-                else:
-                    tight[w] = new
+    def settle(w: int, new: int | None, trail: list) -> None:
+        old = tight.get(w)
+        if new != old:
+            trail.append((w, old))
+            if new is None:
+                del tight[w]
+            else:
+                tight[w] = new
 
-    refresh(range(g.n), [])
+    for w in range(n):
+        union = 0
+        for j, _ in incidence[w]:
+            union |= avail[j]
+        if cnt[w] and union.bit_count() == cnt[w]:
+            tight[w] = union
 
     nodes = max_depth = max_used = 0
     # One frame per edge on the current path: [edge, colours left to try,
@@ -139,7 +197,7 @@ def solve_list(g: MultiGraph,
         if len(stack) > max_depth:
             max_depth = len(stack)
         if budget is not None and nodes > budget:
-            return SolveOutcome(BUDGET, None, nodes=nodes, depth=max_depth)
+            return BUDGET, None, nodes, max_depth
         if not buckets[0] and not (
                 tight and _parity_refutes(tight, incidence, free, avail)):
             b = 1
@@ -153,6 +211,7 @@ def solve_list(g: MultiGraph,
         while stack:
             frame = stack[-1]
             i, left, parent_used, bit, changed, trail = frame
+            u, v = ends[i]
             if bit:
                 # undo the frame's current colour
                 for w, old in reversed(trail):
@@ -167,40 +226,63 @@ def solve_list(g: MultiGraph,
                     buckets[p + 1].add(j)
                     avail[j] = a | bit
                 free[i] = True
+                cnt[u] += 1
+                cnt[v] += 1
                 buckets[avail[i].bit_count()].add(i)
             if not left:
                 stack.pop()
                 continue
             # colour edge i with the next colour: clear it from the
-            # uncoloured edges at both ends, then refresh the vertices
-            # whose remaining lists changed
+            # uncoloured edges at both ends, whose unions are then known
             bit = left & -left
             free[i] = False
+            cnt[u] -= 1
+            cnt[v] -= 1
             buckets[avail[i].bit_count()].remove(i)
-            u, v = ends[i]
             changed = []
-            touched = {u, v}
-            for w in (u, v):
-                for j, x in incidence[w]:
-                    a = avail[j]
-                    if a & bit and free[j]:
-                        p = a.bit_count()
-                        buckets[p].remove(j)
-                        buckets[p - 1].add(j)
-                        avail[j] = a ^ bit
-                        changed.append(j)
-                        touched.add(x)
             trail = []
-            refresh(touched, trail)
+            # (size of the list it lost the colour from, far end) for each
+            # changed edge whose far end is neither u nor v
+            far = []
+            for w in (u, v):
+                union = 0
+                for j, x in incidence[w]:
+                    if free[j]:
+                        a = avail[j]
+                        if a & bit:
+                            p = a.bit_count()
+                            buckets[p].remove(j)
+                            buckets[p - 1].add(j)
+                            a ^= bit
+                            avail[j] = a
+                            changed.append(j)
+                            if x != u and x != v:
+                                far.append((p - 1, x))
+                        union |= a
+                c = cnt[w]
+                settle(w, union if c and union.bit_count() == c else None,
+                       trail)
+            # x's union holds the changed list, so x cannot be tight while
+            # that list is longer than x's count; rescan x only otherwise
+            for size, x in far:
+                c = cnt[x]
+                new = None
+                if size <= c:
+                    union = 0
+                    for j, _ in incidence[x]:
+                        if free[j]:
+                            union |= avail[j]
+                    if union.bit_count() == c:
+                        new = union
+                settle(x, new, trail)
             frame[1] = left ^ bit
             frame[3:] = bit, changed, trail
             max_used = max(parent_used, bit.bit_length() - 1)
             break
         else:
-            return SolveOutcome(UNSOLVABLE, None, nodes=nodes, depth=max_depth)
-    result = {order[frame[0]]: frame[3].bit_length() - 1 for frame in stack}
-    _check_solution(g, result, masks)
-    return SolveOutcome(SOLVED, result, nodes=nodes, depth=max_depth)
+            return UNSOLVABLE, None, nodes, max_depth
+    return (SOLVED, [(frame[0], frame[3].bit_length() - 1) for frame in stack],
+            nodes, max_depth)
 
 
 def _parity_refutes(tight, incidence, free, avail) -> bool:
@@ -244,25 +326,6 @@ def _parity_refutes(tight, incidence, free, avail) -> bool:
             if closed and len(comp) % 2:
                 return True
     return False
-
-
-def _check_solution(g, colouring, masks):
-    # Soundness is asserted on every run, not just in tests.
-    if not is_proper(g, colouring):
-        raise AssertionError("solver produced an improper colouring")
-    for eid, c in colouring.items():
-        if not (masks[eid] >> c) & 1:
-            raise AssertionError(f"edge {eid!r} coloured outside its list")
-
-
-def extend(g: MultiGraph, colouring: Mapping[EdgeId, int], palette: Palette,
-           budget: int | None = None) -> SolveOutcome:
-    """Decide whether the proper precolouring extends within the palette."""
-    reduced, lists = reduce_to_lists(g, colouring, palette)
-    outcome = solve_list(reduced, lists, budget=budget)
-    if outcome.solved:
-        outcome.colouring = merge_colourings(colouring, outcome.colouring)
-    return outcome
 
 
 def avoid(g: MultiGraph, forbidden: Mapping[EdgeId, int], palette: Palette,

@@ -99,10 +99,14 @@ def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
     for v, eids in r.around.items():
         for i, eid in enumerate(eids):
             position[(v, eid)] = i
-    unused = {(v, eid) for v in range(g.n) for eid, _ in g.incident(v)}
+    darts = sorted(((v, eid) for v in range(g.n) for eid, _ in g.incident(v)),
+                   key=lambda d: (d[0], _id_sort_key(d[1])))
+    unused = set(darts)
     faces = []
-    while unused:
-        start = min(unused, key=lambda d: (d[0], _id_sort_key(d[1])))
+    # each face starts at the least dart still unused
+    for start in darts:
+        if start not in unused:
+            continue
         walk = []
         dart = start
         while True:

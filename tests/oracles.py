@@ -27,6 +27,11 @@ count and the colouring as a mapping.
 incremental one in ``edgeext.planar`` peels the same configurations in
 the same order, so the two must agree on status, method and the
 colouring as a mapping.
+
+``trace_faces`` is the face tracer that found each face's start by a
+``min`` over all unused darts.  The one in ``edgeext.planar`` sorts the
+darts once and takes the next unused one, so the two must return the
+same faces in the same order.
 """
 
 from __future__ import annotations
@@ -42,13 +47,14 @@ from edgeext.core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                           degree_stats, edge_distance, is_distance_matching,
                           line_graph)
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, SolveOutcome,
-                           _check_solution, _colours_of, _mask_of)
+                           _colours_of, _mask_of)
 from edgeext.gallai import (BlockDecomposition, BudgetSpent,
                             ExceptionReport, GallaiCertificate,
                             exception_shape)
 from edgeext.kernels import (EXACT_FALLBACK, KERNEL, check_bipartition,
                              find_bipartition)
 from edgeext.planar import (BASE_CASE, LIGHT_EDGE, REDUCTION,
+                            FaceSet, RotationSystem, check_rotation,
                             VARIANT_DISTANCE3, VARIANT_MATCHING,
                             colour_even_cycle_lists, find_reducible)
 
@@ -188,6 +194,14 @@ def solve_list(g: MultiGraph,
     _check_solution(g, result, masks)
     return SolveOutcome(SOLVED, result, nodes=stats["nodes"],
                         depth=stats["depth"])
+
+
+def _check_solution(g, colouring, masks):
+    if not is_proper(g, colouring):
+        raise AssertionError("solver produced an improper colouring")
+    for eid, c in colouring.items():
+        if not (masks[eid] >> c) & 1:
+            raise AssertionError(f"edge {eid!r} coloured outside its list")
 
 
 # -- bipartite pipeline --------------------------------------------------
@@ -921,3 +935,42 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
         raise AssertionError("planar extension left edges uncoloured")
     method = EXACT_FALLBACK if fallback_used else REDUCTION
     return SolveOutcome(SOLVED, colouring, method=method)
+
+
+# -- face tracing ----------------------------------------------------------
+
+def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
+    """Trace face boundaries by next-edge traversal in the rotation.
+
+    For connected inputs the Euler identity V - E + F = 2 is enforced.
+    """
+    check_rotation(g, r)
+    position = {}
+    for v, eids in r.around.items():
+        for i, eid in enumerate(eids):
+            position[(v, eid)] = i
+    unused = {(v, eid) for v in range(g.n) for eid, _ in g.incident(v)}
+    faces = []
+    while unused:
+        start = min(unused, key=lambda d: (d[0], _id_sort_key(d[1])))
+        walk = []
+        dart = start
+        while True:
+            walk.append(dart)
+            unused.discard(dart)
+            v, eid = dart
+            u1, u2 = g.endpoints(eid)
+            w = u2 if u1 == v else u1
+            ring = r.around[w]
+            nxt = ring[(position[(w, eid)] + 1) % len(ring)]
+            dart = (w, nxt)
+            if dart == start:
+                break
+            if dart not in unused:
+                raise InputError("rotation system is inconsistent")
+        faces.append(walk)
+    if g.is_connected() and g.edges:
+        vcount = len({x for _, u, v in g.edges for x in (u, v)})
+        if vcount - len(g.edges) + len(faces) != 2:
+            raise InputError("rotation system is not a planar embedding")
+    return FaceSet(faces)

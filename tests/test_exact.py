@@ -1,13 +1,16 @@
 import itertools
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
-from edgeext.colouring import Palette, is_proper
+from edgeext.colouring import (Palette, is_proper, merge_colourings,
+                               reduce_to_lists)
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, avoid,
                            chromatic_index, extend, solve_list, vizing_colour)
+from edgeext.instances import MULTI_STAR, FamilySpec, generate
 
 import oracles
 from conftest import multigraphs, random_extension_instance
@@ -41,6 +44,15 @@ def test_solve_list_respects_lists():
     assert out.status == UNSOLVABLE
     out = solve_list(g, {0: {1}, 1: {2}})
     assert out.colouring == {0: 1, 1: 2}
+
+
+def test_solve_list_keeps_fixed_colours():
+    g = edges_path(4)
+    out = solve_list(g, {0: {1, 2}, 2: {1, 2}}, fixed={1: 1})
+    assert out.colouring == {1: 1, 0: 2, 2: 2}
+    assert solve_list(g, {0: {1}, 2: {2}}, fixed={1: 1}).status == UNSOLVABLE
+    with pytest.raises(InputError):
+        solve_list(edges_cycle(3), {}, fixed={0: 1, 1: 1, 2: 2})
 
 
 def test_budget_outcome():
@@ -212,3 +224,91 @@ def test_extend_has_no_recursion_limit(m):
     assert all(out.colouring[eid] == c for eid, c in pre.items())
     assert out.depth == m - len(pre) - 1
     assert elapsed < 10
+
+
+@st.composite
+def proper_precolourings(draw, g, k):
+    """Any proper precolouring of some edges of g from [k]."""
+    pre = {}
+    used = [0] * g.n
+    for eid, u, v in g.edges:
+        c = draw(st.integers(min_value=0, max_value=k),
+                 label=f"colour {eid!r}")
+        if c and not (used[u] | used[v]) >> c & 1:
+            pre[eid] = c
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+    return pre
+
+
+def _oracle_extend(g, pre, palette, budget):
+    out = oracles.solve_list(*reduce_to_lists(g, pre, palette), budget=budget)
+    if out.solved:
+        out.colouring = merge_colourings(pre, out.colouring)
+    return out
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_n=5, max_e=12, mixed_ids=True), st.data())
+def test_extend_matches_recursive_oracle(g, data):
+    # extend searches its own arrays, not reduce_to_lists' reduced graph,
+    # but must walk the same tree: same verdict, colouring in the same
+    # order, node count and depth.  Few vertices make parallel edges, and
+    # so tight vertices, common.
+    delta, mu = g.delta(), g.mu()
+    k = data.draw(st.integers(min_value=max(1, delta - 1),
+                              max_value=max(1, delta + mu)), label="k")
+    pre = data.draw(proper_precolourings(g, k), label="precolouring")
+    budget = data.draw(st.sampled_from([None, 1, 10, 100]), label="budget")
+    palette = Palette(k)
+    assert (_outcome_key(extend(g, pre, palette, budget))
+            == _outcome_key(_oracle_extend(g, pre, palette, budget)))
+
+
+# Found by random search: on each, refreshing the parity prune's tight
+# entries by list sizes taken before the colour was removed, or dropping
+# a far end's entry without ever rescanning it, changes the outcome.
+_FAR_END_CASES = [
+    (3, [(1, 1, 0), ("3", 1, 2), ("2", 0, 2), (0, 2, 0)], {}, 3),
+    (9, [("6", 5, 3), (7, 7, 5), (0, 5, 7), (1, 7, 3), ("2", 8, 1),
+         (4, 6, 0), ("5", 8, 2), (3, 6, 0)], {}, 3),
+    (3, [("9", 2, 0), ("1", 2, 0), (0, 0, 2), ("6", 2, 1), ("3", 2, 1),
+         ("2", 1, 0), ("5", 0, 1), ("4", 0, 1), (8, 2, 1), ("7", 2, 0)],
+     {"9": 6, "3": 2, 8: 1, "2": 4}, 9),
+    (3, [(6, 0, 2), (2, 2, 1), ("0", 1, 2), ("4", 1, 0), (3, 0, 1), (7, 0, 1),
+         ("8", 1, 2), (9, 2, 0), ("5", 1, 0), ("1", 0, 2)], {"4": 6, 3: 3}, 8),
+    (8, [("6", 3, 2), ("2", 3, 6), (7, 0, 4), (3, 2, 6), ("0", 5, 4),
+         (4, 7, 3), ("1", 0, 1), (5, 2, 4)], {"1": 2, 4: 2, "0": 1}, 3),
+]
+
+
+@pytest.mark.parametrize("n, edges, pre, k", _FAR_END_CASES)
+def test_extend_matches_recursive_oracle_on_far_end_cases(n, edges, pre, k):
+    g = MultiGraph(n, edges)
+    assert (_outcome_key(extend(g, pre, Palette(k)))
+            == _outcome_key(_oracle_extend(g, pre, Palette(k), None)))
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec.subdivided_star(s) for s in range(2, 7)] + [
+    FamilySpec(MULTI_STAR, (5, 2)), FamilySpec.chain_blocks(4, 1)],
+    ids=str)
+def test_extend_matches_recursive_oracle_on_sharp_families(spec):
+    # At the threshold palette many vertices stay tight, which exercises
+    # the parity prune's refresh; one colour more, the instance solves.
+    g, pre, palette = generate(spec)
+    rng = random.Random(len(g.edges))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    labels = list(range(len(g.edges)))
+    rng.shuffle(labels)
+    new = {eid: labels[i] if i % 2 else str(labels[i])
+           for i, (eid, _, _) in enumerate(g.edges)}
+    g = MultiGraph(g.n, [(new[eid], perm[u], perm[v])
+                         for eid, u, v in g.edges])
+    pre = {new[eid]: c for eid, c in pre.items()}
+    for k in (palette.k, palette.k + 1):
+        out = extend(g, pre, Palette(k))
+        assert out.status == (UNSOLVABLE if k == palette.k else SOLVED)
+        assert (_outcome_key(out)
+                == _outcome_key(_oracle_extend(g, pre, Palette(k), None)))

@@ -74,6 +74,39 @@ def test_hub_triangulation_keeps_hub_degree():
         trace_faces(g, r)
 
 
+def _relabelled(g, r, seed):
+    # mixed int/str ids in shuffled order, so id order differs from edge order
+    rng = random.Random(seed)
+    labels = list(range(len(g.edges)))
+    rng.shuffle(labels)
+    new = {eid: x if x % 2 else str(x)
+           for (eid, _, _), x in zip(g.edges, labels)}
+    return (MultiGraph(g.n, [(new[eid], u, v) for eid, u, v in g.edges]),
+            RotationSystem({v: tuple(new[eid] for eid in ring)
+                            for v, ring in r.around.items()}))
+
+
+_PLANE_GRAPHS = {
+    **{f"wheel({k})": (lambda k=k: wheel(k)) for k in (3, 5, 17)},
+    "icosahedron": icosahedron,
+    **{f"hub_triangulation(17, 12, {s})":
+       (lambda s=s: hub_triangulation(17, 12, s)) for s in (0, 1, 2)},
+    **{f"random_plane_graph(20, {s})":
+       (lambda s=s: random_plane_graph(20, s)) for s in range(4)},
+    "relabelled random_plane_graph(15, 7)":
+        lambda: _relabelled(*random_plane_graph(15, 7), 7),
+    "relabelled wheel(9)": lambda: _relabelled(*wheel(9), 9),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLANE_GRAPHS))
+def test_trace_faces_matches_min_oracle(name):
+    # each face starts at the least unused dart, as the min-based tracer
+    # found it: same faces, same walks, same order
+    g, r = _PLANE_GRAPHS[name]()
+    assert trace_faces(g, r).faces == oracles.trace_faces(g, r).faces
+
+
 # -- reducible configurations -------------------------------------------
 
 def test_light_edge_found_in_wheel():
