@@ -14,8 +14,9 @@ from .core import (EdgeId, InputError, INFINITE_DISTANCE, MultiGraph,
 from .colouring import (Palette, is_proper, validate_precolouring,
                         reduce_to_lists, merge_colourings,
                         colouring_to_json_obj, colouring_from_json_obj)
-from .exact import (SOLVED, UNSOLVABLE, BUDGET, SolveOutcome, solve_list,
-                    extend, avoid, chromatic_index, vizing_colour)
+from .exact import (SOLVED, UNSOLVABLE, BUDGET, BudgetSpent, SolveOutcome,
+                    solve_list, extend, avoid, chromatic_index,
+                    vizing_colour)
 from .kernels import (find_bipartition, konig_colour, GalvinOrientation,
                       galvin_orient, kernel, is_kernel,
                       list_colour_bipartite, extend_bipartite, extend_shannon)

@@ -168,7 +168,13 @@ def _cmd_solve_list(args) -> int:
 
 def _cmd_chi(args) -> int:
     g = _load_graph(args.graph)
-    value = exact.chromatic_index(g, budget=args.budget)
+    try:
+        value = exact.chromatic_index(g, budget=args.budget)
+    except exact.BudgetSpent as spent:
+        spent_outcome = exact.SolveOutcome(exact.BUDGET, nodes=spent.nodes,
+                                           depth=spent.depth)
+        return _finish_outcome(g, spent_outcome, args,
+                               {"delta": g.delta(), "mu": g.mu()})
     _emit({"chi": value, "delta": g.delta(), "mu": g.mu()}, args)
     return 0
 

@@ -19,6 +19,15 @@ UNSOLVABLE = "unsolvable"
 BUDGET = "budget"
 
 
+class BudgetSpent(Exception):
+    """A bounded search passed its node budget."""
+
+    def __init__(self, nodes: int, depth: int = 0):
+        super().__init__(f"search passed its budget at {nodes} nodes")
+        self.nodes = nodes
+        self.depth = depth
+
+
 @dataclass
 class SolveOutcome:
     status: str
@@ -150,16 +159,27 @@ def _search(n, ends, masks, symmetric, budget):
     reads one "tight" entry per vertex, refreshed only where an
     assignment can change it and restored from a trail on undo.
 
+    The first descent is tried on its own first, by ``_dive``, which
+    keeps none of the bookkeeping that only backtracking needs.  When it
+    completes, it is the search's own first path (see ``_dive``), which
+    visits m nodes at depths 0..m-1, so it is returned as the search would
+    return it; it is skipped when a budget below m would stop the search
+    on that path.  When it dead-ends, the search starts afresh.
+
     Returns ``(status, assigned, nodes, depth)``; ``assigned`` lists the
     solution's (edge, colour) pairs in assignment order, or is None.
     """
     m = len(ends)
-    avail = list(masks)
     # incidence[w]: (edge, other endpoint) for every edge at w
     incidence: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(ends):
         incidence[u].append((i, v))
         incidence[v].append((i, u))
+    if budget is None or budget >= m:
+        path = _dive(ends, masks, incidence)
+        if path is not None:
+            return SOLVED, path, m, m - 1
+    avail = list(masks)
     free = [True] * m
     # cnt[w]: the uncoloured edges at w
     cnt = [len(entries) for entries in incidence]
@@ -285,6 +305,51 @@ def _search(n, ends, masks, symmetric, budget):
             nodes, max_depth)
 
 
+def _dive(ends, masks, incidence):
+    """The search's first descent, with no backtracking: the smallest
+    non-empty remaining list first, the lowest edge on ties, its lowest
+    colour.  Returns the (edge, colour) pairs in assignment order, or None
+    at the first edge whose list empties.
+
+    A completed dive is exactly the path ``_search`` takes first:
+    - Along it no list is empty, so the search's ``buckets[0]`` stays
+      empty and never cuts the path.
+    - The parity prune is sound: it fires only where no colouring
+      extends, so it cannot fire on a path that ends in one.
+    - In symmetric mode colour ``max_used + 1`` is still in every list
+      (or every colour is in the window), so the lowest colour of a list
+      always lies inside the search's symmetry window.
+    """
+    avail = list(masks)
+    buckets: list[set[int]] = [
+        set() for _ in range(max(a.bit_count() for a in avail) + 1)]
+    for i, a in enumerate(avail):
+        buckets[a.bit_count()].add(i)
+    if buckets[0]:
+        return None
+    path = []
+    for _ in range(len(avail)):
+        b = 1
+        while not buckets[b]:
+            b += 1
+        i = min(buckets[b])
+        buckets[b].remove(i)
+        bit = avail[i] & -avail[i]
+        avail[i] = 0  # coloured: no longer loses colours
+        path.append((i, bit.bit_length() - 1))
+        for w in ends[i]:
+            for j, _ in incidence[w]:
+                a = avail[j]
+                if a & bit:
+                    p = a.bit_count()
+                    if p == 1:
+                        return None
+                    buckets[p].remove(j)
+                    buckets[p - 1].add(j)
+                    avail[j] = a ^ bit
+    return path
+
+
 def _parity_refutes(tight, incidence, free, avail) -> bool:
     """Parity refutation on single colour classes.
 
@@ -350,7 +415,10 @@ def avoid(g: MultiGraph, forbidden: Mapping[EdgeId, int], palette: Palette,
 
 
 def chromatic_index(g: MultiGraph, budget: int | None = None) -> int:
-    """Least K admitting a proper edge-colouring, searching K = Delta, ..."""
+    """Least K admitting a proper edge-colouring, searching K = Delta, ...
+
+    Each palette's search may use ``budget`` nodes; one that passes it
+    raises ``BudgetSpent``."""
     if not g.edges:
         raise InputError("chromatic index of an empty edge set is undefined")
     delta = g.delta()
@@ -360,7 +428,7 @@ def chromatic_index(g: MultiGraph, budget: int | None = None) -> int:
         outcome = solve_list(g, {eid: full for eid in g.edge_ids},
                              budget=budget)
         if outcome.status == BUDGET:
-            raise InputError("node budget exceeded while computing chromatic index")
+            raise BudgetSpent(outcome.nodes, outcome.depth)
         if outcome.solved:
             return k
     raise AssertionError("chromatic index exceeded the Delta+mu bound")
@@ -373,34 +441,40 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
 
     Constructive fan/alternating-path recolouring; no exhaustive search.
     Ambiguities resolve to the lowest colour and lowest edge id.
+
+    Edges are indices into ``g.edges``, and ``at[v]`` is the mask of the
+    colours at v.  Every step colours or recolours edges already coloured,
+    except that the edge the loop is on is coloured last, so edges are
+    first coloured in ``g.edges`` order.
     """
     if not g.edges:
         return {}
     delta = g.delta()
     k = min(delta + g.mu(), max(3 * delta // 2, delta + 1))
-    palette = list(range(1, k + 1))
-    colour: dict[EdgeId, int] = {}
-    at: list[set[int]] = [set() for _ in range(g.n)]
+    full = (1 << (k + 1)) - 2  # colours 1..k
+    ends = [(u, v) for _, u, v in g.edges]
+    col = [0] * len(ends)
+    at = [0] * g.n
+    inc: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(ends):
+        inc[u].append(i)
+        inc[v].append(i)
 
-    def missing(v: int) -> list[int]:
-        have = at[v]
-        return [c for c in palette if c not in have]
-
-    def assign(eid: EdgeId, c: int) -> None:
-        old = colour.get(eid)
-        u, v = g.endpoints(eid)
-        if old is not None:
-            at[u].discard(old)
-            at[v].discard(old)
-        colour[eid] = c
-        at[u].add(c)
-        at[v].add(c)
-
-    def edge_with_colour(v: int, c: int) -> EdgeId:
-        for eid, _ in g.incident(v):
-            if colour.get(eid) == c:
-                return eid
+    def edge_with_colour(v: int, c: int) -> int:
+        for i in inc[v]:
+            if col[i] == c:
+                return i
         raise AssertionError("colour recorded as present but not found")
+
+    def assign(i: int, c: int) -> None:
+        u, v = ends[i]
+        old = col[i]
+        if old:
+            at[u] ^= 1 << old
+            at[v] ^= 1 << old
+        col[i] = c
+        at[u] |= 1 << c
+        at[v] |= 1 << c
 
     def swap_chain(start: int, a: int, b: int, anchor: int) -> bool:
         """Swap the a/b alternating chain from ``start`` unless it meets anchor.
@@ -409,69 +483,70 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
         """
         chain = []
         v, want = start, b
-        while want in at[v]:
-            eid = edge_with_colour(v, want)
-            chain.append(eid)
-            u1, u2 = g.endpoints(eid)
+        while at[v] >> want & 1:
+            i = edge_with_colour(v, want)
+            chain.append(i)
+            u1, u2 = ends[i]
             v = u2 if u1 == v else u1
             want = a if want == b else b
         if v == anchor:
             return False
-        touched = {start, v}
-        for eid in chain:
-            u1, u2 = g.endpoints(eid)
-            touched.update((u1, u2))
-            colour[eid] = a if colour[eid] == b else b
-        for w in touched:
-            at[w] = {colour[eid] for eid, _ in g.incident(w)
-                     if eid in colour}
+        # a chain vertex keeps both colours, an end trades one for the other
+        flip = 1 << a | 1 << b
+        for i in chain:
+            c = a if col[i] == b else b
+            col[i] = c
+            for w in ends[i]:
+                at[w] ^= flip
         return True
 
-    def fold(x: int, fan: list[EdgeId], rim: list[int]) -> None:
+    def fold(x: int, fan: list[int], rim: list[int]) -> None:
         # Precondition: some colour is missing at both x and the last rim
         # vertex.  Shifts colours down the fan until the seed edge is done.
         while True:
-            z = rim[-1]
-            common = [c for c in missing(x) if c not in at[z]]
-            new = common[0]
-            old = colour.get(fan[-1])
-            assign(fan[-1], new)
+            common = full & ~at[x] & ~at[rim[-1]]
+            old = col[fan[-1]]
+            assign(fan[-1], (common & -common).bit_length() - 1)
             if len(fan) == 1:
                 return
-            idx = next(i for i, y in enumerate(rim[:-1]) if old not in at[y])
+            idx = next(i for i, y in enumerate(rim[:-1])
+                       if not at[y] >> old & 1)
             del fan[idx + 1:]
             del rim[idx + 1:]
 
-    def run_fan(seed: EdgeId, x: int, y0: int) -> None:
+    def run_fan(seed: int, x: int, y0: int) -> None:
         fan = [seed]
         rim = [y0]
-        in_fan = {seed}
-        rim_missing = set(missing(y0))
-        miss_x = set(missing(x))
+        fan_colours = 0  # of the fan's coloured edges, all at x
+        rim_missing = full & ~at[y0]
+        miss_x = full & ~at[x]
         while True:
-            candidates = [(colour[eid], _id_sort_key(eid), eid, other)
-                          for eid, other in g.incident(x)
-                          if eid in colour and eid not in in_fan
-                          and colour[eid] in rim_missing]
+            # Colours at x are distinct, so the lowest candidate colour
+            # picks the edge that the key (colour, edge id) would.
+            candidates = at[x] & rim_missing & ~fan_colours
             if not candidates:
                 raise AssertionError("fan construction stalled below the bound")
-            _, _, nxt, z = min(candidates)
+            low = candidates & -candidates
+            nxt = edge_with_colour(x, low.bit_length() - 1)
+            u1, u2 = ends[nxt]
+            z = u2 if u1 == x else u1
             fan.append(nxt)
-            in_fan.add(nxt)
+            fan_colours |= low
             rim.append(z)
-            miss_z = set(missing(z))
+            miss_z = full & ~at[z]
             if miss_x & miss_z:
                 fold(x, fan, rim)
                 return
             hit = None
             for i, y in enumerate(rim[:-1]):
-                if y != z and (set(missing(y)) & miss_z):
+                if y != z and full & ~at[y] & miss_z:
                     hit = i
                     break
             if hit is not None:
                 yi = rim[hit]
-                a = min(set(missing(yi)) & miss_z)
-                b = min(miss_x)
+                both = full & ~at[yi] & miss_z
+                a = (both & -both).bit_length() - 1
+                b = (miss_x & -miss_x).bit_length() - 1
                 if swap_chain(yi, a, b, x):
                     del fan[hit + 1:]
                     del rim[hit + 1:]
@@ -484,14 +559,15 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
                 return
             rim_missing |= miss_z
 
-    for eid, u, v in g.edges:
-        common = [c for c in palette if c not in at[u] and c not in at[v]]
+    for i, (u, v) in enumerate(ends):
+        common = full & ~(at[u] | at[v])
         if common:
-            assign(eid, common[0])
+            assign(i, (common & -common).bit_length() - 1)
             continue
         x, y = (u, v) if g.degree(u) <= g.degree(v) else (v, u)
-        run_fan(eid, x, y)
+        run_fan(i, x, y)
 
+    colour = {eid: c for (eid, _, _), c in zip(g.edges, col) if c}
     if not is_proper(g, colour):
         raise AssertionError("fan colouring produced an improper colouring")
     if len(colour) != len(g.edges):

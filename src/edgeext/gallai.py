@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, degree_stats, edge_bits
 from .colouring import Palette, extension_masks
-from .exact import BUDGET, SOLVED, SolveOutcome, _mask_of
+from .exact import BUDGET, SOLVED, BudgetSpent, SolveOutcome, _mask_of
 
 ODD_CYCLE_K0 = "odd-cycle-k0"
 TRIANGLE_MULTIPLICITY = "triangle-multiplicity"
@@ -136,14 +136,6 @@ def is_gallai_tree(g: MultiGraph) -> bool:
 @dataclass
 class GallaiCertificate:
     is_gallai_tree: bool
-
-
-class BudgetSpent(Exception):
-    """A bounded list search passed its node budget."""
-
-    def __init__(self, nodes: int):
-        super().__init__(f"search passed its budget at {nodes} nodes")
-        self.nodes = nodes
 
 
 def _search(nmask: Sequence[int], lists: Mapping[int, int], region: int,

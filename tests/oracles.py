@@ -32,6 +32,13 @@ colouring as a mapping.
 ``min`` over all unused darts.  The one in ``edgeext.planar`` sorts the
 darts once and takes the next unused one, so the two must return the
 same faces in the same order.
+
+``vizing_colour`` is the fan colouring that kept each vertex's colours as
+a set and rebuilt them from ``g.incident`` after every chain swap.  The
+one in ``edgeext.exact`` keeps a colour bitmask per vertex, flips only
+the chain's colours at the ends of its edges, and makes the same
+choices, so the two must return the same colouring, insertion order
+included.
 """
 
 from __future__ import annotations
@@ -974,3 +981,134 @@ def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
         if vcount - len(g.edges) + len(faces) != 2:
             raise InputError("rotation system is not a planar embedding")
     return FaceSet(faces)
+
+
+def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
+    """Proper colouring with at most min(Delta+mu, floor(3*Delta/2)) colours.
+
+    Constructive fan/alternating-path recolouring; no exhaustive search.
+    Ambiguities resolve to the lowest colour and lowest edge id.
+    """
+    if not g.edges:
+        return {}
+    delta = g.delta()
+    k = min(delta + g.mu(), max(3 * delta // 2, delta + 1))
+    palette = list(range(1, k + 1))
+    colour: dict[EdgeId, int] = {}
+    at: list[set[int]] = [set() for _ in range(g.n)]
+
+    def missing(v: int) -> list[int]:
+        have = at[v]
+        return [c for c in palette if c not in have]
+
+    def assign(eid: EdgeId, c: int) -> None:
+        old = colour.get(eid)
+        u, v = g.endpoints(eid)
+        if old is not None:
+            at[u].discard(old)
+            at[v].discard(old)
+        colour[eid] = c
+        at[u].add(c)
+        at[v].add(c)
+
+    def edge_with_colour(v: int, c: int) -> EdgeId:
+        for eid, _ in g.incident(v):
+            if colour.get(eid) == c:
+                return eid
+        raise AssertionError("colour recorded as present but not found")
+
+    def swap_chain(start: int, a: int, b: int, anchor: int) -> bool:
+        """Swap the a/b alternating chain from ``start`` unless it meets anchor.
+
+        Precondition: a missing at start.  Returns True when swapped.
+        """
+        chain = []
+        v, want = start, b
+        while want in at[v]:
+            eid = edge_with_colour(v, want)
+            chain.append(eid)
+            u1, u2 = g.endpoints(eid)
+            v = u2 if u1 == v else u1
+            want = a if want == b else b
+        if v == anchor:
+            return False
+        touched = {start, v}
+        for eid in chain:
+            u1, u2 = g.endpoints(eid)
+            touched.update((u1, u2))
+            colour[eid] = a if colour[eid] == b else b
+        for w in touched:
+            at[w] = {colour[eid] for eid, _ in g.incident(w)
+                     if eid in colour}
+        return True
+
+    def fold(x: int, fan: list[EdgeId], rim: list[int]) -> None:
+        # Precondition: some colour is missing at both x and the last rim
+        # vertex.  Shifts colours down the fan until the seed edge is done.
+        while True:
+            z = rim[-1]
+            common = [c for c in missing(x) if c not in at[z]]
+            new = common[0]
+            old = colour.get(fan[-1])
+            assign(fan[-1], new)
+            if len(fan) == 1:
+                return
+            idx = next(i for i, y in enumerate(rim[:-1]) if old not in at[y])
+            del fan[idx + 1:]
+            del rim[idx + 1:]
+
+    def run_fan(seed: EdgeId, x: int, y0: int) -> None:
+        fan = [seed]
+        rim = [y0]
+        in_fan = {seed}
+        rim_missing = set(missing(y0))
+        miss_x = set(missing(x))
+        while True:
+            candidates = [(colour[eid], _id_sort_key(eid), eid, other)
+                          for eid, other in g.incident(x)
+                          if eid in colour and eid not in in_fan
+                          and colour[eid] in rim_missing]
+            if not candidates:
+                raise AssertionError("fan construction stalled below the bound")
+            _, _, nxt, z = min(candidates)
+            fan.append(nxt)
+            in_fan.add(nxt)
+            rim.append(z)
+            miss_z = set(missing(z))
+            if miss_x & miss_z:
+                fold(x, fan, rim)
+                return
+            hit = None
+            for i, y in enumerate(rim[:-1]):
+                if y != z and (set(missing(y)) & miss_z):
+                    hit = i
+                    break
+            if hit is not None:
+                yi = rim[hit]
+                a = min(set(missing(yi)) & miss_z)
+                b = min(miss_x)
+                if swap_chain(yi, a, b, x):
+                    del fan[hit + 1:]
+                    del rim[hit + 1:]
+                    fold(x, fan, rim)
+                else:
+                    if not swap_chain(z, a, b, x):
+                        raise AssertionError(
+                            "both alternating chains reached the fan anchor")
+                    fold(x, fan, rim)
+                return
+            rim_missing |= miss_z
+
+    for eid, u, v in g.edges:
+        common = [c for c in palette if c not in at[u] and c not in at[v]]
+        if common:
+            assign(eid, common[0])
+            continue
+        x, y = (u, v) if g.degree(u) <= g.degree(v) else (v, u)
+        run_fan(eid, x, y)
+
+    if not is_proper(g, colour):
+        raise AssertionError("fan colouring produced an improper colouring")
+    if len(colour) != len(g.edges):
+        raise AssertionError("fan colouring left edges uncoloured")
+    return colour

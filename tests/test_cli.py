@@ -155,6 +155,21 @@ def test_chi_rho_distance(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["distance"] == 1
 
 
+def test_chi_budget_exit(tmp_path, capsys):
+    # K5 needs 5 colours; refuting 4 takes more than 3 nodes
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    gpath = write(tmp_path, "k5.json",
+                  {"n": 5, "edges": [[i, u, v] for i, (u, v)
+                                     in enumerate(pairs)]})
+    assert run(["chi", "--graph", gpath, "--budget", "3",
+                "--no-timestamp"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "budget"
+    assert out["stats"] == {"nodes": 4, "depth": 3}
+    assert run(["chi", "--graph", gpath, "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["chi"] == 5
+
+
 def test_vizing_command(tmp_path, capsys):
     g = {"n": 4, "edges": [[0, 0, 1], [1, 1, 2], [2, 2, 3], [3, 3, 0]]}
     gpath = write(tmp_path, "g.json", g)

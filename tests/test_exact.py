@@ -166,6 +166,67 @@ def test_vizing_colour_deterministic():
     assert vizing_colour(g) == vizing_colour(g)
 
 
+def _complete(n):
+    return MultiGraph(n, [(i, u, v) for i, (u, v) in
+                          enumerate(itertools.combinations(range(n), 2))])
+
+
+def _first_fit_stalls(g):
+    """Whether first-fit in edge order runs out of vizing_colour's
+    palette, which is when vizing_colour builds its first fan."""
+    delta = g.delta()
+    k = min(delta + g.mu(), max(3 * delta // 2, delta + 1))
+    at = [0] * g.n
+    for _, u, v in g.edges:
+        free = ((1 << (k + 1)) - 2) & ~(at[u] | at[v])
+        if not free:
+            return True
+        at[u] |= free & -free
+        at[v] |= free & -free
+    return False
+
+
+def test_vizing_colour_matches_set_based_oracle():
+    # Same colouring, insertion order included, on complete graphs, on
+    # shuffled dense simple graphs with mixed ids and on subcubic
+    # multigraphs.  Random multigraphs of higher degree almost never
+    # reach a fan: with mu >= 2 the palette has room to spare, except at
+    # Delta = 3, where it is Delta + 1 as for simple graphs.
+    graphs = [_complete(n) for n in range(5, 12)]
+    rng = random.Random(9)
+    for _ in range(1000):
+        n = rng.randint(4, 12)
+        degree = [0] * n
+        edges = []
+        for _ in range(4 * n):
+            u, v = rng.sample(range(n), 2)
+            if degree[u] < 3 and degree[v] < 3:
+                degree[u] += 1
+                degree[v] += 1
+                edges.append((len(edges), u, v))
+        graphs.append(MultiGraph(n, edges))
+    for _ in range(3000):
+        n = rng.randint(5, 10)
+        p = rng.uniform(0.5, 0.8)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < p]
+        rng.shuffle(pairs)
+        labels = list(range(len(pairs)))
+        rng.shuffle(labels)
+        graphs.append(MultiGraph(n, [
+            (label if rng.random() < 0.5 else str(label), u, v)
+            for label, (u, v) in zip(labels, pairs)]))
+    fans = parallel_fans = 0
+    for g in graphs:
+        assert (list(vizing_colour(g).items())
+                == list(oracles.vizing_colour(g).items())), g
+        if _first_fit_stalls(g):
+            fans += 1
+            parallel_fans += g.mu() > 1
+    assert fans >= 100 and parallel_fans >= 10
+
+
 def test_class_pruning_refutes_odd_demand_component():
     # 5-cycle with palette [2]: every vertex is tight for both colours and
     # the whole cycle is one odd component, so the root is refuted without
@@ -195,7 +256,10 @@ def test_solve_list_matches_recursive_oracle(g, data):
         lists = {eid: frozenset(data.draw(st.sets(
             st.integers(min_value=1, max_value=k + 1), min_size=1)))
             for eid in g.edge_ids}
-    budget = data.draw(st.sampled_from([None, 1, 3, 10]), label="budget")
+    m = len(g.edges)
+    # m - 1 and m sit either side of the first descent's m nodes
+    budget = data.draw(st.sampled_from([None, 1, 3, 10, m - 1, m]),
+                       label="budget")
     assert (_outcome_key(solve_list(g, lists, budget=budget))
             == _outcome_key(oracles.solve_list(g, lists, budget=budget)))
 
@@ -210,6 +274,49 @@ def test_solve_list_matches_oracle_on_string_ids_and_parallels():
         lists = {eid: full for eid in g.edge_ids}
         assert (_outcome_key(solve_list(g, lists))
                 == _outcome_key(oracles.solve_list(g, lists)))
+
+
+def test_first_descent_budget_boundaries():
+    # The first descent solves C6 from [2] in m nodes, so a budget of m
+    # lets it finish and a budget of m - 1 stops the search on its last
+    # edge.
+    g = edges_cycle(6)
+    m = len(g.edges)
+    lists = {eid: frozenset({1, 2}) for eid in g.edge_ids}
+    spent = solve_list(g, lists, budget=m - 1)
+    assert spent.status == BUDGET and spent.nodes == m
+    solved = solve_list(g, lists, budget=m)
+    assert solved.status == SOLVED and solved.nodes == m
+    assert solved.depth == m - 1
+    for budget in (m - 1, m):
+        assert (_outcome_key(solve_list(g, lists, budget=budget))
+                == _outcome_key(oracles.solve_list(g, lists, budget=budget)))
+
+
+def test_first_descent_dead_end_falls_back_to_search():
+    # Three edges at vertex 4: the descent gives edge 0 colour 2, edge 1
+    # colour 1 and leaves edge 2 nothing; the search backtracks to
+    # colour 3 on edge 0.
+    g = MultiGraph(5, [(0, 4, 2), (1, 4, 2), (2, 4, 3)])
+    lists = {0: frozenset({2, 3}), 1: frozenset({1, 2}),
+             2: frozenset({1, 2})}
+    out = solve_list(g, lists)
+    assert out.status == SOLVED and out.nodes > len(g.edges)
+    assert out.colouring == {0: 3, 1: 1, 2: 2}
+    assert _outcome_key(out) == _outcome_key(oracles.solve_list(g, lists))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_first_descent_on_full_palettes(n):
+    # Symmetry breaking is on; K6 and K8 take the first descent, K7 needs
+    # more than m nodes from [7].
+    g = _complete(n)
+    full = frozenset(range(1, n + (n % 2)))
+    lists = {eid: full for eid in g.edge_ids}
+    out = solve_list(g, lists)
+    assert out.status == SOLVED
+    assert (out.nodes == len(g.edges)) == (n % 2 == 0)
+    assert _outcome_key(out) == _outcome_key(oracles.solve_list(g, lists))
 
 
 @pytest.mark.parametrize("m", [1100, 2000])
