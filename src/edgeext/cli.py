@@ -237,10 +237,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = instances.verify(
-        args.claim, max_n=args.max_n, max_e=args.max_e, max_mu=args.max_mu,
-        max_k=args.max_k, palette_offset=args.palette_offset,
-        jobs=args.jobs, budget=args.budget, delta_max=args.delta_max)
+    try:
+        report = instances.verify(
+            args.claim, max_n=args.max_n, max_e=args.max_e,
+            max_mu=args.max_mu, max_k=args.max_k,
+            palette_offset=args.palette_offset, jobs=args.jobs,
+            budget=args.budget, delta_max=args.delta_max)
+    except exact.BudgetSpent as spent:
+        spent_outcome = exact.SolveOutcome(exact.BUDGET, nodes=spent.nodes,
+                                           depth=spent.depth)
+        return _finish_outcome(None, spent_outcome, args,
+                               {"claim": args.claim})
     _emit(report.to_json_obj(timestamp=not args.no_timestamp), args)
     return 0 if report.ok else 1
 
@@ -291,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colours", required=True)
     p.add_argument("--palette", type=int, default=None)
     p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "kernel", "gallai", "planar"])
+                   choices=["auto", "exact", "kernel", "subcubic", "gallai",
+                            "planar"])
     p.add_argument("--dot", default=None, help="write the result as DOT")
     _common(p)
     p.set_defaults(func=_cmd_extend)

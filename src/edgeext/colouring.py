@@ -142,9 +142,13 @@ def extension_masks(g: MultiGraph, colouring: Mapping[EdgeId, int],
     return used
 
 
-def _reduce(g: MultiGraph, colouring: Mapping[EdgeId, int],
-            palette: Palette, used: list[int]
-            ) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
+def reduce_to_lists(
+    g: MultiGraph,
+    colouring: Mapping[EdgeId, int],
+    palette: Palette,
+) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
+    """Delete precoloured edges; list each survivor's still-usable colours."""
+    used = validate_precolouring(g, colouring, palette)
     reduced = g.delete_edges(colouring.keys())
     lists = {}
     for eid, u, v in reduced.edges:
@@ -152,28 +156,6 @@ def _reduce(g: MultiGraph, colouring: Mapping[EdgeId, int],
         lists[eid] = frozenset(c for c in palette.colours
                                if not banned >> c & 1)
     return reduced, lists
-
-
-def reduce_to_lists(
-    g: MultiGraph,
-    colouring: Mapping[EdgeId, int],
-    palette: Palette,
-) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
-    """Delete precoloured edges; list each survivor's still-usable colours."""
-    return _reduce(g, colouring, palette,
-                   validate_precolouring(g, colouring, palette))
-
-
-def reduce_extension(
-    g: MultiGraph,
-    colouring: Mapping[EdgeId, int],
-    palette: Palette,
-    k: int,
-) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
-    """The preamble of ``extension_masks``, then ``reduce_to_lists``'s
-    reduction (with no second validation)."""
-    return _reduce(g, colouring, palette,
-                   extension_masks(g, colouring, palette, k))
 
 
 def merge_colourings(base: Mapping[EdgeId, int],

@@ -23,9 +23,14 @@ class BudgetSpent(Exception):
     """A bounded search passed its node budget."""
 
     def __init__(self, nodes: int, depth: int = 0):
-        super().__init__(f"search passed its budget at {nodes} nodes")
+        # the arguments rebuild the exception when a worker process
+        # pickles it back
+        super().__init__(nodes, depth)
         self.nodes = nodes
         self.depth = depth
+
+    def __str__(self) -> str:
+        return f"search passed its budget at {self.nodes} nodes"
 
 
 @dataclass

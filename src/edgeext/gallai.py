@@ -141,41 +141,52 @@ class GallaiCertificate:
 def _search(nmask: Sequence[int], lists: Mapping[int, int], region: int,
             budget: int | None) -> dict[int, int] | None:
     """``solve_vertex_lists`` on the ``region``'s vertices: smallest
-    remaining list first (ties to the smaller vertex), colours ascending."""
+    remaining list first (ties to the smaller vertex), colours ascending.
+
+    The search runs on an explicit stack, so its depth is not bounded by
+    the interpreter's recursion limit.  Each visit to a non-empty set of
+    uncoloured vertices is one node."""
     assignment: dict[int, int] = {}
     used = dict.fromkeys(edge_bits(region), 0)
     nodes = 0
-
-    def search(todo: list[int]) -> bool:
-        nonlocal nodes
-        if not todo:
-            return True
+    todo = list(used)
+    # One frame per vertex on the current path: [vertex, colours left to
+    # try, the vertices still uncoloured below it, the colour bit it holds
+    # (0 for none), the neighbours that lost that colour].
+    stack: list[list] = []
+    while todo:
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetSpent(nodes)
         best = min(todo, key=lambda v: ((lists[v] & ~used[v]).bit_count(), v))
-        avail = lists[best] & ~used[best]
-        if avail == 0:
-            return False
-        rest = [v for v in todo if v != best]
-        for c in edge_bits(avail):
-            bit = 1 << c
-            assignment[best] = c
+        stack.append([best, lists[best] & ~used[best],
+                      [v for v in todo if v != best], 0, None])
+        while stack:
+            frame = stack[-1]
+            v, left, rest, bit, touched = frame
+            if bit:
+                del assignment[v]
+                for w in touched:
+                    used[w] &= ~bit
+            if not left:
+                stack.pop()
+                continue
+            bit = left & -left
+            assignment[v] = bit.bit_length() - 1
             touched = []
-            for w in edge_bits(nmask[best] & region):
-                # a neighbour already barred from c by another coloured
-                # vertex must keep the bar when this assignment is undone
+            for w in edge_bits(nmask[v] & region):
+                # a neighbour already barred from the colour by another
+                # coloured vertex must keep the bar when this is undone
                 if w not in assignment and not used[w] & bit:
                     used[w] |= bit
                     touched.append(w)
-            if search(rest):
-                return True
-            del assignment[best]
-            for w in touched:
-                used[w] &= ~bit
-        return False
-
-    return assignment if search(list(used)) else None
+            frame[1] = left ^ bit
+            frame[3:] = bit, touched
+            todo = rest
+            break
+        else:
+            return None
+    return assignment
 
 
 def solve_vertex_lists(g: MultiGraph,

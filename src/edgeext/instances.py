@@ -241,7 +241,8 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
     Graphs have no isolated vertices and at least one edge; the stream is
     produced level by level in edge count and is deterministic.
     """
-    if n_max < 2 or e_max < 1 or mu_max < 1:
+    if n_max < 2 or e_max < 1 or mu_max < 1 or (
+            delta_max is not None and delta_max < 1):
         raise InputError("bounds must allow at least a single edge")
 
     def ok_degrees(g):
@@ -441,148 +442,100 @@ class VerificationReport:
         return obj
 
 
-def _check_graph(claim: str, g: MultiGraph, max_k: int,
-                 palette_offset: int, budget) -> tuple[int, dict | None]:
-    """Check one graph against the claim; (instances, counterexample)."""
+#: The least k of the claims that check every k up to ``max_k`` (see
+#: ``_plan``); a smaller ``max_k`` would check nothing.
+_LEAST_K = {"line-degree-extension": 0, "bipartite-extension": 1,
+            "shannon-extension": 1}
+
+
+def _plan(claim: str, g: MultiGraph, max_k: int, palette_offset: int,
+          budget):
+    """How the claim is checked on g: its cases, its extender and the
+    note a counterexample carries.
+
+    A case (k, palette size, t) covers the precolourings of the edge sets
+    of pairwise distance > t that meet each vertex at most k times (any
+    number for k None).  The extender takes a precolouring, k and the
+    palette, and returns an outcome, or None for an instance the claim
+    itself excepts.  A claim that does not apply to g has no cases.
+    """
     stats = degree_stats(g)
-    checked = 0
-
-    def bad(pre, palette, note):
-        replay = exact.extend(g, pre, palette, budget=None)
-        if replay.solved:
-            raise AssertionError(
-                "reported failure but exact replay found an extension")
-        return {"graph": g.to_json_obj(),
-                "precolouring": colouring_to_json_obj(pre, palette),
-                "note": note}
-
-    if claim in ("matching-extension", "distance3-extension"):
-        t = 1 if claim == "matching-extension" else 3
-        k = stats.delta + stats.mu + (0 if t == 1 else 1) + palette_offset
-        if k < 1:
-            return 0, None
-        palette = Palette(k)
-        for pre in enumerate_precolourings(g, palette, t=t):
-            checked += 1
-            if not exact.extend(g, pre, palette, budget=budget).solved:
-                return checked, bad(pre, palette, "not extendable")
-        return checked, None
-
-    if claim == "matching-avoidance":
-        k = stats.delta + stats.mu + palette_offset
-        if k < 1:
-            return 0, None
-        palette = Palette(k)
-        for subset in enumerate_edge_sets(g, t=1):
-            for forb in _forbidden_assignments(subset, palette):
-                checked += 1
-                if not exact.avoid(g, forb, palette, budget=budget).solved:
-                    replay = exact.avoid(g, forb, palette)
-                    if replay.solved:
-                        raise AssertionError("avoidance replay disagreed")
-                    return checked, {
-                        "graph": g.to_json_obj(),
-                        "forbidden": {str(e): c for e, c in forb.items()},
-                        "palette": palette.k,
-                        "note": "not avoidable"}
-        return checked, None
-
-    if claim == "bipartite-matching-extension":
-        try:
-            side = kernels.find_bipartition(g)
-        except InputError:
-            return 0, None
-        palette = Palette(stats.delta + 1)
-        for pre in enumerate_precolourings(g, palette, t=1):
-            checked += 1
-            out = kernels.extend_bipartite(g, side, pre, 1, budget=budget)
-            if not out.solved or not is_proper(g, out.colouring):
-                return checked, bad(pre, palette, "bipartite extender failed")
-        return checked, None
-
-    if claim == "shannon-matching-extension":
-        palette = Palette((3 * stats.delta + 1) // 2)
-        for pre in enumerate_precolourings(g, palette, t=1):
-            checked += 1
-            out = kernels.extend_shannon(g, pre, 1, budget=budget)
-            if not out.solved or not is_proper(g, out.colouring):
-                return checked, bad(pre, palette, "shannon extender failed")
-        return checked, None
-
+    delta = stats.delta
+    if claim in OFFSET_CLAIMS:
+        t = 3 if claim == "distance3-extension" else 1
+        size = delta + stats.mu + (1 if t == 3 else 0) + palette_offset
+        cases = [(None, size, t)] if size >= 1 else []
+        if claim == "matching-avoidance":
+            return (cases, lambda pre, k, palette: exact.avoid(
+                g, pre, palette, budget=budget), "not avoidable")
+        return (cases, lambda pre, k, palette: exact.extend(
+            g, pre, palette, budget=budget), "not extendable")
     if claim == "subcubic-matching-extension":
-        if stats.delta > 3:
-            return 0, None
-        palette = Palette(4)
-        for pre in enumerate_precolourings(g, palette, t=1):
-            checked += 1
-            out = gallai.extend_subcubic(g, pre, budget=budget)
-            if not out.solved or not is_proper(g, out.colouring):
-                return checked, bad(pre, palette, "subcubic extender failed")
-        return checked, None
-
+        return ([(1, 4, 1)] if delta <= 3 else [],
+                lambda pre, k, palette: gallai.extend_subcubic(
+                    g, pre, budget=budget), "subcubic extender failed")
     if claim == "line-degree-extension":
-        for k in range(0, max_k + 1):
-            if stats.line_delta > stats.delta + k:
-                continue
-            palette = Palette(stats.delta + k)
-            for pre in enumerate_precolourings(g, palette, t=1, max_load=k):
-                checked += 1
-                out = gallai.extend_gallai(g, pre, k, budget=budget)
-                if isinstance(out, gallai.ExceptionReport):
-                    replay = exact.extend(g, pre, palette)
-                    if replay.solved:
-                        return checked, bad(pre, palette,
-                                            "exception shape was extendable")
-                    continue
-                if not out.solved or not is_proper(g, out.colouring):
-                    return checked, bad(pre, palette,
-                                        "failed without an exception shape")
-        return checked, None
-
-    if claim == "bipartite-extension":
+        def extend(pre, k, palette):
+            out = gallai.extend_gallai(g, pre, k, budget=budget)
+            if not isinstance(out, gallai.ExceptionReport):
+                return out
+            # both shapes fail for every precolouring the claim admits
+            if exact.extend(g, pre, palette).solved:
+                raise AssertionError("exception shape was extendable")
+            return None
+        return ([(k, delta + k, 1) for k in range(max_k + 1)
+                 if stats.line_delta <= delta + k],
+                extend, "failed without an exception shape")
+    # The sets meeting each vertex at most once are the matchings, so a
+    # matching claim is its degree-k claim at k = 1 alone.
+    ks = [1] if claim.endswith("matching-extension") else range(1, max_k + 1)
+    if claim.startswith("bipartite"):
         try:
             side = kernels.find_bipartition(g)
         except InputError:
-            return 0, None
-        for k in range(1, max_k + 1):
-            palette = Palette(stats.delta + k)
-            for pre in enumerate_precolourings(g, palette, t=0, max_load=k):
-                checked += 1
-                out = kernels.extend_bipartite(g, side, pre, k, budget=budget)
-                if not out.solved or not is_proper(g, out.colouring):
-                    return checked, bad(pre, palette,
-                                        "bipartite extender failed")
-        return checked, None
-
-    if claim == "shannon-extension":
-        for k in range(1, max_k + 1):
-            palette = Palette((3 * stats.delta + k) // 2)
-            for pre in enumerate_precolourings(g, palette, t=0, max_load=k):
-                checked += 1
-                out = kernels.extend_shannon(g, pre, k, budget=budget)
-                if not out.solved or not is_proper(g, out.colouring):
-                    return checked, bad(pre, palette, "shannon extender failed")
-        return checked, None
-
+            return [], None, None
+        return ([(k, delta + k, 0) for k in ks],
+                lambda pre, k, palette: kernels.extend_bipartite(
+                    g, side, pre, k, budget=budget),
+                "bipartite extender failed")
+    if claim.startswith("shannon"):
+        return ([(k, (3 * delta + k) // 2, 0) for k in ks],
+                lambda pre, k, palette: kernels.extend_shannon(
+                    g, pre, k, budget=budget),
+                "shannon extender failed")
     raise InputError(f"unknown claim {claim!r}")
 
 
-def _forbidden_assignments(subset, palette):
-    """All colour assignments on the subset, up to colour permutation."""
-    if not subset:
-        yield {}
-        return
+def _check_graph(claim: str, g: MultiGraph, max_k: int,
+                 palette_offset: int, budget) -> tuple[int, dict | None]:
+    """Check one graph against the claim; (instances, counterexample).
 
-    def assign(i, current, max_used):
-        if i == len(subset):
-            yield dict(current)
-            return
-        for c in range(1, min(palette.k, max_used + 1) + 1):
-            current[subset[i]] = c
-            yield from assign(i + 1, current, max(max_used, c))
-            del current[subset[i]]
-
-    yield from assign(0, {}, 0)
+    A search that passes ``budget`` raises ``exact.BudgetSpent``.
+    """
+    cases, extend, note = _plan(claim, g, max_k, palette_offset, budget)
+    checked = 0
+    for k, size, t in cases:
+        palette = Palette(size)
+        for pre in enumerate_precolourings(g, palette, t=t, max_load=k):
+            checked += 1
+            out = extend(pre, k, palette)
+            if out is None or out.solved and is_proper(g, out.colouring):
+                continue
+            if out.status == exact.BUDGET:
+                raise exact.BudgetSpent(out.nodes, out.depth)
+            # confirmed by an unbounded exact replay
+            if claim == "matching-avoidance":
+                replay = exact.avoid(g, pre, palette)
+                found = {"forbidden": {str(e): c for e, c in pre.items()},
+                         "palette": palette.k}
+            else:
+                replay = exact.extend(g, pre, palette)
+                found = {"precolouring": colouring_to_json_obj(pre, palette)}
+            if replay.solved:
+                raise AssertionError(
+                    "reported failure but exact replay found a colouring")
+            return checked, {"graph": g.to_json_obj(), **found, "note": note}
+    return checked, None
 
 
 def _worker(args):
@@ -606,6 +559,10 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
     if palette_offset != 0 and claim not in OFFSET_CLAIMS:
         raise InputError(f"claim {claim!r} ignores palette_offset; it "
                          "applies to " + ", ".join(OFFSET_CLAIMS))
+    least = _LEAST_K.get(claim)
+    if least is not None and max_k < least:
+        raise InputError(f"claim {claim!r} checks k = {least} to max_k; "
+                         f"max_k must be at least {least}")
     bounds = {"max_n": max_n, "max_e": max_e, "max_mu": max_mu,
               "max_k": max_k, "palette_offset": palette_offset}
     report = VerificationReport(claim=claim, bounds=bounds)

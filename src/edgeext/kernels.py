@@ -21,12 +21,38 @@ from typing import Iterable, Mapping, Sequence
 from .core import (DenseForm, EdgeId, InputError, MultiGraph, _id_sort_key,
                    edge_bits)
 from .colouring import (Palette, check_load, extension_masks, is_proper,
-                        merge_colourings, reduce_extension)
+                        merge_colourings)
 from . import exact
-from .exact import SolveOutcome, SOLVED
+from .exact import SolveOutcome, SOLVED, UNSOLVABLE
 
 KERNEL = "kernel"
 EXACT_FALLBACK = "exact-fallback"
+
+
+def _bipartition(n: int,
+                 ends: Iterable[tuple[int, int]]) -> list[bool] | None:
+    """Whether each vertex lies on the X side of a two-colouring of the
+    edges ``ends`` (each component's least vertex on X); None when the
+    edges hold an odd cycle."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ends:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    is_x: list[bool | None] = [None] * n
+    for root in range(n):
+        if is_x[root] is not None:
+            continue
+        is_x[root] = True
+        stack = [root]
+        while stack:
+            w = stack.pop()
+            for x in nbrs[w]:
+                if is_x[x] is None:
+                    is_x[x] = not is_x[w]
+                    stack.append(x)
+                elif is_x[x] == is_x[w]:
+                    return None
+    return is_x
 
 
 def find_bipartition(g: MultiGraph) -> dict[int, str]:
@@ -34,22 +60,10 @@ def find_bipartition(g: MultiGraph) -> dict[int, str]:
 
     Vertices without edges land on side 'X'.
     """
-    side: dict[int, str] = {}
-    for v in range(g.n):
-        if v in side:
-            continue
-        side[v] = "X"
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            want = "Y" if side[w] == "X" else "X"
-            for _, x in g.incident(w):
-                if x not in side:
-                    side[x] = want
-                    stack.append(x)
-                elif side[x] != want:
-                    raise InputError("graph is not bipartite")
-    return side
+    is_x = _bipartition(g.n, ((u, v) for _, u, v in g.edges))
+    if is_x is None:
+        raise InputError("graph is not bipartite")
+    return {v: "X" if x else "Y" for v, x in enumerate(is_x)}
 
 
 def check_bipartition(g: MultiGraph, side_of: Mapping[int, str]) -> None:
@@ -375,30 +389,15 @@ def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
         return SolveOutcome(SOLVED, {ids[i]: colour[i] for i in edges},
                             method=KERNEL)
 
-    # Some list ran dry before its edge was chosen: solve the residual
-    # exactly, honouring the colours already committed.
-    done = live & ~left
-    residual_lists = {}
-    for i in edge_bits(left):
-        banned = 0
-        for j in edge_bits(d.adjacent[i] & done):
-            banned |= 1 << colour[j]
-        residual_lists[ids[i]] = exact._colours_of(lists[i] & ~banned)
-    outcome = exact.solve_list(g.restrict_edges(residual_lists),
-                               residual_lists, budget=budget)
-    if outcome.solved:
-        merged = merge_colourings({ids[i]: colour[i]
-                                   for i in edge_bits(done)},
-                                  outcome.colouring)
-        if not is_proper(g, merged):
-            raise AssertionError("residual merge is improper")
-        return SolveOutcome(SOLVED, merged, nodes=outcome.nodes,
-                            depth=outcome.depth, method=EXACT_FALLBACK)
-    # The committed kernel colours may themselves be the obstruction;
-    # retry from scratch.
-    all_lists = {ids[i]: exact._colours_of(lists[i]) for i in edges}
-    outcome = exact.solve_list(g.restrict_edges(all_lists), all_lists,
-                               budget=budget)
+    # Some list ran dry before its edge was chosen: solve the rest
+    # exactly, honouring the colours already committed, and then, as those
+    # may themselves be the obstruction, from scratch.
+    sub = g.restrict_edges(ids[i] for i in edges)
+    id_lists = {ids[i]: exact._colours_of(lists[i]) for i in edges}
+    committed = {ids[i]: colour[i] for i in edge_bits(live & ~left)}
+    outcome = exact.solve_list(sub, id_lists, budget, fixed=committed)
+    if not outcome.solved:
+        outcome = exact.solve_list(sub, id_lists, budget)
     outcome.method = EXACT_FALLBACK
     return outcome
 
@@ -426,6 +425,32 @@ def list_colour_bipartite(g: MultiGraph,
                         [0] * g.n, budget)
 
 
+def _uncoloured(g: MultiGraph, c: Mapping[EdgeId, int], palette: Palette,
+                k: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The extenders' shared preamble: ``extension_masks``, then the
+    uncoloured edges as dense indices, how many of them meet each vertex,
+    and each one's list mask (entry i for edge i, 0 for a coloured edge)."""
+    used = extension_masks(g, c, palette, k)
+    d = g.dense()
+    edges = [i for i, eid in enumerate(d.ids) if eid not in c]
+    full = (1 << (palette.k + 1)) - 2
+    lists = [0] * len(d.ids)
+    for i in edges:
+        u, v = d.ends[i]
+        lists[i] = full & ~(used[u] | used[v])
+    return used, edges, _degrees(d, edges), lists
+
+
+def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
+    """The outcome with ``c`` merged into its colouring; an extension
+    theorem guarantees a colouring, so only a spent budget may stop it."""
+    if outcome.status == UNSOLVABLE:
+        raise AssertionError("extension failed despite its guarantee")
+    if outcome.solved:
+        outcome.colouring = merge_colourings(c, outcome.colouring)
+    return outcome
+
+
 def extend_bipartite(g: MultiGraph,
                      side_of: Mapping[int, str] | None,
                      c: Mapping[EdgeId, int], k: int,
@@ -433,32 +458,24 @@ def extend_bipartite(g: MultiGraph,
     """Extend a precolouring of a bipartite multigraph within [Delta+k].
 
     Requires every vertex to meet at most k precoloured edges; under that
-    hypothesis an extension always exists and is returned.  The uncoloured
-    edges are list-coloured in place, with no reduced graph built.
+    hypothesis an extension always exists and is returned, unless a
+    fallback search passes ``budget`` (a ``BUDGET`` outcome).  The
+    uncoloured edges are list-coloured in place, with no reduced graph
+    built.
     """
     if side_of is None:
         side_of = find_bipartition(g)
     check_bipartition(g, side_of)
     if k < 1:
         raise InputError("k must be positive")
-    palette = Palette(g.delta() + k)
-    used = extension_masks(g, c, palette, k)
-    d = g.dense()
-    edges = [i for i, eid in enumerate(d.ids) if eid not in c]
-    deg = _degrees(d, edges)
-    full = (1 << (palette.k + 1)) - 2
-    lists = [0] * len(d.ids)
+    used, edges, deg, lists = _uncoloured(g, c, Palette(g.delta() + k), k)
+    ends = g.dense().ends
     for i in edges:
-        u, v = d.ends[i]
-        lists[i] = full & ~(used[u] | used[v])
+        u, v = ends[i]
         if lists[i].bit_count() < max(deg[u], deg[v]):
             raise AssertionError("list inequality failed after reduction")
-    outcome = _list_colour(g, _x_sides(g, side_of), edges, deg, lists, used,
-                           budget)
-    if not outcome.solved:
-        raise AssertionError("bipartite extension failed despite guarantee")
-    outcome.colouring = merge_colourings(c, outcome.colouring)
-    return outcome
+    return _extended(c, _list_colour(g, _x_sides(g, side_of), edges, deg,
+                                     lists, used, budget))
 
 
 def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
@@ -466,7 +483,10 @@ def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     """Extend a precolouring within [floor(3*Delta/2 + k/2)].
 
     Requires every vertex to meet at most k precoloured edges; an
-    extension always exists under that hypothesis.
+    extension always exists under that hypothesis and is returned, unless
+    a search passes ``budget`` (a ``BUDGET`` outcome).  Uncoloured edges
+    that form a bipartite graph are list-coloured in place; otherwise the
+    whole extension is searched exactly.
     """
     if k < 1:
         raise InputError("k must be positive")
@@ -474,23 +494,16 @@ def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
         check_load(g, c, k)    # an edge id the graph lacks still raises
         return SolveOutcome(SOLVED, {}, method=KERNEL)
     palette = Palette((3 * g.delta() + k) // 2)
-    reduced, lists = reduce_extension(g, c, palette, k)
-    for eid, u, v in reduced.edges:
-        du, dv = reduced.degree(u), reduced.degree(v)
-        need = max(du, dv) + min(du, dv) // 2
-        if len(lists[eid]) < need:
+    used, edges, deg, lists = _uncoloured(g, c, palette, k)
+    ends = g.dense().ends
+    for i in edges:
+        du, dv = deg[ends[i][0]], deg[ends[i][1]]
+        if lists[i].bit_count() < max(du, dv) + min(du, dv) // 2:
             raise AssertionError("list inequality failed after reduction")
-    try:
-        side_of = find_bipartition(reduced)
-    except InputError:
-        side_of = None
-    if side_of is not None:
-        outcome = list_colour_bipartite(reduced, side_of, lists,
-                                        budget=budget)
-    else:
-        outcome = exact.solve_list(reduced, lists, budget=budget)
+    is_x = _bipartition(g.n, (ends[i] for i in edges))
+    if is_x is None:
+        outcome = exact.extend(g, c, palette, budget=budget)
         outcome.method = EXACT_FALLBACK
-    if not outcome.solved:
-        raise AssertionError("extension failed despite palette guarantee")
-    outcome.colouring = merge_colourings(c, outcome.colouring)
-    return outcome
+    else:
+        outcome = _list_colour(g, is_x, edges, deg, lists, used, budget)
+    return _extended(c, outcome)

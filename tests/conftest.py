@@ -89,3 +89,19 @@ def random_extension_instance(seed, n, m, precoloured=20):
         covered.update((u, v))
         pre[eid] = rng.randint(1, palette.k)
     return g, pre, palette
+
+
+def prism(n):
+    """The prism C_n x K_2: rim edges first, then rung i joining the two
+    rims' vertex i, precoloured 1 + i % 3.  From the palette [4] each rim
+    edge keeps two colours, as many as its uncoloured neighbours, so for
+    odd n each rim is a tight odd cycle and only search colours it."""
+    edges = []
+    for i in range(n):
+        edges.append((len(edges), i, (i + 1) % n))
+        edges.append((len(edges), n + i, n + (i + 1) % n))
+    pre = {}
+    for i in range(n):
+        pre[len(edges)] = 1 + i % 3
+        edges.append((len(edges), i, n + i))
+    return MultiGraph(2 * n, edges), pre

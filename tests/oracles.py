@@ -12,6 +12,13 @@ instance) that the dense one in ``edgeext.kernels`` replaced.  Both make
 the same choices, so they must agree on status, method, node count and
 the colouring as a mapping.
 
+``reduce_extension`` is the preamble those extenders shared: it checks
+the precolouring and builds the reduced ``MultiGraph`` with its lists.
+``extend_shannon`` is the Shannon-bound extender on that reduced graph,
+with the id-keyed ``list_colour_bipartite``; the one in
+``edgeext.kernels`` colours the same edges in place, so the two must
+agree on status, method, node count and the colouring as a mapping.
+
 ``enumerate_edge_sets`` is the enumerator that compared every pair of
 edges with ``edge_distance`` and had no load bound.
 
@@ -48,8 +55,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from edgeext import exact
-from edgeext.colouring import (Palette, is_proper, merge_colourings,
-                               reduce_extension, validate_precolouring)
+from edgeext.colouring import (Palette, check_load, extension_masks,
+                               is_proper, merge_colourings, reduce_to_lists,
+                               validate_precolouring)
 from edgeext.core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                           degree_stats, edge_distance, is_distance_matching,
                           line_graph)
@@ -392,6 +400,18 @@ def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
     return result
 
 
+def reduce_extension(
+    g: MultiGraph,
+    colouring: Mapping[EdgeId, int],
+    palette: Palette,
+    k: int,
+) -> tuple[MultiGraph, dict[EdgeId, frozenset[int]]]:
+    """The checks of ``extension_masks``, then ``reduce_to_lists``'s
+    reduction."""
+    extension_masks(g, colouring, palette, k)
+    return reduce_to_lists(g, colouring, palette)
+
+
 def list_colour_bipartite(g: MultiGraph,
                           side_of: Mapping[int, str] | None,
                           lists: Mapping[EdgeId, Iterable[int]],
@@ -475,6 +495,38 @@ def extend_bipartite(g: MultiGraph,
     outcome = list_colour_bipartite(reduced, side_of, lists, budget=budget)
     if not outcome.solved:
         raise AssertionError("bipartite extension failed despite guarantee")
+    outcome.colouring = merge_colourings(c, outcome.colouring)
+    return outcome
+
+
+def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
+                   budget: int | None = None) -> SolveOutcome:
+    """Extend a precolouring within [floor(3*Delta/2 + k/2)].
+
+    Requires every vertex to meet at most k precoloured edges; an
+    extension always exists under that hypothesis.
+    """
+    if k < 1:
+        raise InputError("k must be positive")
+    if not g.edges:
+        check_load(g, c, k)
+        return SolveOutcome(SOLVED, {}, method=KERNEL)
+    palette = Palette((3 * g.delta() + k) // 2)
+    reduced, lists = reduce_extension(g, c, palette, k)
+    for eid, u, v in reduced.edges:
+        du, dv = reduced.degree(u), reduced.degree(v)
+        if len(lists[eid]) < max(du, dv) + min(du, dv) // 2:
+            raise AssertionError("list inequality failed after reduction")
+    try:
+        side_of = find_bipartition(reduced)
+    except InputError:
+        outcome = exact.solve_list(reduced, lists, budget=budget)
+        outcome.method = EXACT_FALLBACK
+    else:
+        outcome = list_colour_bipartite(reduced, side_of, lists,
+                                        budget=budget)
+    if not outcome.solved:
+        raise AssertionError("extension failed despite palette guarantee")
     outcome.colouring = merge_colourings(c, outcome.colouring)
     return outcome
 

@@ -5,7 +5,7 @@ import pytest
 from edgeext import exact
 from edgeext.cli import run
 
-from conftest import random_extension_instance
+from conftest import prism, random_extension_instance
 
 
 def write(tmp_path, name, obj):
@@ -109,6 +109,32 @@ def test_extend_auto_disconnected_subcubic(tmp_path, capsys):
     assert all(1 <= c <= 4 for c in colouring.values())
 
 
+def test_extend_method_subcubic(tmp_path, capsys):
+    # a triangle with a pendant edge: subcubic, a precoloured matching
+    edges = [[0, 0, 1], [1, 1, 2], [2, 0, 2], [3, 2, 3]]
+    gpath = write(tmp_path, "g.json", {"n": 4, "edges": edges})
+    cpath = write(tmp_path, "c.json", {"palette": 4, "colours": {"3": 2}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--method", "subcubic", "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved" and out["method"] == "gallai"
+    assert out["colouring"]["3"] == 2 and len(out["colouring"]) == 4
+
+
+def test_extend_auto_long_tight_cycles(tmp_path, capsys):
+    # auto picks the subcubic extender, whose search of each 1,001-edge
+    # rim used to die with RecursionError (exit 5)
+    g, pre = prism(1001)
+    gpath = write(tmp_path, "g.json", g.to_json_obj())
+    cpath = write(tmp_path, "c.json", {
+        "palette": 4, "colours": {str(eid): c for eid, c in pre.items()}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved" and out["method"] == "gallai"
+    assert len(out["colouring"]) == 3003
+
+
 def test_known_exception_exit(tmp_path, capsys):
     g = {"n": 5, "edges": [[i, i, (i + 1) % 5] for i in range(5)]}
     gpath = write(tmp_path, "c5.json", g)
@@ -210,6 +236,31 @@ def test_verify_command(capsys):
                 "--no-timestamp"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["counterexample"] is not None
+
+
+@pytest.mark.parametrize("claim, jobs", [
+    ("matching-extension", "1"), ("line-degree-extension", "1"),
+    ("matching-avoidance", "1"), ("shannon-extension", "1"),
+    ("matching-extension", "2"),
+])
+def test_verify_budget_exit(claim, jobs, capsys):
+    assert run(["verify", "--claim", claim, "--max-n", "4", "--max-e", "5",
+                "--budget", "1", "--jobs", jobs, "--no-timestamp"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"claim": claim, "status": "budget",
+                   "stats": {"nodes": 2, "depth": out["stats"]["depth"]}}
+
+
+@pytest.mark.parametrize("bound", [["--claim", "line-degree-extension",
+                                    "--max-k", "-1"],
+                                   ["--claim", "matching-extension",
+                                    "--delta-max", "0"]])
+def test_verify_rejects_bounds_that_admit_nothing(bound, capsys):
+    assert run(["verify", *bound, "--max-n", "3", "--max-e", "3",
+                "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "traceback" not in json.loads(captured.err)
 
 
 def test_verify_rejects_ignored_palette_offset(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import (Palette, is_proper, merge_colourings,
                                reduce_to_lists)
-from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, avoid,
+from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, BudgetSpent, avoid,
                            chromatic_index, extend, solve_list, vizing_colour)
 from edgeext.instances import MULTI_STAR, FamilySpec, generate
 
@@ -65,6 +65,14 @@ def test_budget_outcome():
     out = solve_list(g, {e: full for e in g.edge_ids}, budget=3)
     assert out.status == BUDGET
     assert out.colouring is None
+
+
+def test_budget_spent_survives_pickling():
+    # verify --jobs hands it back from a worker process
+    import pickle
+    spent = pickle.loads(pickle.dumps(BudgetSpent(7, 3)))
+    assert (spent.nodes, spent.depth) == (7, 3)
+    assert str(spent) == "search passed its budget at 7 nodes"
 
 
 @settings(max_examples=60)

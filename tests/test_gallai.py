@@ -14,7 +14,7 @@ from edgeext.gallai import (BudgetSpent, ExceptionReport, GallaiCertificate,
                             is_gallai_tree, solve_vertex_lists)
 
 import oracles
-from conftest import multigraphs
+from conftest import multigraphs, prism
 
 
 def fat_triangle(m1, m2, m3):
@@ -275,6 +275,17 @@ def test_gallai_extenders_honour_budget():
         assert len(out.colouring) == 6
 
 
+def test_extend_subcubic_colours_a_long_tight_cycle():
+    # each 1,001-edge rim is a tight Gallai tree whose search used to
+    # recurse once per edge and raise RecursionError
+    g, pre = prism(1001)
+    out = extend_subcubic(g, pre)
+    assert out.solved and is_proper(g, out.colouring)
+    assert len(out.colouring) == len(g.edges) == 3003
+    assert all(out.colouring[eid] == c for eid, c in pre.items())
+    assert set(out.colouring.values()) <= {1, 2, 3, 4}
+
+
 # -- agreement with the id-keyed pipeline -----------------------------------
 
 BUDGETS = st.sampled_from([None, 1, 3, 10])
@@ -352,3 +363,14 @@ def test_degree_list_colour_matches_oracle(g, data, budget):
 @given(multigraphs(max_n=8, max_e=12))
 def test_block_decompose_matches_oracle(g):
     assert block_decompose(g) == oracles.block_decompose(g)
+
+
+@settings(max_examples=150)
+@given(multigraphs(max_n=7, max_e=10, max_mu=2), st.data(), BUDGETS)
+def test_solve_vertex_lists_search_matches_recursive_oracle(g, data, budget):
+    # lists of any size, so the search backtracks and may fail
+    lists = {v: data.draw(st.sets(st.integers(min_value=1, max_value=3),
+                                  min_size=1))
+             for v in range(g.n)}
+    assert _outcome(solve_vertex_lists, g, lists, budget) == \
+        _outcome(oracles.solve_vertex_lists, g, lists, budget)

@@ -9,7 +9,7 @@ import oracles
 from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
                           edges_path)
 from edgeext.colouring import Palette, is_proper, max_precoloured_degree
-from edgeext.exact import chromatic_index, extend
+from edgeext.exact import BudgetSpent, avoid, chromatic_index, extend
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                canonical_form,
                                compute_rho, distance_conflicts,
@@ -298,3 +298,80 @@ def test_verify_rejects_an_offset_the_claim_ignores():
             verify(claim, max_n=3, max_e=3, max_mu=2, palette_offset=-1)
     for claim in OFFSET_CLAIMS:
         verify(claim, max_n=3, max_e=3, max_mu=2, palette_offset=-1)
+
+
+# (graphs, instances, counterexample note) per claim, bounds (max_n,
+# max_e, max_mu) and palette offset, all with max_k=2
+_PINNED = {
+    ("bipartite-extension", (4, 5, 2), 0): (23, 352, None),
+    ("bipartite-extension", (5, 6, 2), 0): (77, 2428, None),
+    ("bipartite-matching-extension", (4, 5, 2), 0): (23, 99, None),
+    ("bipartite-matching-extension", (5, 6, 2), 0): (77, 487, None),
+    ("distance3-extension", (4, 5, 2), 0): (23, 113, None),
+    ("distance3-extension", (4, 5, 2), -1): (23, 113, None),
+    ("distance3-extension", (5, 6, 2), 0): (77, 474, None),
+    ("distance3-extension", (5, 6, 2), -1): (77, 474, None),
+    ("line-degree-extension", (4, 5, 2), 0): (23, 338, None),
+    ("line-degree-extension", (5, 6, 2), 0): (77, 1923, None),
+    ("matching-avoidance", (4, 5, 2), 0): (23, 159, None),
+    ("matching-avoidance", (4, 5, 2), -1): (1, 2, "not avoidable"),
+    ("matching-avoidance", (5, 6, 2), 0): (77, 936, None),
+    ("matching-avoidance", (5, 6, 2), -1): (1, 2, "not avoidable"),
+    ("matching-extension", (4, 5, 2), 0): (23, 159, None),
+    ("matching-extension", (4, 5, 2), -1): (4, 9, "not extendable"),
+    ("matching-extension", (5, 6, 2), 0): (77, 936, None),
+    ("matching-extension", (5, 6, 2), -1): (4, 9, "not extendable"),
+    ("shannon-extension", (4, 5, 2), 0): (23, 592, None),
+    ("shannon-extension", (5, 6, 2), 0): (77, 4937, None),
+    ("shannon-matching-extension", (4, 5, 2), 0): (23, 159, None),
+    ("shannon-matching-extension", (5, 6, 2), 0): (77, 936, None),
+    ("subcubic-matching-extension", (4, 5, 2), 0): (23, 109, None),
+    ("subcubic-matching-extension", (5, 6, 2), 0): (77, 438, None),
+}
+
+
+@pytest.mark.parametrize("claim, bounds, offset", sorted(_PINNED))
+def test_verify_counts_are_pinned(claim, bounds, offset):
+    max_n, max_e, max_mu = bounds
+    rep = verify(claim, max_n=max_n, max_e=max_e, max_mu=max_mu, max_k=2,
+                 palette_offset=offset)
+    note = None if rep.ok else rep.counterexample["note"]
+    assert (rep.graphs, rep.instances, note) == _PINNED[claim, bounds, offset]
+
+
+def test_pinned_counts_cover_every_claim_and_offset():
+    assert {claim for claim, _, _ in _PINNED} == set(CLAIMS)
+    assert {claim for claim, _, offset in _PINNED if offset} == \
+        set(OFFSET_CLAIMS)
+
+
+def test_avoidance_counterexample_fields():
+    rep = verify("matching-avoidance", max_n=3, max_e=3, palette_offset=-1)
+    assert list(rep.counterexample) == ["graph", "forbidden", "palette",
+                                        "note"]
+    cex = rep.counterexample
+    g = MultiGraph.from_json_obj(cex["graph"])
+    forbidden = {int(e): c for e, c in cex["forbidden"].items()}
+    assert not avoid(g, forbidden, Palette(cex["palette"])).solved
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("claim", ["matching-extension", "matching-avoidance",
+                                   "line-degree-extension",
+                                   "shannon-extension"])
+def test_verify_raises_budget_spent(claim, jobs):
+    # a spent budget is neither a counterexample nor a disagreement
+    with pytest.raises(BudgetSpent) as spent:
+        verify(claim, max_n=4, max_e=5, budget=1, jobs=jobs)
+    assert spent.value.nodes == 2
+
+
+@pytest.mark.parametrize("claim, bounds", [
+    ("line-degree-extension", {"max_k": -1}),
+    ("bipartite-extension", {"max_k": 0}),
+    ("shannon-extension", {"max_k": 0}),
+    ("matching-extension", {"delta_max": 0}),
+])
+def test_verify_rejects_bounds_that_admit_nothing(claim, bounds):
+    with pytest.raises(InputError):
+        verify(claim, max_n=3, max_e=3, **bounds)

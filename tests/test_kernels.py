@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import Palette, is_proper
+from edgeext.exact import BUDGET
 from edgeext.kernels import (EXACT_FALLBACK, KERNEL, extend_bipartite,
                              extend_shannon, find_bipartition, galvin_orient,
                              is_kernel, kernel, kernel_brute, konig_colour,
@@ -232,3 +233,35 @@ def test_list_colour_and_kernels_match_id_keyed_oracle(g, data):
     active = data.draw(st.sets(st.sampled_from(g.edge_ids))) \
         if g.edges else set()
     assert kernel(orient, active) == oracles.kernel(reference, active)
+
+
+@settings(max_examples=300)
+@given(multigraphs(max_n=6, max_e=8, max_mu=3, mixed_ids=True),
+       st.integers(min_value=1, max_value=2), st.data())
+def test_extend_shannon_matches_reduced_graph_oracle(g, k, data):
+    # the uncoloured edges are bipartite or not, so both the kernel path
+    # and the exact search are reached
+    palette = Palette(max(1, (3 * g.delta() + k) // 2))
+    pre = {}
+    load = [0] * g.n
+    for eid, u, v in g.edges:
+        if load[u] == k or load[v] == k or not data.draw(st.booleans()):
+            continue
+        trial = dict(pre)
+        trial[eid] = data.draw(st.sampled_from(palette.colours))
+        if is_proper(g, trial):
+            pre = trial
+            load[u] += 1
+            load[v] += 1
+    got = extend_shannon(g, pre, k)
+    want = oracles.extend_shannon(g, pre, k)
+    assert _outcome_key(got) == _outcome_key(want)
+
+
+def test_extend_shannon_returns_a_spent_budget():
+    # the uncoloured triangle is not bipartite, so it is searched
+    g = edges_cycle(3)
+    out = extend_shannon(g, {}, 1, budget=1)
+    assert (out.status, out.method, out.colouring) == \
+        (BUDGET, EXACT_FALLBACK, None)
+    assert extend_shannon(g, {}, 1, budget=3).solved
