@@ -139,9 +139,9 @@ class GallaiCertificate:
 
 
 def _search(nmask: Sequence[int], lists: Mapping[int, int], region: int,
-            budget: int | None) -> dict[int, int] | None:
-    """``solve_vertex_lists`` on the ``region``'s vertices: smallest
-    remaining list first (ties to the smaller vertex), colours ascending.
+            budget: int | None) -> tuple[dict[int, int] | None, int]:
+    """``solve_vertex_lists`` on the ``region``'s vertices, and its node
+    count: least remaining list first (ties to the least vertex), colours up.
 
     The search runs on an explicit stack, so its depth is not bounded by
     the interpreter's recursion limit.  Each visit to a non-empty set of
@@ -185,8 +185,8 @@ def _search(nmask: Sequence[int], lists: Mapping[int, int], region: int,
             todo = rest
             break
         else:
-            return None
-    return assignment
+            return None, nodes
+    return assignment, nodes
 
 
 def solve_vertex_lists(g: MultiGraph,
@@ -205,7 +205,7 @@ def solve_vertex_lists(g: MultiGraph,
             region |= 1 << v
         elif region >> v & 1:
             raise InputError(f"vertex {v} has no colour list")
-    return _search(nmask, masks, region, budget)
+    return _search(nmask, masks, region, budget)[0]
 
 
 def _bfs(nbrs: Neighbours, root: int, region: int) -> list[int] | None:
@@ -270,31 +270,31 @@ def _repair(nbrs: Neighbours, nmask: Sequence[int], lists: Mapping[int, int],
 def _degree_colour(nbrs: Neighbours, nmask: Sequence[int],
                    lists: Mapping[int, int], region: int,
                    root: int | None, budget: int | None
-                   ) -> dict[int, int] | None:
+                   ) -> tuple[dict[int, int] | None, int]:
     """Colour the connected graph on ``region`` from lists at least as
     large as the degrees; ``root`` is the least vertex whose list is
     larger, or None.  None means a tight Gallai tree.  A failed repair
-    falls back to a search bounded by ``budget``."""
+    falls back to a search bounded by ``budget``; the count is its nodes."""
     colouring: dict[int, int] = {}
     if root is not None:
         order = _bfs(nbrs, root, region)
         if order is None or not _greedy(nmask, lists, order, colouring):
             raise AssertionError("greedy colouring failed")
-        return colouring
+        return colouring, 0
     bad = next((block for block in _blocks(nbrs, region)[0]
                 if not _is_gallai_block(block)), None)
     if bad is None:
-        return None
+        return None, 0
     repaired = _repair(nbrs, nmask, lists, region,
                        _mask_of(x for v, w, _ in bad for x in (v, w)))
     if repaired is not None:
-        return repaired
+        return repaired, 0
     # A colouring is still guaranteed to exist here; find it directly.
-    solved = _search(nmask, lists, region, budget)
+    solved, nodes = _search(nmask, lists, region, budget)
     if solved is None:
         raise AssertionError(
             "tight non-Gallai-tree instance turned out uncolourable")
-    return solved
+    return solved, nodes
 
 
 def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
@@ -324,7 +324,7 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
             raise InputError(f"list at vertex {v} is smaller than its degree")
         if root is None and masks[v].bit_count() > g.degree(v):
             root = v
-    result = _degree_colour(nbrs, nmask, masks, region, root, budget) \
+    result = _degree_colour(nbrs, nmask, masks, region, root, budget)[0] \
         if region else {}
     if result is None:
         return GallaiCertificate(is_gallai_tree=True)
@@ -391,9 +391,9 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
 def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
             palette: Palette, budget: int | None) -> SolveOutcome:
     """``c`` and a colouring of each component of the uncoloured edges'
-    line graph from the palette colours neither end ``used``.  The callers
-    ruled out both exceptional shapes, so a failure is a bug and raises; a
-    search that passes ``budget`` makes the outcome ``BUDGET``."""
+    line graph from the palette colours neither end ``used``, counting the
+    nodes of every search.  The callers ruled out both exceptional shapes,
+    so a failure is a bug and raises; a search past ``budget`` is BUDGET."""
     d = g.dense()
     adjacent = d.adjacent
     live = (1 << len(d.ids)) - 1
@@ -402,6 +402,7 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
     full = (1 << (palette.k + 1)) - 2
     lists = [full & ~(used[u] | used[v]) for u, v in d.ends]
     colouring = dict(c)
+    nodes = 0
     for comp in d.components(live):
         root = None
         rest = comp
@@ -418,18 +419,19 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
                 raise AssertionError("edge list empty or smaller than its "
                                      "line-graph degree")
         try:
-            part = _degree_colour(d.line_neighbours, adjacent, lists, comp,
-                                  root, budget)
+            part, searched = _degree_colour(d.line_neighbours, adjacent,
+                                            lists, comp, root, budget)
             if part is None:
-                part = _search(adjacent, lists, comp, budget)
+                part, searched = _search(adjacent, lists, comp, budget)
         except BudgetSpent as spent:
-            return SolveOutcome(BUDGET, None, nodes=spent.nodes,
+            return SolveOutcome(BUDGET, None, nodes=nodes + spent.nodes,
                                 method="gallai")
+        nodes += searched
         if part is None:
             raise AssertionError("non-exceptional instance failed")
         for i, colour in part.items():
             colouring[d.ids[i]] = colour
-    return SolveOutcome(SOLVED, colouring, method="gallai")
+    return SolveOutcome(SOLVED, colouring, nodes=nodes, method="gallai")
 
 
 def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],

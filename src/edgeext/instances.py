@@ -178,58 +178,108 @@ def compute_rho(g: MultiGraph) -> Fraction:
 
 # -- canonical forms and enumeration -------------------------------------
 
-def canonical_form(g: MultiGraph) -> tuple:
+def canonical_form(g: MultiGraph, generators: list | None = None) -> tuple:
     """Exact canonical form: iterated neighbourhood refinement, with
-    branching on the first non-singleton class until discrete."""
+    branching on the first non-singleton class until discrete; the form
+    is the least sorted edge list over the leaves.
+
+    A leaf with the first or the best leaf's edge list gives an
+    automorphism (nauty-style: no other leaves are compared).  Each node
+    keeps the orbits of those fixing its path pointwise, and skips (or
+    abandons) a child whose orbit holds a smaller target vertex: its
+    subtree is the image of an explored one, with the same edge lists.
+    The automorphisms are appended to ``generators``, as vertex images.
+    """
     n = g.n
     nbr: list[dict[int, int]] = [dict() for _ in range(n)]
     for _, u, v in g.edges:
         nbr[u][v] = nbr[u].get(v, 0) + 1
         nbr[v][u] = nbr[v].get(u, 0) + 1
+    around_of = [tuple(d.items()) for d in nbr]
+    # (colour, multiplicity) as colour * wide + multiplicity sorts the same
+    wide = len(g.edges) + 1
 
-    def refine(colours):
+    def refine(colours, classes):
+        """The stable refinement of ``colours`` (``classes`` values) as
+        ranks, once a round splits no class or leaves none to split."""
         while True:
-            sig = []
-            for v in range(n):
-                around = tuple(sorted((colours[w], mult)
-                                      for w, mult in nbr[v].items()))
-                sig.append((colours[v], around))
-            order = {s: i for i, s in enumerate(sorted(set(sig)))}
-            new = tuple(order[sig[v]] for v in range(n))
-            if new == colours:
-                return new
-            colours = new
+            sig = [(colours[v], tuple(sorted([colours[w] * wide + mult
+                                              for w, mult in around_of[v]])))
+                   for v in range(n)]
+            distinct = sorted(set(sig))
+            order = {s: i for i, s in enumerate(distinct)}
+            colours = tuple(map(order.__getitem__, sig))
+            if len(distinct) == classes or len(distinct) == n:
+                return colours
+            classes = len(distinct)
 
-    def form_of(colours):
-        rank = {}
-        for v in sorted(range(n), key=lambda v: colours[v]):
-            rank[v] = len(rank)
-        pairs = sorted((min(rank[u], rank[v]), max(rank[u], rank[v]))
-                       for _, u, v in g.edges)
-        return tuple(pairs)
+    def join(orbit, gamma):
+        """Merge the orbits, each labelled by its least vertex, gamma links."""
+        for v, w in enumerate(gamma):
+            low, high = sorted((orbit[v], orbit[w]))
+            if low != high:
+                orbit[:] = [low if x == high else x for x in orbit]
 
-    def search(colours):
-        colours = refine(colours)
-        classes: dict[int, list[int]] = {}
-        for v in range(n):
-            classes.setdefault(colours[v], []).append(v)
-        target = None
-        for c in sorted(classes):
-            if len(classes[c]) > 1:
-                target = classes[c]
+    path: list[int] = []                # the vertices individualised
+    levels: list[list[int]] = []        # the orbits at each node on it
+    found: list[tuple[int, ...]] = []
+    first = best = None                 # (edge list, rank of each vertex)
+    abandon = None                      # the level whose child is redundant
+
+    def record(gamma):
+        nonlocal abandon
+        found.append(gamma)
+        for j, orbit in enumerate(levels):
+            if j and gamma[path[j - 1]] != path[j - 1]:
                 break
-        if target is None:
-            return form_of(colours)
-        best = None
-        for v in target:
-            branched = tuple(c - n if w == v else c
-                             for w, c in enumerate(colours))
-            cand = search(branched)
-            if best is None or cand < best:
-                best = cand
-        return best
+            join(orbit, gamma)
+            if orbit[path[j]] != path[j]:
+                abandon = j
+                return
 
-    return (n, search(tuple(0 for _ in range(n))))
+    def leaf(rank):
+        nonlocal first, best
+        form = tuple(sorted([(rank[u], rank[v]) if rank[u] < rank[v]
+                             else (rank[v], rank[u]) for _, u, v in g.edges]))
+        if first is None:
+            first = best = (form, rank)
+            return
+        for known, known_rank in (first, best):
+            if form == known:
+                record(tuple(rank.index(r) for r in known_rank))
+                return
+        if form < best[0]:
+            best = (form, rank)
+
+    def search(colours, classes):
+        nonlocal abandon
+        colours = refine(colours, classes)
+        cell = next((c for c in range(n) if colours.count(c) > 1), None)
+        if cell is None:
+            leaf(colours)
+            return
+        depth = len(path)
+        orbit = list(range(n))
+        for gamma in found:
+            if all(gamma[v] == v for v in path):
+                join(orbit, gamma)
+        levels.append(orbit)
+        for v in range(n):
+            if colours[v] != cell or orbit[v] != v:
+                continue
+            path.append(v)
+            search(colours[:v] + (colours[v] - n,) + colours[v + 1:],
+                   max(colours) + 2)
+            path.pop()
+            if abandon is not None and abandon < depth:
+                break
+            abandon = None
+        levels.pop()
+
+    search((0,) * n, 1)
+    if generators is not None:
+        generators.extend(found)
+    return (n, best[0])
 
 
 def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
@@ -239,48 +289,71 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
     """All multigraphs within the bounds, one per isomorphism class.
 
     Graphs have no isolated vertices and at least one edge; the stream is
-    produced level by level in edge count and is deterministic.
+    produced level by level in edge count and is deterministic.  Each
+    class keeps the first child, in augmentation order, that reaches it,
+    so children that an automorphism ``canonical_form`` found on their
+    parent maps onto an earlier child are never built or keyed.
     """
     if n_max < 2 or e_max < 1 or mu_max < 1 or (
             delta_max is not None and delta_max < 1):
         raise InputError("bounds must allow at least a single edge")
 
-    def ok_degrees(g):
-        return delta_max is None or g.delta() <= delta_max
-
     level = {}
     seed = MultiGraph(2, [(0, 0, 1)])
-    if ok_degrees(seed):
-        level[canonical_form(seed)] = seed
+    generators: list = []
+    level[canonical_form(seed, generators)] = seed, generators
     for e in range(1, e_max + 1):
         ordered = sorted(level.items())
-        for _, g in ordered:
+        for _, (g, _) in ordered:
             yield g
         if e == e_max:
             break
         nxt = {}
-        for _, g in ordered:
-            for h in _augment(g, n_max, mu_max, connected_only):
-                if not ok_degrees(h):
-                    continue
-                key = canonical_form(h)
+        for _, (g, automorphisms) in ordered:
+            for h in _augment(g, automorphisms, n_max, mu_max, delta_max,
+                              connected_only):
+                generators = []
+                key = canonical_form(h, generators)
                 if key not in nxt:
-                    nxt[key] = h
+                    nxt[key] = h, generators
         level = nxt
 
 
-def _augment(g: MultiGraph, n_max, mu_max, connected_only):
+def _orbit_leaders(points, image, generators):
+    """The points, in order, that come first in their orbit under the
+    ``generators``; ``image(gamma, p)`` moves p."""
+    seen = set()
+    for p in points:
+        if p not in seen:
+            yield p
+            seen.add(p)
+            todo = [p]
+            for q in todo:
+                for gamma in generators:
+                    r = image(gamma, q)
+                    if r not in seen:
+                        seen.add(r)
+                        todo.append(r)
+
+
+def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
+             connected_only):
     e = len(g.edges)
+    cap = e + 1 if delta_max is None else delta_max
     mults = {}
     for _, u, v in g.edges:
         pair = (u, v) if u < v else (v, u)
         mults[pair] = mults.get(pair, 0) + 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if mults.get((u, v), 0) < mu_max:
-                yield MultiGraph(g.n, list(g.edges) + [(e, u, v)])
+    # automorphisms keep degrees and multiplicities: they map these to these
+    free = [v for v in range(g.n) if g.degree(v) < cap]
+    open_pairs = [(u, v) for u in free for v in free
+                  if u < v and mults.get((u, v), 0) < mu_max]
+    for u, v in _orbit_leaders(open_pairs, lambda gamma, p: tuple(
+            sorted((gamma[p[0]], gamma[p[1]]))), generators):
+        yield MultiGraph(g.n, list(g.edges) + [(e, u, v)])
     if g.n < n_max:
-        for u in range(g.n):
+        for u in _orbit_leaders(free, lambda gamma, v: gamma[v],
+                                generators):
             yield MultiGraph(g.n + 1, list(g.edges) + [(e, u, g.n)])
     if not connected_only and g.n + 2 <= n_max:
         yield MultiGraph(g.n + 2, list(g.edges) + [(e, g.n, g.n + 1)])
@@ -362,25 +435,30 @@ def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
 
 
 def _colourings_of(g, subset, palette, up_to_permutation):
-    if not subset:
-        yield {}
-        return
-    adj = {eid: set(g.adjacent_edges(eid)) & set(subset) for eid in subset}
+    ends = [g.endpoints(eid) for eid in subset]
+    used = [0] * g.n                    # colour bits at each vertex
+    chosen: list[int] = []
 
-    def assign(i, current, max_used):
+    def assign(i, max_used):
         if i == len(subset):
-            yield dict(current)
+            yield dict(zip(subset, chosen))
             return
-        eid = subset[i]
+        u, v = ends[i]
+        taken = used[u] | used[v]
         top = min(palette.k, max_used + 1) if up_to_permutation else palette.k
         for c in range(1, top + 1):
-            if any(current.get(f) == c for f in adj[eid]):
+            bit = 1 << c
+            if taken & bit:
                 continue
-            current[eid] = c
-            yield from assign(i + 1, current, max(max_used, c))
-            del current[eid]
+            used[u] |= bit
+            used[v] |= bit
+            chosen.append(c)
+            yield from assign(i + 1, max(max_used, c))
+            chosen.pop()
+            used[u] ^= bit
+            used[v] ^= bit
 
-    yield from assign(0, {}, 0)
+    yield from assign(0, 0)
 
 
 def random_distance_matching(g: MultiGraph, t: int, palette: Palette,

@@ -46,6 +46,16 @@ one in ``edgeext.exact`` keeps a colour bitmask per vertex, flips only
 the chain's colours at the ends of its edges, and makes the same
 choices, so the two must return the same colouring, insertion order
 included.
+
+``canonical_form``, ``enumerate_multigraphs`` and ``_augment`` are the
+enumeration that visited every leaf of the individualisation tree and
+put every child of a graph through ``canonical_form``.  The one in
+``edgeext.instances`` skips subtrees and children that an automorphism
+maps onto ones already seen, so the two must give the same forms and the
+same graph stream, edge ids and order included.  ``_colourings_of`` is
+the precolouring step that checked each colour against a set of adjacent
+edges; the one in ``edgeext.instances`` keeps a colour bitmask per
+vertex and must yield the same dicts in the same order.
 """
 
 from __future__ import annotations
@@ -651,11 +661,13 @@ def _block_is_odd_cycle(g: MultiGraph, vs: frozenset[int],
 
 def solve_vertex_lists(g: MultiGraph,
                        lists: Mapping[int, Iterable[int]],
-                       budget: int | None = None) -> dict[int, int] | None:
+                       budget: int | None = None,
+                       searched: list | None = None) -> dict[int, int] | None:
     """Exact vertex list-colouring by backtracking (smallest list first).
 
     Each call of the search on a non-empty set of vertices is one node;
-    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.
+    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.  The
+    node count of a search that finishes is appended to ``searched``.
     """
     verts = [v for v in range(g.n) if g.incident(v) or v in lists]
     masks = {}
@@ -697,9 +709,10 @@ def solve_vertex_lists(g: MultiGraph,
                 used[w] &= ~bit
         return False
 
-    if search(verts):
-        return dict(assignment)
-    return None
+    found = search(verts)
+    if searched is not None:
+        searched.append(nodes)
+    return dict(assignment) if found else None
 
 
 def _greedy_from_root(g: MultiGraph, lists: Mapping[int, set],
@@ -733,15 +746,15 @@ def _greedy_from_root(g: MultiGraph, lists: Mapping[int, set],
 
 
 def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
-                       budget: int | None = None
+                       budget: int | None = None, searched: list | None = None
                        ) -> dict[int, int] | GallaiCertificate:
     """Colour vertices from lists at least as large as their degrees.
 
     Returns a proper colouring, or a certificate that the graph is a tight
     Gallai tree (every list exactly the degree), the one situation with no
     constructive guarantee — the caller decides by exact search.
-    ``budget`` bounds the search a failed repair falls back to (see
-    ``solve_vertex_lists``).
+    ``budget`` bounds the search a failed repair falls back to, and
+    ``searched`` gets its node count (see ``solve_vertex_lists``).
     """
     if not g.is_connected():
         raise InputError("degree-list colouring needs a connected graph")
@@ -778,7 +791,7 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
     if repaired is not None:
         return repaired | iso_colours
     # A colouring is still guaranteed to exist here; find it directly.
-    solved = solve_vertex_lists(g, lsets, budget)
+    solved = solve_vertex_lists(g, lsets, budget, searched)
     if solved is None:
         raise AssertionError(
             "tight non-Gallai-tree instance turned out uncolourable")
@@ -869,24 +882,28 @@ def _colour_reduced(c, reduced: MultiGraph, lists, budget) -> SolveOutcome:
     The callers have ruled out both exceptional shapes, so a component
     that cannot be coloured would be a bug and raises.  ``budget`` bounds
     each search a component falls back to; a search that passes it makes
-    the outcome ``BUDGET``.
+    the outcome ``BUDGET``.  The outcome counts the nodes of every search.
     """
     colouring = dict(c)
+    searched: list[int] = []
     for _, comp_eids in reduced.components():
         try:
             part = _colour_component(reduced.restrict_edges(comp_eids),
-                                     lists, budget)
+                                     lists, budget, searched)
         except BudgetSpent as spent:
-            return SolveOutcome(BUDGET, None, nodes=spent.nodes,
+            return SolveOutcome(BUDGET, None,
+                                nodes=sum(searched) + spent.nodes,
                                 method="gallai")
         if part is None:
             raise AssertionError(
                 "extension failed on a non-exceptional instance")
         colouring = merge_colourings(colouring, part)
-    return SolveOutcome(SOLVED, colouring, method="gallai")
+    return SolveOutcome(SOLVED, colouring, nodes=sum(searched),
+                        method="gallai")
 
 
-def _colour_component(sub: MultiGraph, lists, budget) -> dict[EdgeId, int] | None:
+def _colour_component(sub: MultiGraph, lists, budget,
+                      searched) -> dict[EdgeId, int] | None:
     lg = line_graph(sub)
     index = {i: eid for i, (eid, _, _) in enumerate(sub.edges)}
     vlists = {i: set(lists[index[i]]) for i in range(lg.n)}
@@ -895,9 +912,9 @@ def _colour_component(sub: MultiGraph, lists, budget) -> dict[EdgeId, int] | Non
             return None
         if len(vlists[i]) < lg.degree(i):
             raise AssertionError("edge list smaller than line-graph degree")
-    result = degree_list_colour(lg, vlists, budget) if lg.n else {}
+    result = degree_list_colour(lg, vlists, budget, searched) if lg.n else {}
     if isinstance(result, GallaiCertificate):
-        solved = solve_vertex_lists(lg, vlists, budget)
+        solved = solve_vertex_lists(lg, vlists, budget, searched)
         if solved is None:
             return None
         result = solved
@@ -1164,3 +1181,135 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
     if len(colour) != len(g.edges):
         raise AssertionError("fan colouring left edges uncoloured")
     return colour
+
+
+# -- graph and precolouring enumeration ----------------------------------
+
+def canonical_form(g: MultiGraph) -> tuple:
+    """Exact canonical form: iterated neighbourhood refinement, with
+    branching on the first non-singleton class until discrete."""
+    n = g.n
+    nbr: list[dict[int, int]] = [dict() for _ in range(n)]
+    for _, u, v in g.edges:
+        nbr[u][v] = nbr[u].get(v, 0) + 1
+        nbr[v][u] = nbr[v].get(u, 0) + 1
+
+    def refine(colours):
+        while True:
+            sig = []
+            for v in range(n):
+                around = tuple(sorted((colours[w], mult)
+                                      for w, mult in nbr[v].items()))
+                sig.append((colours[v], around))
+            order = {s: i for i, s in enumerate(sorted(set(sig)))}
+            new = tuple(order[sig[v]] for v in range(n))
+            if new == colours:
+                return new
+            colours = new
+
+    def form_of(colours):
+        rank = {}
+        for v in sorted(range(n), key=lambda v: colours[v]):
+            rank[v] = len(rank)
+        pairs = sorted((min(rank[u], rank[v]), max(rank[u], rank[v]))
+                       for _, u, v in g.edges)
+        return tuple(pairs)
+
+    def search(colours):
+        colours = refine(colours)
+        classes: dict[int, list[int]] = {}
+        for v in range(n):
+            classes.setdefault(colours[v], []).append(v)
+        target = None
+        for c in sorted(classes):
+            if len(classes[c]) > 1:
+                target = classes[c]
+                break
+        if target is None:
+            return form_of(colours)
+        best = None
+        for v in target:
+            branched = tuple(c - n if w == v else c
+                             for w, c in enumerate(colours))
+            cand = search(branched)
+            if best is None or cand < best:
+                best = cand
+        return best
+
+    return (n, search(tuple(0 for _ in range(n))))
+
+
+def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
+                          connected_only: bool = True,
+                          delta_max: int | None = None
+                          ) -> Iterator[MultiGraph]:
+    """All multigraphs within the bounds, one per isomorphism class.
+
+    Graphs have no isolated vertices and at least one edge; the stream is
+    produced level by level in edge count and is deterministic.
+    """
+    if n_max < 2 or e_max < 1 or mu_max < 1 or (
+            delta_max is not None and delta_max < 1):
+        raise InputError("bounds must allow at least a single edge")
+
+    def ok_degrees(g):
+        return delta_max is None or g.delta() <= delta_max
+
+    level = {}
+    seed = MultiGraph(2, [(0, 0, 1)])
+    if ok_degrees(seed):
+        level[canonical_form(seed)] = seed
+    for e in range(1, e_max + 1):
+        ordered = sorted(level.items())
+        for _, g in ordered:
+            yield g
+        if e == e_max:
+            break
+        nxt = {}
+        for _, g in ordered:
+            for h in _augment(g, n_max, mu_max, connected_only):
+                if not ok_degrees(h):
+                    continue
+                key = canonical_form(h)
+                if key not in nxt:
+                    nxt[key] = h
+        level = nxt
+
+
+def _augment(g: MultiGraph, n_max, mu_max, connected_only):
+    e = len(g.edges)
+    mults = {}
+    for _, u, v in g.edges:
+        pair = (u, v) if u < v else (v, u)
+        mults[pair] = mults.get(pair, 0) + 1
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if mults.get((u, v), 0) < mu_max:
+                yield MultiGraph(g.n, list(g.edges) + [(e, u, v)])
+    if g.n < n_max:
+        for u in range(g.n):
+            yield MultiGraph(g.n + 1, list(g.edges) + [(e, u, g.n)])
+    if not connected_only and g.n + 2 <= n_max:
+        yield MultiGraph(g.n + 2, list(g.edges) + [(e, g.n, g.n + 1)])
+
+
+def _colourings_of(g, subset, palette, up_to_permutation):
+    if not subset:
+        yield {}
+        return
+    adj = {eid: set(g.adjacent_edges(eid)) & set(subset) for eid in subset}
+
+    def assign(i, current, max_used):
+        if i == len(subset):
+            yield dict(current)
+            return
+        eid = subset[i]
+        top = min(palette.k, max_used + 1) if up_to_permutation else palette.k
+        for c in range(1, top + 1):
+            if any(current.get(f) == c for f in adj[eid]):
+                continue
+            current[eid] = c
+            yield from assign(i + 1, current, max(max_used, c))
+            del current[eid]
+
+    yield from assign(0, {}, 0)

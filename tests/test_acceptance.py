@@ -38,6 +38,16 @@ def test_criterion_1_matching_extension_sweep(capsys):
                       "(n<=4, e<=7, mu<=2)", body)
 
 
+def test_criterion_13_simple_graph_matching_extension_sweep(capsys):
+    def body():
+        rep = instances.verify("matching-extension",
+                               max_n=8, max_e=10, max_mu=1)
+        assert rep.ok, rep.counterexample
+        assert (rep.graphs, rep.instances) == (1308, 147785)
+    _check(capsys, 13, "exhaustive matching extension on simple graphs, "
+                       "palette Delta+1 (n<=8, e<=10)", body)
+
+
 def test_criterion_2_subdivided_star_sharpness(capsys):
     def body():
         for s in range(2, 9):

@@ -286,6 +286,13 @@ def test_extend_subcubic_colours_a_long_tight_cycle():
     assert set(out.colouring.values()) <= {1, 2, 3, 4}
 
 
+def test_extend_subcubic_reports_its_search_nodes():
+    # each 101-edge rim is a tight odd cycle that only search colours
+    g, pre = prism(101)
+    out = extend_subcubic(g, pre)
+    assert out.solved and out.nodes > 0
+
+
 # -- agreement with the id-keyed pipeline -----------------------------------
 
 BUDGETS = st.sampled_from([None, 1, 3, 10])

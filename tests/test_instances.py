@@ -1,9 +1,10 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
@@ -104,6 +105,54 @@ def test_canonical_form_invariant_under_relabelling(g, rnd):
     assert canonical_form(g) == canonical_form(permuted(g, perm))
 
 
+# the full search on seven isolated vertices visits 7! leaves (~0.3 s)
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_n=7, max_e=10), st.randoms())
+# a 4-cycle beside a triangle: orbits from automorphisms that move the
+# path would skip the subtree holding the least leaf
+@example(g=MultiGraph(7, [(0, 0, 5), (1, 0, 3), (2, 5, 6), (3, 3, 6),
+                          (4, 2, 1), (5, 2, 4), (6, 1, 4)]),
+         rnd=random.Random(0))
+def test_canonical_form_matches_the_full_search(g, rnd):
+    # pruning by automorphisms keeps the least leaf, so every form is the
+    # one the search over every leaf gives
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert canonical_form(g) == oracles.canonical_form(g)
+    h = permuted(g, perm)
+    assert canonical_form(h) == oracles.canonical_form(h)
+
+
+def _is_automorphism(g, gamma):
+    def pairs(image):
+        return sorted(tuple(sorted((image[u], image[v])))
+                      for _, u, v in g.edges)
+    return sorted(gamma) == list(range(g.n)) and \
+        pairs(gamma) == pairs(range(g.n))
+
+
+@settings(max_examples=60)
+@given(multigraphs(max_n=7, max_e=10))
+def test_recorded_generators_are_automorphisms(g):
+    generators = []
+    canonical_form(g, generators)
+    assert all(_is_automorphism(g, gamma) for gamma in generators)
+
+
+@pytest.mark.parametrize("g", [
+    MultiGraph(11, [(i, 0, i + 1) for i in range(10)]),     # K_{1,10}
+    MultiGraph(13, [(0, 0, 1)]),                  # 11 isolated vertices
+], ids=["star", "isolated"])
+def test_canonical_form_prunes_symmetric_graphs(g):
+    # the full search visits 10! and 11! leaves; orbit pruning keeps it
+    # to a few per level
+    perm = list(range(g.n))
+    random.Random(7).shuffle(perm)
+    start = time.monotonic()
+    assert canonical_form(g) == canonical_form(permuted(g, perm))
+    assert time.monotonic() - start < 5
+
+
 def test_canonical_form_separates_non_isomorphic():
     path = edges_path(4)       # 3 edges
     star = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)])
@@ -166,6 +215,20 @@ def test_enumeration_disconnected_mode():
     assert canonical_form(two) in got
 
 
+@pytest.mark.parametrize("bounds, options", [
+    ((6, 6, 2), {}),
+    ((7, 6, 3), {"delta_max": 3}),
+    ((5, 5, 2), {"connected_only": False}),
+])
+def test_enumeration_stream_matches_the_unpruned_one(bounds, options):
+    # the same representative of each class, with the same edge ids, in
+    # the same order as when every child went through canonical_form
+    assert [g.to_json_obj()
+            for g in enumerate_multigraphs(*bounds, **options)] == \
+        [g.to_json_obj()
+         for g in oracles.enumerate_multigraphs(*bounds, **options)]
+
+
 # -- precolouring enumeration -------------------------------------------
 
 def test_edge_sets_distance_filter():
@@ -203,6 +266,22 @@ def test_bounded_precolourings_are_the_filtered_stream(g, t, bound, extra):
                 if max_precoloured_degree(g, pre) <= bound]
     assert list(enumerate_precolourings(g, palette, t=t,
                                         max_load=bound)) == filtered
+
+
+@settings(max_examples=60)
+@given(multigraphs(max_n=5, max_e=6, max_mu=2),
+       st.sampled_from([0, 1, 3]), st.booleans(),
+       st.sampled_from([None, 1, 2]),
+       st.integers(min_value=1, max_value=2))
+def test_precolourings_match_the_set_based_stream(g, t, up_to, bound,
+                                                  extra):
+    palette = Palette(g.delta() + extra)
+    expected = [list(pre.items())
+                for subset in enumerate_edge_sets(g, t, bound)
+                for pre in oracles._colourings_of(g, subset, palette, up_to)]
+    assert [list(pre.items()) for pre in enumerate_precolourings(
+        g, palette, t=t, up_to_colour_permutation=up_to,
+        max_load=bound)] == expected
 
 
 def test_precolourings_up_to_colour_permutation():
