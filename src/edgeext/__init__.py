@@ -8,9 +8,8 @@ instances (families, enumeration, verification harness), cli.
 """
 
 from .core import (EdgeId, InputError, INFINITE_DISTANCE, MultiGraph,
-                   DegreeStats, degree_stats, line_graph, line_adjacency,
-                   edge_distance, is_distance_matching, edges_path,
-                   edges_cycle)
+                   DegreeStats, degree_stats, line_graph, edge_distance,
+                   is_distance_matching, edges_path, edges_cycle)
 from .colouring import (Palette, is_proper, validate_precolouring,
                         reduce_to_lists, merge_colourings,
                         colouring_to_json_obj, colouring_from_json_obj)

@@ -49,8 +49,8 @@ def _load_colouring(g: MultiGraph, path: str):
 
 def _load_lists(g: MultiGraph, path: str):
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "lists" not in obj:
-        raise InputError(f"{path}: expected an object with a 'lists' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("lists"), dict):
+        raise InputError(f"{path}: expected an object with a 'lists' map")
     lists = {}
     for key, value in obj["lists"].items():
         eid = _resolve_edge_key(g, key)
@@ -191,12 +191,9 @@ def _cmd_rho(args) -> int:
 def _cmd_vizing(args) -> int:
     g = _load_graph(args.graph)
     colouring = exact.vizing_colour(g)
-    used = max(colouring.values(), default=0)
-    delta = g.delta()
-    bound = min(delta + g.mu(), max(3 * delta // 2, delta + 1)) if g.edges else 0
     obj = {"status": "solved",
-           "colours_used": used,
-           "bound": bound,
+           "colours_used": max(colouring.values(), default=0),
+           "bound": exact.vizing_bound(g),
            "colouring": {str(eid): c for eid, c in colouring.items()}}
     _emit(obj, args)
     if args.dot:

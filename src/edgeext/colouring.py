@@ -51,21 +51,11 @@ def is_proper(g: MultiGraph, colouring: Mapping[EdgeId, int]) -> bool:
     return True
 
 
-def precoloured_degree_edge(g: MultiGraph, precoloured: Iterable[EdgeId],
-                            e: EdgeId) -> int:
-    """Number of precoloured edges adjacent to the uncoloured edge e."""
-    pre = set(precoloured)
-    if e in pre:
-        raise InputError(f"edge {e!r} is itself precoloured")
-    g.endpoints(e)
-    return sum(1 for f in g.adjacent_edges(e) if f in pre)
-
-
 def precoloured_degree_vertex(g: MultiGraph, precoloured: Iterable[EdgeId],
                               v: int) -> int:
     """Number of precoloured edges incident with vertex v."""
     pre = set(precoloured)
-    return sum(1 for eid, _ in g.incident(v) if eid in pre)
+    return sum(1 for i in g.incidence[v] if g.ids[i] in pre)
 
 
 def max_precoloured_degree(g: MultiGraph,

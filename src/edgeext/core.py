@@ -34,13 +34,17 @@ def _id_sort_key(eid):
 
 
 class MultiGraph:
-    """Immutable loopless multigraph on vertices 0..n-1.
+    """Immutable loopless multigraph on vertices 0..n-1, in index form.
 
     ``edges`` is an ordered sequence of (edge_id, u, v) triples; parallel
-    edges are distinct entries with distinct ids.
+    edges are distinct entries with distinct ids.  Edge i is ``edges[i]``,
+    and the engines work on these indices: ``ids[i]`` is its id,
+    ``index`` maps an id back to i, ``ends[i]`` is its (u, v) and
+    ``incidence[v]`` lists the edges at v in increasing order.  The
+    id-keyed accessors below are read off these arrays.
     """
 
-    __slots__ = ("n", "edges", "_endpoints", "_incident", "_degrees",
+    __slots__ = ("n", "edges", "ids", "index", "ends", "incidence",
                  "_dense", "_stats")
 
     def __init__(self, n: int, edges: Iterable[tuple[EdgeId, int, int]]):
@@ -48,28 +52,33 @@ class MultiGraph:
             raise InputError("vertex count must be non-negative")
         self.n = n
         edge_list = []
-        endpoints = {}
-        incident: list[list[tuple[EdgeId, int]]] = [[] for _ in range(n)]
+        ids = []
+        ends = []
+        index = {}
+        incidence: list[list[int]] = [[] for _ in range(n)]
         for eid, u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {eid!r}: endpoint out of range")
             if u == v:
                 raise InputError(f"edge {eid!r}: loops are not allowed")
-            if eid in endpoints:
+            if eid in index:
                 raise InputError(f"duplicate edge id {eid!r}")
+            i = index[eid] = len(ids)
             edge_list.append((eid, u, v))
-            endpoints[eid] = (u, v)
-            incident[u].append((eid, v))
-            incident[v].append((eid, u))
+            ids.append(eid)
+            ends.append((u, v))
+            incidence[u].append(i)
+            incidence[v].append(i)
         self.edges = tuple(edge_list)
-        self._endpoints = endpoints
-        self._incident = tuple(tuple(entries) for entries in incident)
-        self._degrees = tuple(len(entries) for entries in incident)
+        self.ids = tuple(ids)
+        self.index = index
+        self.ends = tuple(ends)
+        self.incidence = tuple(map(tuple, incidence))
         self._dense = None
         self._stats = None
 
     def dense(self) -> "DenseForm":
-        """The graph's index form, built on first use and kept."""
+        """The graph's edge masks, built on first use and kept."""
         if self._dense is None:
             self._dense = DenseForm(self)
         return self._dense
@@ -78,45 +87,60 @@ class MultiGraph:
 
     @property
     def edge_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(eid for eid, _, _ in self.edges)
+        return self.ids
 
     def has_edge(self, eid: EdgeId) -> bool:
-        return eid in self._endpoints
+        return eid in self.index
+
+    def _index_of(self, eid: EdgeId) -> int:
+        try:
+            return self.index[eid]
+        except KeyError:
+            raise InputError(f"unknown edge id {eid!r}") from None
 
     def endpoints(self, eid: EdgeId) -> tuple[int, int]:
         try:
-            return self._endpoints[eid]
+            return self.ends[self.index[eid]]
         except KeyError:
             raise InputError(f"unknown edge id {eid!r}") from None
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return len(self.incidence[v])
+
+    def neighbours(self, v: int) -> list[int]:
+        """The other end of each edge at v, in edge order."""
+        ends = self.ends
+        return [sum(ends[i]) - v for i in self.incidence[v]]
 
     def incident(self, v: int) -> tuple[tuple[EdgeId, int], ...]:
         """Edges at v as (edge_id, other_endpoint) pairs, in edge order."""
-        return self._incident[v]
+        ids = self.ids
+        return tuple(zip((ids[i] for i in self.incidence[v]),
+                         self.neighbours(v)))
 
     def delta(self) -> int:
-        return max(self._degrees, default=0)
+        return max(map(len, self.incidence), default=0)
 
     def mu(self) -> int:
         counts: dict[tuple[int, int], int] = {}
-        for _, u, v in self.edges:
+        for u, v in self.ends:
             key = (u, v) if u < v else (v, u)
             counts[key] = counts.get(key, 0) + 1
         return max(counts.values(), default=0)
 
+    def _adjacent(self, i: int) -> list[int]:
+        """Edges sharing an end with edge i (itself excluded): those at
+        its first end, then the others at its second, each ascending."""
+        u, v = self.ends[i]
+        at_u = self.incidence[u]
+        seen = set(at_u)
+        return [j for j in at_u if j != i] + \
+            [j for j in self.incidence[v] if j not in seen]
+
     def adjacent_edges(self, eid: EdgeId) -> tuple[EdgeId, ...]:
         """Edges sharing at least one endpoint with ``eid`` (itself excluded)."""
-        u, v = self.endpoints(eid)
-        seen = {eid}
-        out = []
-        for w in (u, v):
-            for f, _ in self._incident[w]:
-                if f not in seen:
-                    seen.add(f)
-                    out.append(f)
-        return tuple(out)
+        ids = self.ids
+        return tuple(ids[j] for j in self._adjacent(self._index_of(eid)))
 
     # -- derived graphs --------------------------------------------------
 
@@ -124,7 +148,7 @@ class MultiGraph:
         """New graph without the given edges; survivors keep id and order."""
         drop = set(ids)
         for eid in drop:
-            if eid not in self._endpoints:
+            if eid not in self.index:
                 raise InputError(f"unknown edge id {eid!r}")
         return MultiGraph(self.n, (e for e in self.edges if e[0] not in drop))
 
@@ -132,7 +156,7 @@ class MultiGraph:
         """New graph with only the given edges, in original order."""
         keep = set(ids)
         for eid in keep:
-            if eid not in self._endpoints:
+            if eid not in self.index:
                 raise InputError(f"unknown edge id {eid!r}")
         return MultiGraph(self.n, (e for e in self.edges if e[0] in keep))
 
@@ -144,13 +168,13 @@ class MultiGraph:
         seen: set[int] = set()
         out = []
         for v in range(self.n):
-            if v in seen or not self._incident[v]:
+            if v in seen or not self.incidence[v]:
                 continue
             comp = {v}
             queue = deque([v])
             while queue:
                 w = queue.popleft()
-                for _, x in self._incident[w]:
+                for x in self.neighbours(w):
                     if x not in comp:
                         comp.add(x)
                         queue.append(x)
@@ -217,47 +241,41 @@ class MultiGraph:
 
 
 class DenseForm:
-    """A graph's edges as indices, for hot paths that would otherwise key
-    dicts by edge id.
+    """A graph's edges as bitmasks, for engines that work on edge sets.
 
-    Edge i is ``g.edges[i]``; bit i of an edge mask stands for edge i.
-    ``at_vertex[v]`` is the mask of the edges at vertex v.  ``rank[i]`` is
-    edge i's position in edge-id order (``_id_sort_key``), so ties broken
-    by rank fall as they would by id.  ``connected`` is
-    ``g.is_connected()``.
+    Bit i of an edge mask stands for edge i of the graph (see
+    ``MultiGraph``), whose arrays hold everything else.  ``at_vertex[v]``
+    is the mask of the edges at vertex v and ``adjacent[i]`` that of edge
+    i's line-graph neighbours.  ``rank[i]`` is edge i's position in
+    edge-id order (``_id_sort_key``), so ties broken by rank fall as they
+    would by id.  ``connected`` is ``g.is_connected()``.  ``_ends`` is the
+    graph's own ``ends`` tuple, shared, not copied.
     """
 
-    __slots__ = ("ids", "index", "ends", "incident", "at_vertex", "adjacent",
-                 "rank", "connected")
+    __slots__ = ("_ends", "at_vertex", "adjacent", "rank", "connected")
 
     def __init__(self, g: MultiGraph):
-        self.ids = tuple(eid for eid, _, _ in g.edges)
-        self.index = {eid: i for i, eid in enumerate(self.ids)}
-        self.ends = tuple((u, v) for _, u, v in g.edges)
-        incident: list[list[int]] = [[] for _ in range(g.n)]
-        at_vertex = [0] * g.n
-        for i, (u, v) in enumerate(self.ends):
-            for w in (u, v):
-                incident[w].append(i)
-                at_vertex[w] |= 1 << i
-        self.incident = tuple(tuple(entries) for entries in incident)
-        self.at_vertex = tuple(at_vertex)
+        self._ends = g.ends
+        # an edge lies at most once at a vertex, so the sum is the union
+        self.at_vertex = at_vertex = tuple(sum(1 << i for i in edges)
+                                           for edges in g.incidence)
         #: line-graph neighbours of each edge, as an edge mask
         self.adjacent = tuple((at_vertex[u] | at_vertex[v]) & ~(1 << i)
-                              for i, (u, v) in enumerate(self.ends))
-        rank = [0] * len(self.ids)
-        for r, i in enumerate(sorted(range(len(self.ids)),
-                                     key=lambda i: _id_sort_key(self.ids[i]))):
+                              for i, (u, v) in enumerate(g.ends))
+        ids = g.ids
+        rank = [0] * len(ids)
+        for r, i in enumerate(sorted(range(len(ids)),
+                                     key=lambda i: _id_sort_key(ids[i]))):
             rank[i] = r
         self.rank = tuple(rank)
-        self.connected = len(self.components((1 << len(self.ids)) - 1)) <= 1
+        self.connected = len(self.components((1 << len(ids)) - 1)) <= 1
 
     def line_neighbours(self, i: int, within: int) -> list[int]:
         """Edge i's neighbours among the ``within`` edges, in the order
         ``line_graph``'s incidence lists them: earlier edges, then later
         edges at i's first end, then later edges at its second end only,
         each ascending."""
-        u, v = self.ends[i]
+        u, v = self._ends[i]
         later = -2 << i
         at_u = self.at_vertex[u] & within
         out = []
@@ -319,23 +337,18 @@ def degree_stats(g: MultiGraph) -> DegreeStats:
     return g._stats
 
 
-def line_adjacency(g: MultiGraph) -> dict[EdgeId, tuple[EdgeId, ...]]:
-    """Adjacency of the line graph keyed by edge id."""
-    return {eid: g.adjacent_edges(eid) for eid in g.edge_ids}
-
-
 def line_graph(g: MultiGraph) -> MultiGraph:
     """Simple graph on g's edges; vertex i is g.edges[i].
 
     The returned edge ids are (id_a, id_b) pairs in edge order.
     """
-    index = {eid: i for i, (eid, _, _) in enumerate(g.edges)}
+    ids = g.ids
     edges = []
-    for eid, _, _ in g.edges:
-        for f in g.adjacent_edges(eid):
-            if index[eid] < index[f]:
-                edges.append(((eid, f), index[eid], index[f]))
-    return MultiGraph(len(g.edges), edges)
+    for i, eid in enumerate(ids):
+        for j in g._adjacent(i):
+            if i < j:
+                edges.append(((eid, ids[j]), i, j))
+    return MultiGraph(len(ids), edges)
 
 
 def edge_distance(g: MultiGraph, e: EdgeId, f: EdgeId):
@@ -343,18 +356,18 @@ def edge_distance(g: MultiGraph, e: EdgeId, f: EdgeId):
 
     Returns INFINITE_DISTANCE when the edges lie in different components.
     """
-    g.endpoints(e)
-    g.endpoints(f)
-    if e == f:
+    start = g._index_of(e)
+    goal = g._index_of(f)
+    if start == goal:
         return 0
-    dist = {e: 0}
-    queue = deque([e])
+    dist = {start: 0}
+    queue = deque([start])
     while queue:
         cur = queue.popleft()
         d = dist[cur]
-        for nxt in g.adjacent_edges(cur):
+        for nxt in g._adjacent(cur):
             if nxt not in dist:
-                if nxt == f:
+                if nxt == goal:
                     return d + 1
                 dist[nxt] = d + 1
                 queue.append(nxt)
@@ -388,7 +401,7 @@ def is_distance_matching(g: MultiGraph, ids: Iterable[EdgeId], t: int) -> bool:
         for _ in range(t - 1):
             reached = []
             for w in frontier:
-                for _, x in g.incident(w):
+                for x in g.neighbours(w):
                     if x not in seen:
                         if owner.get(x, j) != j:
                             return False

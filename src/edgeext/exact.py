@@ -441,29 +441,32 @@ def chromatic_index(g: MultiGraph, budget: int | None = None) -> int:
 
 # -- constructive fan colouring -----------------------------------------
 
+def vizing_bound(g: MultiGraph) -> int:
+    """min(Delta+mu, max(floor(3*Delta/2), Delta+1)), the palette
+    ``vizing_colour`` stays within; 0 for a graph with no edges."""
+    if not g.edges:
+        return 0
+    delta = g.delta()
+    return min(delta + g.mu(), max(3 * delta // 2, delta + 1))
+
+
 def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
-    """Proper colouring with at most min(Delta+mu, floor(3*Delta/2)) colours.
+    """Proper colouring with at most ``vizing_bound(g)`` colours.
 
     Constructive fan/alternating-path recolouring; no exhaustive search.
     Ambiguities resolve to the lowest colour and lowest edge id.
 
-    Edges are indices into ``g.edges``, and ``at[v]`` is the mask of the
+    Edges are the graph's indices, and ``at[v]`` is the mask of the
     colours at v.  Every step colours or recolours edges already coloured,
     except that the edge the loop is on is coloured last, so edges are
     first coloured in ``g.edges`` order.
     """
     if not g.edges:
         return {}
-    delta = g.delta()
-    k = min(delta + g.mu(), max(3 * delta // 2, delta + 1))
-    full = (1 << (k + 1)) - 2  # colours 1..k
-    ends = [(u, v) for _, u, v in g.edges]
+    full = (1 << (vizing_bound(g) + 1)) - 2  # colours 1..k
+    ends, inc = g.ends, g.incidence
     col = [0] * len(ends)
     at = [0] * g.n
-    inc: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(ends):
-        inc[u].append(i)
-        inc[v].append(i)
 
     def edge_with_colour(v: int, c: int) -> int:
         for i in inc[v]:
@@ -572,7 +575,7 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
         x, y = (u, v) if g.degree(u) <= g.degree(v) else (v, u)
         run_fan(i, x, y)
 
-    colour = {eid: c for (eid, _, _), c in zip(g.edges, col) if c}
+    colour = {eid: c for eid, c in zip(g.ids, col) if c}
     if not is_proper(g, colour):
         raise AssertionError("fan colouring produced an improper colouring")
     if len(colour) != len(g.edges):

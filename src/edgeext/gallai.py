@@ -13,7 +13,7 @@ on vertex and colour bitmasks.  Each sees the graph as ``nbrs(v, within)``,
 v's neighbours in the vertex mask ``within`` in visiting order (once per
 parallel edge), and ``nmask[v]``, the mask of all of them.  The extenders
 read the uncoloured edges' line graph off the dense form; the public
-functions pass ``g.incident`` order.
+functions pass the graph's incidence order.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ Neighbours = Callable[[int, int], Sequence[int]]
 
 
 def _neighbours(g: MultiGraph) -> tuple[Neighbours, list[int], int]:
-    """``g`` in ``incident`` order: neighbours, their masks, and the mask
-    of the vertices that have edges."""
-    lists = [tuple(w for _, w in g.incident(v)) for v in range(g.n)]
+    """``g`` in incidence order: neighbours, their masks, and the mask of
+    the vertices that have edges."""
+    lists = [tuple(g.neighbours(v)) for v in range(g.n)]
 
     def nbrs(v: int, within: int) -> list[int]:
         return [w for w in lists[v] if within >> w & 1]
@@ -121,7 +121,8 @@ def block_decompose(g: MultiGraph) -> BlockDecomposition:
     return BlockDecomposition(
         [frozenset(x for v, w, _ in block for x in (v, w))
          for block in blocks],
-        [tuple(g.incident(v)[j][0] for v, _, j in block) for block in blocks],
+        [tuple(g.ids[g.incidence[v][j]] for v, _, j in block)
+         for block in blocks],
         frozenset(cut))
 
 
@@ -344,7 +345,7 @@ class ExceptionReport:
 
 def exception_shape(g: MultiGraph, k: int) -> ExceptionReport | None:
     """Detect the two always-unextendable shapes for palette [Delta+k]."""
-    verts = [v for v in range(g.n) if g.incident(v)]
+    verts = [v for v in range(g.n) if g.incidence[v]]
     if k == 0 and degree_stats(g).mu == 1 and len(verts) >= 3 \
             and len(verts) % 2 == 1 and len(g.edges) == len(verts) \
             and all(g.degree(v) == 2 for v in verts) and g.dense().connected:
@@ -396,11 +397,11 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
     so a failure is a bug and raises; a search past ``budget`` is BUDGET."""
     d = g.dense()
     adjacent = d.adjacent
-    live = (1 << len(d.ids)) - 1
+    live = (1 << len(g.ids)) - 1
     for eid in c:
-        live ^= 1 << d.index[eid]
+        live ^= 1 << g.index[eid]
     full = (1 << (palette.k + 1)) - 2
-    lists = [full & ~(used[u] | used[v]) for u, v in d.ends]
+    lists = [full & ~(used[u] | used[v]) for u, v in g.ends]
     colouring = dict(c)
     nodes = 0
     for comp in d.components(live):
@@ -430,7 +431,7 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
         if part is None:
             raise AssertionError("non-exceptional instance failed")
         for i, colour in part.items():
-            colouring[d.ids[i]] = colour
+            colouring[g.ids[i]] = colour
     return SolveOutcome(SOLVED, colouring, nodes=nodes, method="gallai")
 
 

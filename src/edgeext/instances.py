@@ -362,20 +362,20 @@ def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
 def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
     """The edges within line-graph distance t of each edge (itself
     excluded), by one breadth-first search to depth t from each edge."""
-    d = g.dense()
+    adjacent = g.dense().adjacent
     out = {}
-    for i, eid in enumerate(d.ids):
+    for i, eid in enumerate(g.ids):
         reached = 1 << i
         frontier = reached
         for _ in range(t):
             grown = 0
             for j in edge_bits(frontier):
-                grown |= d.adjacent[j]
+                grown |= adjacent[j]
             frontier = grown & ~reached
             if not frontier:
                 break
             reached |= frontier
-        out[eid] = {d.ids[j] for j in edge_bits(reached & ~(1 << i))}
+        out[eid] = {g.ids[j] for j in edge_bits(reached & ~(1 << i))}
     return out
 
 

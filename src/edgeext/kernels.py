@@ -6,7 +6,8 @@ by colour solves list instances whose lists have size at least Delta.
 The same pipeline powers the precolouring extenders for bipartite and
 Shannon-bound palettes, with the exact solver as a total fallback.
 
-The pipeline runs on the graph's dense form (``MultiGraph.dense``):
+The pipeline runs on the graph's edge indices and, for line-graph
+adjacency and edge-id ranks, its dense form (``MultiGraph.dense``):
 colour sets and lists are colour bitmasks, arcs and kernels are edge
 masks.  ``konig_colour``, ``galvin_orient``, ``kernel`` and ``is_kernel``
 translate edge ids to indices and back around the same routines.
@@ -18,8 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import (DenseForm, EdgeId, InputError, MultiGraph, _id_sort_key,
-                   edge_bits)
+from .core import EdgeId, InputError, MultiGraph, _id_sort_key, edge_bits
 from .colouring import (Palette, check_load, extension_masks, is_proper,
                         merge_colourings)
 from . import exact
@@ -60,7 +60,7 @@ def find_bipartition(g: MultiGraph) -> dict[int, str]:
 
     Vertices without edges land on side 'X'.
     """
-    is_x = _bipartition(g.n, ((u, v) for _, u, v in g.edges))
+    is_x = _bipartition(g.n, g.ends)
     if is_x is None:
         raise InputError("graph is not bipartite")
     return {v: "X" if x else "Y" for v, x in enumerate(is_x)}
@@ -81,26 +81,26 @@ def _x_sides(g: MultiGraph, side_of: Mapping[int, str]) -> list[bool]:
     return [side_of.get(v) == "X" for v in range(g.n)]
 
 
-def _degrees(d: DenseForm, edges: Sequence[int]) -> list[int]:
-    deg = [0] * len(d.incident)
+def _degrees(g: MultiGraph, edges: Sequence[int]) -> list[int]:
+    deg = [0] * g.n
     for i in edges:
-        u, v = d.ends[i]
+        u, v = g.ends[i]
         deg[u] += 1
         deg[v] += 1
     return deg
 
 
-def _edge_mask(d: DenseForm, ids: Iterable[EdgeId]) -> int:
+def _edge_mask(g: MultiGraph, ids: Iterable[EdgeId]) -> int:
     mask = 0
     for eid in ids:
-        i = d.index.get(eid)
+        i = g.index.get(eid)
         if i is None:
             raise InputError(f"unknown edge id {eid!r}")
         mask |= 1 << i
     return mask
 
 
-def _konig(d: DenseForm, edges: Sequence[int], delta: int) -> list[int]:
+def _konig(g: MultiGraph, edges: Sequence[int], delta: int) -> list[int]:
     """Proper colouring of ``edges`` within [delta] of a bipartite graph;
     entry i is edge i's colour, 0 for an edge not listed.
 
@@ -109,10 +109,10 @@ def _konig(d: DenseForm, edges: Sequence[int], delta: int) -> list[int]:
     a/b path from v frees a at both ends (the path cannot reach u, by
     parity).  ``at[w]`` maps each colour present at w to its edge.
     """
-    ends = d.ends
+    ends = g.ends
     phi = [0] * len(ends)
-    at: list[dict[int, int]] = [{} for _ in d.incident]
-    used = [0] * len(d.incident)
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    used = [0] * g.n
     full = (1 << (delta + 1)) - 2
     for i in edges:
         u, v = ends[i]
@@ -162,12 +162,11 @@ def konig_colour(g: MultiGraph,
     if side_of is None:
         side_of = find_bipartition(g)
     check_bipartition(g, side_of)
-    d = g.dense()
-    return dict(zip(d.ids, _konig(d, range(len(d.ids)), g.delta())))
+    return dict(zip(g.ids, _konig(g, range(len(g.ids)), g.delta())))
 
 
 class _Orientation:
-    """A Galvin orientation on some edges of a dense graph.
+    """A Galvin orientation on some edges of a graph.
 
     ``arcs[i]`` is edge i's out-neighbours as an edge mask.  Kernels offer
     edges in ``order`` (base colour, then edge id); ``place[i]`` is edge i's
@@ -176,14 +175,14 @@ class _Orientation:
 
     __slots__ = ("adjacent", "arcs", "x_end", "y_end", "order", "place")
 
-    def __init__(self, d: DenseForm, edges: Sequence[int],
+    def __init__(self, g: MultiGraph, edges: Sequence[int],
                  phi: Sequence[int], is_x: Sequence[bool], delta: int):
-        m = len(d.ids)
-        here: list[list[int]] = [[] for _ in d.incident]
+        m = len(g.ids)
+        here: list[list[int]] = [[] for _ in range(g.n)]
         self.x_end = [0] * m
         self.y_end = [0] * m
         for i in edges:
-            u, v = d.ends[i]
+            u, v = g.ends[i]
             here[u].append(i)
             here[v].append(i)
             self.x_end[i], self.y_end[i] = (u, v) if is_x[u] else (v, u)
@@ -199,6 +198,7 @@ class _Orientation:
         for i in edges:
             if arcs[i].bit_count() > delta - 1:
                 raise AssertionError("orientation out-degree exceeded Delta-1")
+        d = g.dense()
         self.adjacent = d.adjacent
         self.arcs = arcs
         rank = d.rank
@@ -224,15 +224,15 @@ class GalvinOrientation:
 
     @property
     def arcs(self) -> dict[EdgeId, frozenset[EdgeId]]:
-        ids = self.graph.dense().ids
+        ids = self.graph.ids
         return {ids[i]: frozenset(ids[j] for j in edge_bits(mask))
                 for i, mask in enumerate(self.dense.arcs)}
 
     def out_degree(self, eid: EdgeId) -> int:
-        return self.dense.arcs[self.graph.dense().index[eid]].bit_count()
+        return self.dense.arcs[self.graph.index[eid]].bit_count()
 
     def has_arc(self, e: EdgeId, f: EdgeId) -> bool:
-        index = self.graph.dense().index
+        index = self.graph.index
         return bool(self.dense.arcs[index[e]] >> index[f] & 1)
 
 
@@ -249,10 +249,8 @@ def galvin_orient(g: MultiGraph, side_of: Mapping[int, str] | None,
                              f"leaves the range [1..{delta}]")
     if not is_proper(g, phi):
         raise InputError("base colouring is not proper")
-    d = g.dense()
-    dense = _Orientation(d, range(len(d.ids)),
-                         [phi[eid] for eid in d.ids], _x_sides(g, side_of),
-                         delta)
+    dense = _Orientation(g, range(len(g.ids)), [phi[eid] for eid in g.ids],
+                         _x_sides(g, side_of), delta)
     return GalvinOrientation(g, dict(side_of), dict(phi), dense)
 
 
@@ -274,9 +272,9 @@ def is_kernel(orientation: GalvinOrientation, active: set,
     """Kernel test in the sub-digraph induced by ``active``."""
     if not candidate <= active:
         return False
-    d = orientation.graph.dense()
-    return _is_kernel(orientation.dense, _edge_mask(d, active),
-                      _edge_mask(d, candidate))
+    g = orientation.graph
+    return _is_kernel(orientation.dense, _edge_mask(g, active),
+                      _edge_mask(g, candidate))
 
 
 def kernel_brute(orientation: GalvinOrientation,
@@ -330,29 +328,28 @@ def _kernel(o: _Orientation, active: int) -> int:
 def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
     """Kernel of the sub-digraph induced by the active edges (see
     ``_kernel``)."""
-    d = orientation.graph.dense()
-    mask = _edge_mask(d, active)
+    g = orientation.graph
+    mask = _edge_mask(g, active)
     if not mask:
         return set()
-    return {d.ids[i] for i in edge_bits(_kernel(orientation.dense, mask))}
+    return {g.ids[i] for i in edge_bits(_kernel(orientation.dense, mask))}
 
 
 def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
                  deg: Sequence[int], lists: Sequence[int], used: Sequence[int],
                  budget: int | None) -> SolveOutcome:
-    """List-colour ``edges`` of the dense graph, kernel extraction first.
+    """List-colour ``edges`` of the graph, kernel extraction first.
 
     ``lists[i]`` is edge i's colour mask and ``deg`` counts ``edges`` at
     each vertex.  ``used`` holds the colours other, already coloured edges
     take at each vertex; a kernel colouring that clashes with them, or
     with itself, is a bug and raises.
     """
-    d = g.dense()
-    ids, ends = d.ids, d.ends
+    ids, ends = g.ids, g.ends
     if not edges:
         return SolveOutcome(SOLVED, {}, method=KERNEL)
     delta = max(deg)
-    orientation = _Orientation(d, edges, _konig(d, edges, delta), is_x,
+    orientation = _Orientation(g, edges, _konig(g, edges, delta), is_x,
                                delta)
     live = union = 0
     for i in edges:
@@ -417,28 +414,25 @@ def list_colour_bipartite(g: MultiGraph,
     if side_of is None:
         side_of = find_bipartition(g)
     check_bipartition(g, side_of)
-    d = g.dense()
-    edges = range(len(d.ids))
-    return _list_colour(g, _x_sides(g, side_of), edges,
-                        _degrees(d, edges),
-                        [exact._mask_of(lists[eid]) for eid in d.ids],
+    edges = range(len(g.ids))
+    return _list_colour(g, _x_sides(g, side_of), edges, _degrees(g, edges),
+                        [exact._mask_of(lists[eid]) for eid in g.ids],
                         [0] * g.n, budget)
 
 
 def _uncoloured(g: MultiGraph, c: Mapping[EdgeId, int], palette: Palette,
                 k: int) -> tuple[list[int], list[int], list[int], list[int]]:
     """The extenders' shared preamble: ``extension_masks``, then the
-    uncoloured edges as dense indices, how many of them meet each vertex,
-    and each one's list mask (entry i for edge i, 0 for a coloured edge)."""
+    uncoloured edges as indices, how many of them meet each vertex, and
+    each one's list mask (entry i for edge i, 0 for a coloured edge)."""
     used = extension_masks(g, c, palette, k)
-    d = g.dense()
-    edges = [i for i, eid in enumerate(d.ids) if eid not in c]
+    edges = [i for i, eid in enumerate(g.ids) if eid not in c]
     full = (1 << (palette.k + 1)) - 2
-    lists = [0] * len(d.ids)
+    lists = [0] * len(g.ids)
     for i in edges:
-        u, v = d.ends[i]
+        u, v = g.ends[i]
         lists[i] = full & ~(used[u] | used[v])
-    return used, edges, _degrees(d, edges), lists
+    return used, edges, _degrees(g, edges), lists
 
 
 def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
@@ -469,7 +463,7 @@ def extend_bipartite(g: MultiGraph,
     if k < 1:
         raise InputError("k must be positive")
     used, edges, deg, lists = _uncoloured(g, c, Palette(g.delta() + k), k)
-    ends = g.dense().ends
+    ends = g.ends
     for i in edges:
         u, v = ends[i]
         if lists[i].bit_count() < max(deg[u], deg[v]):
@@ -495,7 +489,7 @@ def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
         return SolveOutcome(SOLVED, {}, method=KERNEL)
     palette = Palette((3 * g.delta() + k) // 2)
     used, edges, deg, lists = _uncoloured(g, c, palette, k)
-    ends = g.dense().ends
+    ends = g.ends
     for i in edges:
         du, dv = deg[ends[i][0]], deg[ends[i][1]]
         if lists[i].bit_count() < max(du, dv) + min(du, dv) // 2:

@@ -51,11 +51,21 @@ class RotationSystem:
             raw = obj["rotation"]
         except (KeyError, TypeError):
             raise InputError("rotation object needs a 'rotation' map") from None
+        if not isinstance(raw, Mapping):
+            raise InputError("'rotation' must map vertices to edge id lists")
         around = {}
         for key, eids in raw.items():
-            v = int(key)
+            try:
+                v = int(key)
+            except (TypeError, ValueError):
+                raise InputError(f"rotation key {key!r} is not a vertex") \
+                    from None
+            if not isinstance(eids, list):
+                raise InputError(f"rotation at vertex {key!r} is not a list")
             resolved = []
             for eid in eids:
+                if isinstance(eid, bool) or not isinstance(eid, (int, str)):
+                    raise InputError(f"rotation names unknown edge {eid!r}")
                 if g.has_edge(eid):
                     resolved.append(eid)
                 elif isinstance(eid, str) and eid.isdigit() and g.has_edge(int(eid)):
@@ -71,8 +81,9 @@ class RotationSystem:
 
 
 def check_rotation(g: MultiGraph, r: RotationSystem) -> None:
+    ids = g.ids
     for v in range(g.n):
-        expected = sorted((eid for eid, _ in g.incident(v)), key=_id_sort_key)
+        expected = sorted((ids[i] for i in g.incidence[v]), key=_id_sort_key)
         got = sorted(r.around.get(v, ()), key=_id_sort_key)
         if expected != got:
             raise InputError(
@@ -95,12 +106,14 @@ def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
     For connected inputs the Euler identity V - E + F = 2 is enforced.
     """
     check_rotation(g, r)
-    position = {}
-    for v, eids in r.around.items():
-        for i, eid in enumerate(eids):
-            position[(v, eid)] = i
-    darts = sorted(((v, eid) for v in range(g.n) for eid, _ in g.incident(v)),
-                   key=lambda d: (d[0], _id_sort_key(d[1])))
+    ids, ends, index = g.ids, g.ends, g.index
+    # A dart (v, i) leaves v along edge i; ring[v] is v's rotation as edge
+    # indices, and position[(v, i)] the dart's place in it.
+    ring = [[index[eid] for eid in r.around.get(v, ())] for v in range(g.n)]
+    position = {(v, i): p for v, around in enumerate(ring)
+                for p, i in enumerate(around)}
+    darts = [(v, i) for v in range(g.n) for i in
+             sorted(g.incidence[v], key=lambda i: _id_sort_key(ids[i]))]
     unused = set(darts)
     faces = []
     # each face starts at the least dart still unused
@@ -110,14 +123,13 @@ def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
         walk = []
         dart = start
         while True:
-            walk.append(dart)
+            v, i = dart
+            walk.append((v, ids[i]))
             unused.discard(dart)
-            v, eid = dart
-            u1, u2 = g.endpoints(eid)
-            w = u2 if u1 == v else u1
-            ring = r.around[w]
-            nxt = ring[(position[(w, eid)] + 1) % len(ring)]
-            dart = (w, nxt)
+            a, b = ends[i]
+            w = b if a == v else a
+            around = ring[w]
+            dart = (w, around[(position[(w, i)] + 1) % len(around)])
             if dart == start:
                 break
             if dart not in unused:
@@ -138,13 +150,11 @@ def rotation_from_points(g: MultiGraph,
     for v in range(g.n):
         x0, y0 = points[v]
 
-        def angle(entry):
-            eid, w = entry
-            x1, y1 = points[w]
+        def angle(i):
+            x1, y1 = points[sum(g.ends[i]) - v]
             return math.atan2(y1 - y0, x1 - x0)
 
-        ordered = sorted(g.incident(v), key=angle)
-        around[v] = tuple(eid for eid, _ in ordered)
+        around[v] = tuple(g.ids[i] for i in sorted(g.incidence[v], key=angle))
     return RotationSystem(around)
 
 
@@ -316,14 +326,11 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
     # core, then replay the configurations in reverse.  Edge i is
     # g.edges[i].  Degrees only fall, so a light edge stays light: light
     # edges wait in a heap by id order, the others at both ends.
-    ids = [eid for eid, _, _ in g.edges]
-    ends = [(u, v) for _, u, v in g.edges]
-    index = {eid: i for i, eid in enumerate(ids)}
+    ids, ends, index = g.ids, g.ends, g.index
     deg = [g.degree(v) for v in range(g.n)]
     bound = _light_threshold(mode, delta0)
     done = bytearray(len(ids))       # 1 once queued as light, or peeled
-    waiting = [[index[eid] for eid, _ in g.incident(w) if eid not in m]
-               for w in range(g.n)]
+    waiting = [[i for i in edges if ids[i] not in m] for edges in g.incidence]
     light: list = []                 # (id key, i) of queued, unpeeled i
 
     def recheck(vertices):
@@ -474,7 +481,7 @@ def _vertex_classes(g: MultiGraph, m_ids: set, variant: str):
     degree = {v: g.degree(v) for v in range(g.n)}
     v1 = {v for v in range(g.n) if degree[v] == 1}
     t_set = {v for v in range(g.n)
-             if any(w in v1 for _, w in g.incident(v))}
+             if any(w in v1 for w in g.neighbours(v))}
     covered = {x for eid in m_ids for x in g.endpoints(eid)}
     v2p = {v for v in range(g.n) if degree[v] == 2 and v not in covered}
     t2 = {v for v in t_set if degree[v] == 2}
@@ -565,7 +572,7 @@ def audit_discharge(g: MultiGraph, r: RotationSystem,
     delta_face = [Fraction(0)] * len(faces)
     corner_rules = []
 
-    adjacency = {v: {w for _, w in g.incident(v)} for v in verts}
+    adjacency = {v: set(g.neighbours(v)) for v in verts}
     m_pairs = {frozenset(g.endpoints(eid)) for eid in m_ids}
 
     for fi, walk in enumerate(faces.faces):
@@ -706,12 +713,12 @@ def _precondition_report(g, m_ids, variant, delta, degree, v1, t2, v2p,
     if variant == VARIANT_MATCHING:
         if any(degree[v] == 2 for v in range(g.n)):
             failed.append("degree-2 vertex present")
-    if any(v in v1 and not any(eid in m_ids for eid, _ in g.incident(v))
+    if any(v in v1 and not any(g.ids[i] in m_ids for i in g.incidence[v])
            for v in range(g.n)):
         failed.append("degree-1 vertex not covered by the matching")
     special = v1 if variant == VARIANT_MATCHING else v1 | t2
     for v in range(g.n):
-        if degree[v] > 1 and sum(1 for _, w in g.incident(v)
+        if degree[v] > 1 and sum(1 for w in g.neighbours(v)
                                  if w in special) > 1:
             failed.append("vertex with two special neighbours")
             break
@@ -766,15 +773,13 @@ def icosahedron() -> tuple[MultiGraph, RotationSystem]:
         u = _scale(u, 1 / _norm(u))
         w = _cross(n, u)
 
-        def angle(entry):
-            eidx, other = entry
-            p = coords[other]
+        def angle(i):
+            p = coords[sum(g.ends[i]) - v]
             rel = (p[0] - coords[v][0], p[1] - coords[v][1],
                    p[2] - coords[v][2])
             return math.atan2(_dot(rel, w), _dot(rel, u))
 
-        ordered = sorted(g.incident(v), key=angle)
-        around[v] = tuple(e for e, _ in ordered)
+        around[v] = tuple(g.ids[i] for i in sorted(g.incidence[v], key=angle))
     return g, RotationSystem(around)
 
 
@@ -795,6 +800,26 @@ def _scale(a, s):
     return (a[0] * s, a[1] * s, a[2] * s)
 
 
+def _rotation(around: dict[int, list[EdgeId]]) -> RotationSystem:
+    return RotationSystem({v: tuple(eids) for v, eids in around.items()})
+
+
+def _join_new_vertex(edges: list, around: dict, w: int,
+                     walk: Sequence[tuple[int, EdgeId]]) -> None:
+    """Join the new vertex w to the corner v of each dart (v, depart) of a
+    face walk, with edge ids numbered on from ``len(edges)``.  Each edge
+    vw goes just before the departing edge in v's rotation, which keeps it
+    inside the face being subdivided; around w the new edges run in
+    reverse face order, which closes the face up."""
+    new_ids = []
+    for v, depart in walk:
+        eid = len(edges)
+        new_ids.append(eid)
+        edges.append((eid, v, w))
+        around[v].insert(around[v].index(depart), eid)
+    around[w] = new_ids[:1] + new_ids[:0:-1]
+
+
 def hub_triangulation(k: int, extra: int, seed: int
                       ) -> tuple[MultiGraph, RotationSystem]:
     """Wheel with hub degree k, with ``extra`` vertices stacked into random
@@ -802,14 +827,13 @@ def hub_triangulation(k: int, extra: int, seed: int
     import random
     rng = random.Random(seed)
     g, r = wheel(k)
-    edges = [list(e) for e in g.edges]
+    edges = list(g.edges)
     around = {v: list(r.around[v]) for v in range(g.n)}
-    next_v, next_e = g.n, len(edges)
+    next_v = g.n
     placed = 0
     while placed < extra:
-        cur = MultiGraph(next_v, [(e, u, v) for e, u, v in edges])
-        rot = RotationSystem({v: tuple(around[v]) for v in range(next_v)})
-        faces = trace_faces(cur, rot)
+        cur = MultiGraph(next_v, edges)
+        faces = trace_faces(cur, _rotation(around))
 
         def degree_ok(walk):
             return all(cur.degree(x) <= k - 2 for x, _ in walk)
@@ -831,23 +855,10 @@ def hub_triangulation(k: int, extra: int, seed: int
             whole = wide[rng.randrange(len(wide))]
             i = rng.randrange(len(whole))
             walk = [whole[i], whole[(i + 1) % len(whole)]]
-        w = next_v
-        new_ids = []
-        for (v, depart) in walk:
-            eid = next_e
-            next_e += 1
-            new_ids.append(eid)
-            edges.append([eid, v, w])
-            idx = around[v].index(depart)
-            around[v].insert(idx, eid)
-        if len(new_ids) == 3:
-            around[w] = [new_ids[0], new_ids[2], new_ids[1]]
-        else:
-            around[w] = list(new_ids)
+        _join_new_vertex(edges, around, next_v, walk)
         next_v += 1
         placed += 1
-    g = MultiGraph(next_v, [(e, u, v) for e, u, v in edges])
-    r = RotationSystem({v: tuple(around[v]) for v in range(next_v)})
+    g, r = MultiGraph(next_v, edges), _rotation(around)
     trace_faces(g, r)
     return g, r
 
@@ -864,47 +875,26 @@ def random_plane_graph(n: int, seed: int) -> tuple[MultiGraph, RotationSystem]:
         raise InputError("need at least 3 vertices")
     edges = [(0, 0, 1), (1, 1, 2), (2, 2, 0)]
     around = {0: [0, 2], 1: [1, 0], 2: [2, 1]}
-    next_v, next_e = 3, 3
-
-    def graph():
-        return MultiGraph(next_v, [(e, u, v) for e, u, v in edges])
-
+    next_v = 3
     while next_v < n:
-        g = graph()
-        r = RotationSystem({v: tuple(around[v]) for v in range(next_v)})
         if rng.random() < 0.35:
             # Pendant vertex at a random corner.
             v = rng.randrange(next_v)
             pos = rng.randrange(len(around[v]) + 1) if around[v] else 0
-            eid = next_e
+            eid = len(edges)
             edges.append((eid, v, next_v))
             around[v].insert(pos, eid)
             around[next_v] = [eid]
             next_v += 1
-            next_e += 1
         else:
-            faces = trace_faces(g, r)
+            faces = trace_faces(MultiGraph(next_v, edges), _rotation(around))
             tri = [w for w in faces.faces
                    if len(w) == 3 and len({x for x, _ in w}) == 3]
             if not tri:
                 continue
-            walk = tri[rng.randrange(len(tri))]
-            w = next_v
-            around[w] = []
-            new_ids = []
-            for (v, depart) in walk:
-                eid = next_e
-                next_e += 1
-                new_ids.append(eid)
-                edges.append((eid, v, w))
-                # Insert vw just before the departing edge at v, which
-                # keeps the new edge inside the face being subdivided.
-                idx = around[v].index(depart)
-                around[v].insert(idx, eid)
-            # Around the new vertex, reverse face order closes it up.
-            around[w] = [new_ids[0], new_ids[2], new_ids[1]]
+            _join_new_vertex(edges, around, next_v,
+                             tri[rng.randrange(len(tri))])
             next_v += 1
-    g = graph()
-    r = RotationSystem({v: tuple(around[v]) for v in range(next_v)})
+    g, r = MultiGraph(next_v, edges), _rotation(around)
     trace_faces(g, r)
     return g, r

@@ -56,11 +56,19 @@ same graph stream, edge ids and order included.  ``_colourings_of`` is
 the precolouring step that checked each colour against a set of adjacent
 edges; the one in ``edgeext.instances`` keeps a colour bitmask per
 vertex and must yield the same dicts in the same order.
+
+``IdKeyedMultiGraph`` is ``edgeext.core.MultiGraph`` as it was when it
+kept an endpoint dict keyed by edge id and (edge id, other end) pairs per
+vertex, less the ``dense()`` form that the index arrays replaced.  Every
+accessor of the index form must answer as it does, raised errors
+included.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -69,8 +77,8 @@ from edgeext.colouring import (Palette, check_load, extension_masks,
                                is_proper, merge_colourings, reduce_to_lists,
                                validate_precolouring)
 from edgeext.core import (EdgeId, InputError, MultiGraph, _id_sort_key,
-                          degree_stats, edge_distance, is_distance_matching,
-                          line_graph)
+                          _is_int, degree_stats, edge_distance,
+                          is_distance_matching, line_graph)
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, SolveOutcome,
                            _colours_of, _mask_of)
 from edgeext.gallai import (BlockDecomposition, BudgetSpent,
@@ -1313,3 +1321,179 @@ def _colourings_of(g, subset, palette, up_to_permutation):
             del current[eid]
 
     yield from assign(0, {}, 0)
+
+
+class IdKeyedMultiGraph:
+    """Immutable loopless multigraph on vertices 0..n-1.
+
+    ``edges`` is an ordered sequence of (edge_id, u, v) triples; parallel
+    edges are distinct entries with distinct ids.
+    """
+
+    __slots__ = ("n", "edges", "_endpoints", "_incident", "_degrees")
+
+    def __init__(self, n: int, edges: Iterable[tuple[EdgeId, int, int]]):
+        if n < 0:
+            raise InputError("vertex count must be non-negative")
+        self.n = n
+        edge_list = []
+        endpoints = {}
+        incident: list[list[tuple[EdgeId, int]]] = [[] for _ in range(n)]
+        for eid, u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge {eid!r}: endpoint out of range")
+            if u == v:
+                raise InputError(f"edge {eid!r}: loops are not allowed")
+            if eid in endpoints:
+                raise InputError(f"duplicate edge id {eid!r}")
+            edge_list.append((eid, u, v))
+            endpoints[eid] = (u, v)
+            incident[u].append((eid, v))
+            incident[v].append((eid, u))
+        self.edges = tuple(edge_list)
+        self._endpoints = endpoints
+        self._incident = tuple(tuple(entries) for entries in incident)
+        self._degrees = tuple(len(entries) for entries in incident)
+
+    # -- basic accessors -------------------------------------------------
+
+    @property
+    def edge_ids(self) -> tuple[EdgeId, ...]:
+        return tuple(eid for eid, _, _ in self.edges)
+
+    def has_edge(self, eid: EdgeId) -> bool:
+        return eid in self._endpoints
+
+    def endpoints(self, eid: EdgeId) -> tuple[int, int]:
+        try:
+            return self._endpoints[eid]
+        except KeyError:
+            raise InputError(f"unknown edge id {eid!r}") from None
+
+    def degree(self, v: int) -> int:
+        return self._degrees[v]
+
+    def incident(self, v: int) -> tuple[tuple[EdgeId, int], ...]:
+        """Edges at v as (edge_id, other_endpoint) pairs, in edge order."""
+        return self._incident[v]
+
+    def delta(self) -> int:
+        return max(self._degrees, default=0)
+
+    def mu(self) -> int:
+        counts: dict[tuple[int, int], int] = {}
+        for _, u, v in self.edges:
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+        return max(counts.values(), default=0)
+
+    def adjacent_edges(self, eid: EdgeId) -> tuple[EdgeId, ...]:
+        """Edges sharing at least one endpoint with ``eid`` (itself excluded)."""
+        u, v = self.endpoints(eid)
+        seen = {eid}
+        out = []
+        for w in (u, v):
+            for f, _ in self._incident[w]:
+                if f not in seen:
+                    seen.add(f)
+                    out.append(f)
+        return tuple(out)
+
+    # -- derived graphs --------------------------------------------------
+
+    def delete_edges(self, ids: Iterable[EdgeId]) -> "IdKeyedMultiGraph":
+        """New graph without the given edges; survivors keep id and order."""
+        drop = set(ids)
+        for eid in drop:
+            if eid not in self._endpoints:
+                raise InputError(f"unknown edge id {eid!r}")
+        return IdKeyedMultiGraph(self.n, (e for e in self.edges
+                                          if e[0] not in drop))
+
+    def restrict_edges(self, ids: Iterable[EdgeId]) -> "IdKeyedMultiGraph":
+        """New graph with only the given edges, in original order."""
+        keep = set(ids)
+        for eid in keep:
+            if eid not in self._endpoints:
+                raise InputError(f"unknown edge id {eid!r}")
+        return IdKeyedMultiGraph(self.n, (e for e in self.edges
+                                          if e[0] in keep))
+
+    def components(self) -> list[tuple[frozenset[int], tuple[EdgeId, ...]]]:
+        """Connected components spanned by edges, as (vertices, edge ids).
+
+        Isolated vertices are ignored: they carry no edges to colour.
+        """
+        seen: set[int] = set()
+        out = []
+        for v in range(self.n):
+            if v in seen or not self._incident[v]:
+                continue
+            comp = {v}
+            queue = deque([v])
+            while queue:
+                w = queue.popleft()
+                for _, x in self._incident[w]:
+                    if x not in comp:
+                        comp.add(x)
+                        queue.append(x)
+            seen |= comp
+            eids = tuple(eid for eid, u, _ in self.edges if u in comp)
+            out.append((frozenset(comp), eids))
+        return out
+
+    def is_connected(self) -> bool:
+        """True iff all edges lie in one component (isolated vertices ignored)."""
+        return len(self.components()) <= 1
+
+    # -- serialization ---------------------------------------------------
+
+    def to_json_obj(self) -> dict:
+        return {"n": self.n, "edges": [[eid, u, v] for eid, u, v in self.edges]}
+
+    @classmethod
+    def from_json_obj(cls, obj: Mapping) -> "IdKeyedMultiGraph":
+        try:
+            n = obj["n"]
+            raw = obj["edges"]
+        except (KeyError, TypeError):
+            raise InputError("graph object needs 'n' and 'edges'") from None
+        if not _is_int(n):
+            raise InputError(f"vertex count {n!r} is not an integer")
+        if not isinstance(raw, (list, tuple)):
+            raise InputError("'edges' must be a list of [id, u, v] entries")
+        edges = []
+        for item in raw:
+            if not isinstance(item, (list, tuple)) or len(item) != 3:
+                raise InputError(f"bad edge entry {item!r}")
+            eid, u, v = item
+            if isinstance(eid, bool) or not isinstance(eid, (int, str)):
+                raise InputError(f"edge id {eid!r} is neither an integer "
+                                 "nor a string")
+            if not (_is_int(u) and _is_int(v)):
+                raise InputError(f"edge {eid!r}: endpoints must be integers")
+            edges.append((eid, u, v))
+        return cls(n, edges)
+
+    @classmethod
+    def from_json(cls, text: str) -> "IdKeyedMultiGraph":
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid JSON: {exc}") from None
+        return cls.from_json_obj(obj)
+
+    def to_dot(self, colouring: Mapping[EdgeId, int] | None = None) -> str:
+        lines = ["graph G {"]
+        for v in range(self.n):
+            lines.append(f"  {v};")
+        for eid, u, v in self.edges:
+            label = f"{eid}"
+            if colouring and eid in colouring:
+                label += f":{colouring[eid]}"
+            lines.append(f'  {u} -- {v} [label="{label}"];')
+        lines.append("}")
+        return "\n".join(lines)
+
+    def __repr__(self):
+        return f"MultiGraph(n={self.n}, edges={len(self.edges)})"

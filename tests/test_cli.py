@@ -353,6 +353,25 @@ def test_malformed_input_exits_2(tmp_path, capsys, graph, colours):
     assert "traceback" not in json.loads(captured.err)
 
 
+@pytest.mark.parametrize("verb, option, obj", [
+    ("audit", "--rotation", {"rotation": {"x": [0]}}),
+    ("audit", "--rotation", {"rotation": [[0]]}),
+    ("audit", "--rotation", {"rotation": {"0": 5}}),
+    ("audit", "--rotation", {"rotation": {"0": [[1]]}}),
+    ("solve-list", "--lists", {"lists": [1, 2]}),
+], ids=["rotation-key-not-vertex", "rotation-not-object",
+        "rotation-entry-not-list", "rotation-list-edge-id",
+        "lists-not-object"])
+def test_malformed_rotation_and_lists_exit_2(tmp_path, capsys, verb, option,
+                                             obj):
+    gpath = write(tmp_path, "g.json", _GOOD_GRAPH)
+    path = write(tmp_path, "in.json", obj)
+    assert run([verb, "--graph", gpath, option, path, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "traceback" not in json.loads(captured.err)
+
+
 def test_solve_list_rejects_bool_colour(tmp_path, capsys):
     gpath = write(tmp_path, "g.json", _GOOD_GRAPH)
     lpath = write(tmp_path, "l.json", {"lists": {"0": [True], "1": [2]}})

@@ -6,7 +6,6 @@ from edgeext.colouring import (Palette, check_load, colouring_from_json,
                                colouring_to_json_obj, extension_masks,
                                is_proper,
                                max_precoloured_degree, merge_colourings,
-                               precoloured_degree_edge,
                                precoloured_degree_vertex, reduce_to_lists,
                                validate_precolouring)
 
@@ -37,11 +36,8 @@ def test_is_proper_flags_conflicts():
 
 def test_precoloured_degrees():
     g = edges_path(4)  # edges 0-1-2
-    assert precoloured_degree_edge(g, [0, 2], 1) == 2
     assert precoloured_degree_vertex(g, [0, 2], 1) == 1
     assert precoloured_degree_vertex(g, [0, 2], 2) == 1
-    with pytest.raises(InputError):
-        precoloured_degree_edge(g, [0], 0)
 
 
 def test_max_precoloured_degree_edge_cases():

@@ -1,15 +1,18 @@
 import json
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from edgeext.core import (INFINITE_DISTANCE, InputError, MultiGraph,
-                          degree_stats, edge_distance, edges_cycle,
-                          edges_path, is_distance_matching, line_adjacency,
+import edgeext
+from edgeext.core import (INFINITE_DISTANCE, DenseForm, InputError,
+                          MultiGraph, degree_stats, edge_distance,
+                          edges_cycle, edges_path, is_distance_matching,
                           line_graph)
 
 from conftest import multigraphs
+from oracles import IdKeyedMultiGraph
 
 
 def triangle():
@@ -71,15 +74,84 @@ def test_dense_components_and_line_order(g, data):
     # the live edges orders them; components() agrees with MultiGraph's
     d = g.dense()
     live_ids = [eid for eid in g.edge_ids if data.draw(st.booleans())]
-    live = sum(1 << d.index[eid] for eid in live_ids)
+    live = sum(1 << g.index[eid] for eid in live_ids)
     sub = g.restrict_edges(live_ids)
     comps = d.components(live)
-    assert [tuple(d.ids[i] for i in range(len(d.ids)) if comp >> i & 1)
+    assert [tuple(g.ids[i] for i in range(len(g.ids)) if comp >> i & 1)
             for comp in comps] == [eids for _, eids in sub.components()]
     lg = line_graph(sub)
     for j, (eid, _, _) in enumerate(sub.edges):
-        assert [d.ids[i] for i in d.line_neighbours(d.index[eid], live)] == \
+        assert [g.ids[i] for i in d.line_neighbours(g.index[eid], live)] == \
             [sub.edges[w][0] for _, w in lg.incident(j)]
+
+
+def _error(build) -> str:
+    with pytest.raises(InputError) as info:
+        build()
+    return str(info.value)
+
+
+@given(multigraphs(max_n=6, max_e=12, mixed_ids=True), st.data())
+def test_index_form_answers_as_the_id_keyed_graph(g, data):
+    # small vertex counts make parallel edges common; ids are ints and
+    # strs in an order unlike edge order
+    ref = IdKeyedMultiGraph(g.n, g.edges)
+    assert g.to_json_obj() == ref.to_json_obj()
+    assert g.edge_ids == ref.edge_ids
+    assert (g.delta(), g.mu()) == (ref.delta(), ref.mu())
+    for v in range(g.n):
+        assert g.incident(v) == ref.incident(v)
+        assert g.degree(v) == ref.degree(v)
+    for eid in g.edge_ids:
+        assert g.has_edge(eid)
+        assert g.endpoints(eid) == ref.endpoints(eid)
+        assert g.adjacent_edges(eid) == ref.adjacent_edges(eid)
+    assert g.components() == ref.components()
+    assert g.is_connected() == ref.is_connected()
+    some = [eid for eid in g.edge_ids if data.draw(st.booleans())]
+    assert g.delete_edges(some).to_json_obj() == \
+        ref.delete_edges(some).to_json_obj()
+    assert g.restrict_edges(some).to_json_obj() == \
+        ref.restrict_edges(some).to_json_obj()
+
+    unknown = data.draw(st.sampled_from([99, "99", "x"]))
+    assert not g.has_edge(unknown)
+    for graph_call in (lambda h: h.endpoints(unknown),
+                       lambda h: h.adjacent_edges(unknown),
+                       lambda h: h.delete_edges([unknown]),
+                       lambda h: h.restrict_edges(some + [unknown])):
+        assert _error(lambda: graph_call(g)) == _error(lambda: graph_call(ref))
+
+    # one bad edge, anywhere in the list: a repeated id, a loop or an
+    # endpoint out of range
+    edges = list(g.edges)
+    u = data.draw(st.integers(0, g.n - 1))
+    v = (u + 1) % g.n
+    bad = data.draw(st.sampled_from(
+        [("dup", u, v), ("loop", u, u), ("low", -1, v), ("high", u, g.n)]))
+    if bad[0] == "dup":
+        if not edges:
+            return
+        bad = (data.draw(st.sampled_from(g.edge_ids)), u, v)
+    edges.insert(data.draw(st.integers(0, len(edges))), bad)
+    assert _error(lambda: MultiGraph(g.n, edges)) == \
+        _error(lambda: IdKeyedMultiGraph(g.n, edges))
+
+
+def test_dense_form_holds_no_second_copy_of_the_graph():
+    g = MultiGraph(4, [("a", 0, 1), (1, 0, 1), (2, 1, 2), ("d", 2, 3)])
+    d = g.dense()
+    assert set(DenseForm.__slots__) == {"_ends", "at_vertex", "adjacent",
+                                        "rank", "connected"}
+    assert d._ends is g.ends
+    assert d.at_vertex == (0b0011, 0b0111, 0b1100, 0b1000)
+
+
+def test_no_library_module_uses_the_pair_view():
+    # the engines read the graph's index arrays; ``incident`` builds its
+    # (id, other end) pairs on every call
+    for path in sorted(pathlib.Path(edgeext.__file__).parent.glob("*.py")):
+        assert ".incident(" not in path.read_text(), path.name
 
 
 def test_delete_and_restrict_keep_ids():
@@ -180,7 +252,7 @@ def test_distance_matching_rejects_unknown_ids_up_front():
 @given(multigraphs())
 def test_edge_distance_matches_line_graph_bfs(g):
     # Oracle: plain BFS over an explicitly built line graph.
-    adj = line_adjacency(g)
+    adj = {eid: g.adjacent_edges(eid) for eid in g.edge_ids}
     ids = list(g.edge_ids)
     if not ids:
         return
