@@ -294,6 +294,15 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
     so children that an automorphism ``canonical_form`` found on their
     parent maps onto an earlier child are never built or keyed.
     """
+    for g, _ in _multigraphs_with_automorphisms(n_max, e_max, mu_max,
+                                                connected_only, delta_max):
+        yield g
+
+
+def _multigraphs_with_automorphisms(n_max, e_max, mu_max, connected_only,
+                                    delta_max):
+    """``enumerate_multigraphs``'s stream, each graph with the automorphism
+    generators ``canonical_form`` found on it, as vertex images."""
     if n_max < 2 or e_max < 1 or mu_max < 1 or (
             delta_max is not None and delta_max < 1):
         raise InputError("bounds must allow at least a single edge")
@@ -304,8 +313,8 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
     level[canonical_form(seed, generators)] = seed, generators
     for e in range(1, e_max + 1):
         ordered = sorted(level.items())
-        for _, (g, _) in ordered:
-            yield g
+        for _, (g, automorphisms) in ordered:
+            yield g, automorphisms
         if e == e_max:
             break
         nxt = {}
@@ -319,21 +328,27 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
         level = nxt
 
 
+def _orbit(p, image, generators):
+    """The orbit of p under the ``generators``; ``image(gamma, p)`` moves p."""
+    orbit = {p}
+    todo = [p]
+    for q in todo:
+        for gamma in generators:
+            r = image(gamma, q)
+            if r not in orbit:
+                orbit.add(r)
+                todo.append(r)
+    return orbit
+
+
 def _orbit_leaders(points, image, generators):
     """The points, in order, that come first in their orbit under the
-    ``generators``; ``image(gamma, p)`` moves p."""
+    ``generators``."""
     seen = set()
     for p in points:
         if p not in seen:
             yield p
-            seen.add(p)
-            todo = [p]
-            for q in todo:
-                for gamma in generators:
-                    r = image(gamma, q)
-                    if r not in seen:
-                        seen.add(r)
-                        todo.append(r)
+            seen |= _orbit(p, image, generators)
 
 
 def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
@@ -500,6 +515,7 @@ class VerificationReport:
     bounds: dict
     graphs: int = 0
     instances: int = 0
+    instances_checked: int = 0
     counterexample: dict | None = None
     elapsed: float = 0.0
 
@@ -513,6 +529,7 @@ class VerificationReport:
                "bounds": self.bounds,
                "graphs": self.graphs,
                "instances": self.instances,
+               "instances_checked": self.instances_checked,
                "ok": self.ok,
                "counterexample": self.counterexample}
         if timestamp:
@@ -584,42 +601,124 @@ def _plan(claim: str, g: MultiGraph, max_k: int, palette_offset: int,
     raise InputError(f"unknown claim {claim!r}")
 
 
-def _check_graph(claim: str, g: MultiGraph, max_k: int,
-                 palette_offset: int, budget) -> tuple[int, dict | None]:
-    """Check one graph against the claim; (instances, counterexample).
+def _edge_automorphisms(g: MultiGraph, automorphisms) -> list[dict]:
+    """Edge permutations, as id-to-id maps, that generate the automorphism
+    group of g acting on its edges, from vertex automorphisms that
+    generate it on the vertices.
+
+    Each vertex automorphism maps the edges between u and v to those
+    between its images, matched by rank in id order; a swap of two
+    neighbouring edges of each parallel class adds the permutations that
+    fix every vertex.
+    """
+    parallel: dict[tuple[int, int], list] = {}
+    for eid in sorted(g.ids, key=_id_sort_key):
+        u, v = g.endpoints(eid)
+        parallel.setdefault((u, v) if u < v else (v, u), []).append(eid)
+    perms = []
+    for gamma in automorphisms:
+        perm = {}
+        for (u, v), eids in parallel.items():
+            a, b = gamma[u], gamma[v]
+            perm.update(zip(eids, parallel[(a, b) if a < b else (b, a)]))
+        perms.append(perm)
+    for eids in parallel.values():
+        for a, b in zip(eids, eids[1:]):
+            perm = dict(zip(g.ids, g.ids))
+            perm[a], perm[b] = b, a
+            perms.append(perm)
+    return perms
+
+
+def _edge_set_image(perm, edge_set):
+    return frozenset(map(perm.__getitem__, edge_set))
+
+
+def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
+                 palette_offset: int, budget
+                 ) -> tuple[int, int, dict | None]:
+    """Check one graph against the claim; (instances, instances checked,
+    counterexample).
+
+    An automorphism of g, or a permutation of the palette, maps an
+    instance to one that extends alike, and the number of precolourings
+    of an edge set up to colour permutation is the same for every set in
+    its orbit.  So each case's edge sets are grouped into orbits under
+    the vertex ``automorphisms`` (see ``_edge_automorphisms``) in
+    ``enumerate_edge_sets`` order: the extender runs only on the
+    precolourings of each orbit's first set, and every later set counts
+    as many instances.  The first failing instance lies in a first set
+    (every set before it passes, or is the image of one that passed), so
+    the counts and the counterexample are those of checking every set.
 
     A search that passes ``budget`` raises ``exact.BudgetSpent``.
     """
     cases, extend, note = _plan(claim, g, max_k, palette_offset, budget)
-    checked = 0
+    perms = _edge_automorphisms(g, automorphisms)
+    instances = checked = 0
     for k, size, t in cases:
         palette = Palette(size)
-        for pre in enumerate_precolourings(g, palette, t=t, max_load=k):
-            checked += 1
-            out = extend(pre, k, palette)
-            if out is None or out.solved and is_proper(g, out.colouring):
+        counted = {}            # a checked orbit's sets: precolourings each
+        for subset in enumerate_edge_sets(g, t, k):
+            key = frozenset(subset)
+            if key in counted:
+                instances += counted[key]
                 continue
-            if out.status == exact.BUDGET:
-                raise exact.BudgetSpent(out.nodes, out.depth)
-            # confirmed by an unbounded exact replay
-            if claim == "matching-avoidance":
-                replay = exact.avoid(g, pre, palette)
-                found = {"forbidden": {str(e): c for e, c in pre.items()},
-                         "palette": palette.k}
-            else:
-                replay = exact.extend(g, pre, palette)
-                found = {"precolouring": colouring_to_json_obj(pre, palette)}
-            if replay.solved:
-                raise AssertionError(
-                    "reported failure but exact replay found a colouring")
-            return checked, {"graph": g.to_json_obj(), **found, "note": note}
-    return checked, None
+            count = 0
+            for pre in _colourings_of(g, subset, palette, True):
+                count += 1
+                out = extend(pre, k, palette)
+                if out is None or out.solved and is_proper(g, out.colouring):
+                    continue
+                if out.status == exact.BUDGET:
+                    raise exact.BudgetSpent(out.nodes, out.depth)
+                return (instances + count, checked + count,
+                        _counterexample(claim, g, pre, palette, note))
+            instances += count
+            checked += count
+            for image in _orbit(key, _edge_set_image, perms):
+                counted[image] = count
+    return instances, checked, None
+
+
+def _counterexample(claim, g, pre, palette, note) -> dict:
+    """The counterexample an extender's failure on ``pre`` reports, once an
+    unbounded exact replay confirms it."""
+    if claim == "matching-avoidance":
+        replay = exact.avoid(g, pre, palette)
+        found = {"forbidden": {str(e): c for e, c in pre.items()},
+                 "palette": palette.k}
+    else:
+        replay = exact.extend(g, pre, palette)
+        found = {"precolouring": colouring_to_json_obj(pre, palette)}
+    if replay.solved:
+        raise AssertionError(
+            "reported failure but exact replay found a colouring")
+    return {"graph": g.to_json_obj(), **found, "note": note}
+
+
+#: In a pool process, the event ``verify`` sets once it has its answer.
+_stop = None
+
+
+def _start_worker(stop):
+    global _stop
+    _stop = stop
 
 
 def _worker(args):
-    graph_obj, claim, max_k, palette_offset, budget = args
+    """``_check_graph`` in a pool process, or None once ``verify`` has its
+    answer.  An exception comes back as the result, so that ``verify``
+    can wind the pool down before raising it."""
+    if _stop.is_set():
+        return None
+    graph_obj, automorphisms, claim, max_k, palette_offset, budget = args
     g = MultiGraph.from_json_obj(graph_obj)
-    return _check_graph(claim, g, max_k, palette_offset, budget)
+    try:
+        return _check_graph(claim, g, automorphisms, max_k, palette_offset,
+                            budget)
+    except Exception as exc:
+        return exc
 
 
 def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
@@ -628,8 +727,13 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
            delta_max: int | None = None) -> VerificationReport:
     """Exhaustively check a claim over all connected multigraphs in bounds.
 
-    The first counterexample in enumeration order (fewest edges first) is
-    recorded after an exact-solver replay confirms it.
+    Each graph's instances are checked once per orbit of its
+    automorphisms (see ``_check_graph``): ``instances`` counts every
+    labelled instance, ``instances_checked`` those the extender ran on.
+    ``budget`` bounds only the searches that run; an instance decided by
+    symmetry runs none.  The first counterexample in enumeration order
+    (fewest edges first) is recorded after an exact-solver replay
+    confirms it.
     """
     if claim not in CLAIMS:
         raise InputError(f"unknown claim {claim!r}; known: "
@@ -645,28 +749,49 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
               "max_k": max_k, "palette_offset": palette_offset}
     report = VerificationReport(claim=claim, bounds=bounds)
     start = time.monotonic()
-    graphs = enumerate_multigraphs(max_n, max_e, max_mu,
-                                   connected_only=True, delta_max=delta_max)
+    graphs = _multigraphs_with_automorphisms(max_n, max_e, max_mu, True,
+                                             delta_max)
+
+    def tally(result) -> bool:
+        """Add one graph's result; True once it holds a counterexample."""
+        instances, checked, report.counterexample = result
+        report.graphs += 1
+        report.instances += instances
+        report.instances_checked += checked
+        return report.counterexample is not None
+
     if jobs <= 1:
-        for g in graphs:
-            report.graphs += 1
-            checked, cex = _check_graph(claim, g, max_k, palette_offset,
-                                        budget)
-            report.instances += checked
-            if cex is not None:
-                report.counterexample = cex
+        for g, automorphisms in graphs:
+            if tally(_check_graph(claim, g, automorphisms, max_k,
+                                  palette_offset, budget)):
                 break
     else:
         import multiprocessing
-        tasks = ((g.to_json_obj(), claim, max_k, palette_offset, budget)
-                 for g in graphs)
-        with multiprocessing.Pool(jobs) as pool:
-            for checked, cex in pool.imap(_worker, tasks, chunksize=8):
-                report.graphs += 1
-                report.instances += checked
-                if cex is not None:
-                    report.counterexample = cex
-                    pool.terminate()
+        stop = multiprocessing.Event()
+
+        def tasks():
+            for g, automorphisms in graphs:
+                if stop.is_set():
+                    return
+                yield (g.to_json_obj(), automorphisms, claim, max_k,
+                       palette_offset, budget)
+
+        # No terminate() while workers run: one killed as it writes a
+        # result leaves the result queue locked, and terminate() then
+        # waits on that lock for good.  Once the answer is in, ``stop``
+        # ends the task stream and makes the queued tasks no-ops, and the
+        # pool winds down by close() and join().
+        failure = None
+        with multiprocessing.Pool(jobs, _start_worker, (stop,)) as pool:
+            for result in pool.imap(_worker, tasks(), chunksize=8):
+                if isinstance(result, Exception):
+                    failure = result
+                if failure is not None or tally(result):
+                    stop.set()
                     break
+            pool.close()
+            pool.join()
+        if failure is not None:
+            raise failure
     report.elapsed = time.monotonic() - start
     return report

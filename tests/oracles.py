@@ -57,6 +57,11 @@ the precolouring step that checked each colour against a set of adjacent
 edges; the one in ``edgeext.instances`` keeps a colour bitmask per
 vertex and must yield the same dicts in the same order.
 
+``_check_graph`` and ``verify`` are the sweep that ran the extender on
+every labelled instance.  The one in ``edgeext.instances`` runs it once
+per orbit of each graph's automorphisms, so the two must agree on the
+graph and instance counts and on the counterexample.
+
 ``IdKeyedMultiGraph`` is ``edgeext.core.MultiGraph`` as it was when it
 kept an endpoint dict keyed by edge id and (edge id, other end) pairs per
 vertex, less the ``dense()`` form that the index arrays replaced.  Every
@@ -73,14 +78,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from edgeext import exact
-from edgeext.colouring import (Palette, check_load, extension_masks,
-                               is_proper, merge_colourings, reduce_to_lists,
-                               validate_precolouring)
+from edgeext.colouring import (Palette, check_load, colouring_to_json_obj,
+                               extension_masks, is_proper, merge_colourings,
+                               reduce_to_lists, validate_precolouring)
 from edgeext.core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                           _is_int, degree_stats, edge_distance,
                           is_distance_matching, line_graph)
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, SolveOutcome,
                            _colours_of, _mask_of)
+from edgeext.instances import _plan, enumerate_precolourings
 from edgeext.gallai import (BlockDecomposition, BudgetSpent,
                             ExceptionReport, GallaiCertificate,
                             exception_shape)
@@ -1321,6 +1327,57 @@ def _colourings_of(g, subset, palette, up_to_permutation):
             del current[eid]
 
     yield from assign(0, {}, 0)
+
+
+
+# -- the verification harness --------------------------------------------
+
+def _check_graph(claim: str, g: MultiGraph, max_k: int,
+                 palette_offset: int, budget) -> tuple[int, dict | None]:
+    """Check one graph against the claim; (instances, counterexample).
+
+    A search that passes ``budget`` raises ``exact.BudgetSpent``.
+    """
+    cases, extend, note = _plan(claim, g, max_k, palette_offset, budget)
+    checked = 0
+    for k, size, t in cases:
+        palette = Palette(size)
+        for pre in enumerate_precolourings(g, palette, t=t, max_load=k):
+            checked += 1
+            out = extend(pre, k, palette)
+            if out is None or out.solved and is_proper(g, out.colouring):
+                continue
+            if out.status == exact.BUDGET:
+                raise exact.BudgetSpent(out.nodes, out.depth)
+            # confirmed by an unbounded exact replay
+            if claim == "matching-avoidance":
+                replay = exact.avoid(g, pre, palette)
+                found = {"forbidden": {str(e): c for e, c in pre.items()},
+                         "palette": palette.k}
+            else:
+                replay = exact.extend(g, pre, palette)
+                found = {"precolouring": colouring_to_json_obj(pre, palette)}
+            if replay.solved:
+                raise AssertionError(
+                    "reported failure but exact replay found a colouring")
+            return checked, {"graph": g.to_json_obj(), **found, "note": note}
+    return checked, None
+
+
+def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
+           max_k: int = 1, palette_offset: int = 0,
+           delta_max: int | None = None) -> tuple[int, int, dict | None]:
+    """(graphs, instances, counterexample) of the sweep that checks every
+    labelled instance of every graph, in stream order."""
+    graphs = instances = 0
+    for g in enumerate_multigraphs(max_n, max_e, max_mu,
+                                   delta_max=delta_max):
+        graphs += 1
+        checked, cex = _check_graph(claim, g, max_k, palette_offset, None)
+        instances += checked
+        if cex is not None:
+            return graphs, instances, cex
+    return graphs, instances, None
 
 
 class IdKeyedMultiGraph:

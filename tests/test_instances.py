@@ -12,6 +12,8 @@ from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
 from edgeext.colouring import Palette, is_proper, max_precoloured_degree
 from edgeext.exact import BudgetSpent, avoid, chromatic_index, extend
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
+                               _edge_automorphisms,
+                               _multigraphs_with_automorphisms,
                                canonical_form,
                                compute_rho, distance_conflicts,
                                enumerate_edge_sets,
@@ -355,12 +357,62 @@ def test_verify_counterexample_is_first_in_order():
 
 
 def test_verify_parallel_matches_serial():
-    serial = verify("matching-extension", max_n=3, max_e=5, max_mu=2)
-    parallel = verify("matching-extension", max_n=3, max_e=5, max_mu=2,
-                      jobs=2)
-    assert serial.ok == parallel.ok
-    assert serial.instances == parallel.instances
-    assert serial.graphs == parallel.graphs
+    # the workers get each graph's automorphisms, so they prune alike and
+    # stop at the same first counterexample
+    for offset in (0, -1):
+        serial = verify("matching-extension", max_n=3, max_e=5, max_mu=2,
+                        palette_offset=offset)
+        parallel = verify("matching-extension", max_n=3, max_e=5, max_mu=2,
+                          palette_offset=offset, jobs=2)
+        assert serial.ok == parallel.ok
+        assert serial.instances == parallel.instances
+        assert serial.instances_checked == parallel.instances_checked
+        assert serial.graphs == parallel.graphs
+        assert serial.counterexample == parallel.counterexample
+
+
+@pytest.mark.parametrize("max_k", [1, 2])
+@pytest.mark.parametrize("bounds", [(4, 5, 2), (5, 6, 2)])
+@pytest.mark.parametrize("claim, offset", [
+    *((claim, 0) for claim in sorted(CLAIMS)),
+    *((claim, -1) for claim in OFFSET_CLAIMS)])
+def test_verify_matches_the_unpruned_sweep(claim, offset, bounds, max_k):
+    # one check per automorphism orbit counts every labelled instance and
+    # finds the counterexample that checking each of them finds
+    rep = verify(claim, *bounds, max_k=max_k, palette_offset=offset)
+    assert (rep.graphs, rep.instances, rep.counterexample) == \
+        oracles.verify(claim, *bounds, max_k=max_k, palette_offset=offset)
+    assert rep.ok == (rep.counterexample is None)
+    assert rep.instances_checked <= rep.instances
+
+
+def test_edge_automorphisms_map_ends_onto_themselves():
+    # each generator's edge permutation moves every edge onto one between
+    # the images of its ends; the rest swap two parallel edges
+    for g, automorphisms in _multigraphs_with_automorphisms(5, 6, 3, True,
+                                                            None):
+        perms = _edge_automorphisms(g, automorphisms)
+        ends = sorted(map(sorted, g.ends))
+        for i, perm in enumerate(perms):
+            assert sorted(perm) == sorted(perm.values()) == sorted(g.ids)
+            gamma = automorphisms[i] if i < len(automorphisms) \
+                else range(g.n)
+            images = [sorted((gamma[u], gamma[v])) for u, v in g.ends]
+            assert sorted(images) == ends
+            assert [sorted(g.endpoints(perm[eid])) for eid in g.ids] == \
+                images
+            if i >= len(automorphisms):
+                moved = [eid for eid in g.ids if perm[eid] != eid]
+                assert len(moved) == 2
+
+
+def test_verify_checks_one_instance_per_orbit():
+    # stars and parallel classes have many automorphisms
+    rep = verify("matching-extension", max_n=4, max_e=5, max_mu=2)
+    assert rep.ok
+    assert rep.instances_checked < rep.instances
+    obj = rep.to_json_obj(timestamp=False)
+    assert obj["instances_checked"] == rep.instances_checked
 
 
 def test_all_claims_run_on_tiny_bounds():
