@@ -274,13 +274,25 @@ def _cmd_distance(args) -> int:
 
 # -- parser --------------------------------------------------------------
 
+def _at_least(least):
+    """An argparse type: an integer no smaller than ``least``."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def _common(p, budget=True):
     p.add_argument("--pretty", action="store_true",
                    help="indent the JSON output")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generated_at field (reproducible output)")
     if budget:
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_at_least(0), default=None,
                        help="search-node budget; exceeding it exits 3")
 
 
@@ -350,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=1)
     p.add_argument("--palette-offset", type=int, default=0)
     p.add_argument("--delta-max", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     _common(p)
     p.set_defaults(func=_cmd_verify)
 

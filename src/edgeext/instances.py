@@ -11,6 +11,7 @@ complete and reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -395,28 +396,37 @@ def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
 
 
 def enumerate_edge_sets(g: MultiGraph, t: int = 1,
-                        max_load: int | None = None) -> Iterator[tuple]:
+                        max_load: int | None = None,
+                        _with_maximal: bool = False) -> Iterator[tuple]:
     """All edge sets of pairwise distance > t, in deterministic order.
 
     t=0 yields every subset; t=1 the matchings; t=2 induced matchings.
     With ``max_load``, only sets meeting each vertex at most that many
     times; a set over the bound is pruned with all its supersets, so the
     stream is the unbounded one filtered, in the same order.
+
+    With ``_with_maximal``, each set comes as (set, maximal): maximal is
+    True when every edge is in the set or in conflict with one of it.
+    That is maximality in the family when only conflicts bound it, that
+    is for matchings (``max_load`` 1, whose conflicts include line
+    adjacency, or None with t >= 1).
     """
     ids = sorted(g.edge_ids, key=_id_sort_key)
     position = {eid: p for p, eid in enumerate(ids)}
-    conflict = [0] * len(ids)
-    if t >= 1:
-        for eid, near in distance_conflicts(g, t).items():
+    # each edge's conflicts and the edge itself
+    closed = [1 << p for p in range(len(ids))]
+    if t >= 1 or max_load == 1:
+        for eid, near in distance_conflicts(g, max(t, 1)).items():
             for f in near:
-                conflict[position[eid]] |= 1 << position[f]
+                closed[position[eid]] |= 1 << position[f]
     ends = [g.endpoints(eid) for eid in ids]
     load = [0] * g.n
     # no set meets a vertex more than len(ids) times
     cap = len(ids) if max_load is None else max_load
+    full = (1 << len(ids)) - 1
 
     def grow(start: int, chosen: tuple, blocked: int):
-        yield chosen
+        yield (chosen, blocked == full) if _with_maximal else chosen
         for p in range(start, len(ids)):
             if blocked >> p & 1:
                 continue
@@ -425,7 +435,7 @@ def enumerate_edge_sets(g: MultiGraph, t: int = 1,
                 continue
             load[u] += 1
             load[v] += 1
-            yield from grow(p + 1, chosen + (ids[p],), blocked | conflict[p])
+            yield from grow(p + 1, chosen + (ids[p],), blocked | closed[p])
             load[u] -= 1
             load[v] -= 1
 
@@ -634,8 +644,27 @@ def _edge_set_image(perm, edge_set):
     return frozenset(map(perm.__getitem__, edge_set))
 
 
+@functools.lru_cache(maxsize=None)
+def _partitions(s: int, q: int) -> int:
+    """The precolourings of s pairwise disjoint edges from q colours up to
+    colour permutation: the partitions of the edges into at most q
+    blocks, sum over j <= min(s, q) of the Stirling numbers S(s, j)."""
+    row = [1]                           # S(0, j) for j = 0
+    for size in range(1, s + 1):
+        row = [0] + [j * (row[j] if j < size else 0) + row[j - 1]
+                     for j in range(1, size + 1)]
+    return sum(row[:q + 1])
+
+
+def _first_use(colours) -> tuple:
+    """``colours`` renamed 1, 2, ... in order of first use, the form in
+    which ``_colourings_of`` yields one colouring per permutation orbit."""
+    names: dict[int, int] = {}
+    return tuple([names.setdefault(c, len(names) + 1) for c in colours])
+
+
 def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
-                 palette_offset: int, budget
+                 palette_offset: int, budget, dominance: bool = True
                  ) -> tuple[int, int, dict | None]:
     """Check one graph against the claim; (instances, instances checked,
     counterexample).
@@ -651,6 +680,28 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
     (every set before it passes, or is the image of one that passed), so
     the counts and the counterexample are those of checking every set.
 
+    With ``dominance``, a case whose edge sets are matchings (k 1, or no
+    load cap and t >= 1) goes to ``_check_maximal``, on two arguments:
+
+    - Dominance.  Take a precolouring P' of a set S' inside a maximal set
+      S of the case, and give the edges of S - S' any palette colours.
+      They share no vertex with another edge of S, so the result P is a
+      proper precolouring of S; a colouring that extends P extends P',
+      and one that avoids P avoids P'.  So the case passes if every
+      precolouring of every maximal set passes, and the extender runs on
+      those alone.  (An instance the claim excepts is excepted by g and k
+      alone, so the sets below it are excepted too.)  A set of s edges
+      has ``_partitions(s, palette size)`` precolourings.
+    - Certificates, for the extension claims.  A proper colouring phi the
+      extender returns restricts, on every maximal set L, to a
+      precolouring of L that phi extends; renamed by first use, it is a
+      precolouring ``_colourings_of`` yields, and it passes with no run.
+
+    That shows that the case passes, not which instance fails first: once
+    any check fails or spends its budget, the graph is checked again
+    without ``dominance``, so the counts and the counterexample are still
+    those of checking every set.
+
     A search that passes ``budget`` raises ``exact.BudgetSpent``.
     """
     cases, extend, note = _plan(claim, g, max_k, palette_offset, budget)
@@ -658,6 +709,15 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
     instances = checked = 0
     for k, size, t in cases:
         palette = Palette(size)
+        if dominance and (k == 1 or k is None and t >= 1):
+            counts = _check_maximal(g, k, t, palette, perms, extend,
+                                    claim != "matching-avoidance")
+            if counts is None:
+                return _check_graph(claim, g, automorphisms, max_k,
+                                    palette_offset, budget, dominance=False)
+            instances += counts[0]
+            checked += counts[1]
+            continue
         counted = {}            # a checked orbit's sets: precolourings each
         for subset in enumerate_edge_sets(g, t, k):
             key = frozenset(subset)
@@ -679,6 +739,43 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
             for image in _orbit(key, _edge_set_image, perms):
                 counted[image] = count
     return instances, checked, None
+
+
+def _check_maximal(g: MultiGraph, k, t: int, palette: Palette, perms,
+                   extend, certify: bool) -> tuple[int, int] | None:
+    """(instances, instances checked) of one case whose edge sets are
+    matchings, by dominance and certificates (see ``_check_graph``), or
+    None once an instance fails or spends its budget.
+
+    The extender runs on the maximal sets, one per automorphism orbit, in
+    stream order; a colouring found is recorded as a certificate only for
+    the leaders still to come, this one included.
+    """
+    instances = 0
+    maximal = {}
+    for subset, is_maximal in enumerate_edge_sets(g, t, k, True):
+        instances += _partitions(len(subset), palette.k)
+        if is_maximal:
+            maximal[frozenset(subset)] = subset
+    leaders = [maximal[key] for key in
+               _orbit_leaders(maximal, _edge_set_image, perms)]
+    certified = [set() for _ in leaders]
+    checked = 0
+    for i, subset in enumerate(leaders):
+        for pre in _colourings_of(g, subset, palette, True):
+            if tuple(pre.values()) in certified[i]:
+                continue
+            checked += 1
+            out = extend(pre, k, palette)
+            if out is None:
+                continue
+            if not (out.solved and is_proper(g, out.colouring)):
+                return None
+            if certify:
+                phi = out.colouring
+                for j in range(i, len(leaders)):
+                    certified[j].add(_first_use([phi[e] for e in leaders[j]]))
+    return instances, checked
 
 
 def _counterexample(claim, g, pre, palette, note) -> dict:
@@ -728,12 +825,14 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
     """Exhaustively check a claim over all connected multigraphs in bounds.
 
     Each graph's instances are checked once per orbit of its
-    automorphisms (see ``_check_graph``): ``instances`` counts every
-    labelled instance, ``instances_checked`` those the extender ran on.
-    ``budget`` bounds only the searches that run; an instance decided by
-    symmetry runs none.  The first counterexample in enumeration order
-    (fewest edges first) is recorded after an exact-solver replay
-    confirms it.
+    automorphisms, and for matchings on the maximal sets only, less the
+    instances a colouring already found certifies (see ``_check_graph``):
+    ``instances`` counts every labelled instance, ``instances_checked``
+    the extender runs.  ``budget`` bounds only the searches that run; an
+    instance decided by symmetry, dominance or a certificate runs none.
+    The first counterexample in enumeration order (fewest edges first) is
+    recorded after an exact-solver replay confirms it.  Bounds that admit
+    no instance raise ``InputError``.
     """
     if claim not in CLAIMS:
         raise InputError(f"unknown claim {claim!r}; known: "
@@ -793,5 +892,7 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
             pool.join()
         if failure is not None:
             raise failure
+    if report.instances == 0:
+        raise InputError("bounds admit no instance")
     report.elapsed = time.monotonic() - start
     return report

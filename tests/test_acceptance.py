@@ -48,6 +48,19 @@ def test_criterion_13_simple_graph_matching_extension_sweep(capsys):
                        "palette Delta+1 (n<=8, e<=10)", body)
 
 
+def test_criterion_14_multigraph_matching_extension_sweeps(capsys):
+    def body():
+        for claim, instance_count in (("matching-extension", 79905),
+                                      ("distance3-extension", 19596)):
+            rep = instances.verify(claim, max_n=6, max_e=9, max_mu=3)
+            assert rep.ok, (claim, rep.counterexample)
+            assert (rep.graphs, rep.instances) == (2048, instance_count), \
+                claim
+    _check(capsys, 14, "exhaustive matching and distance-3 matching "
+                       "extension on multigraphs, palettes Delta+mu and "
+                       "Delta+mu+1 (n<=6, e<=9, mu<=3)", body)
+
+
 def test_criterion_2_subdivided_star_sharpness(capsys):
     def body():
         for s in range(2, 9):

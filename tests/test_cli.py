@@ -72,6 +72,23 @@ def test_extend_budget_exit(star_files, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb, option, value", [
+    ("extend", "--budget", "-1"), ("verify", "--budget", "-1"),
+    ("verify", "--jobs", "0"), ("verify", "--jobs", "-3"),
+])
+def test_negative_budget_and_jobs_exit_2(star_files, capsys, verb, option,
+                                         value):
+    gpath, cpath = star_files
+    target = (["--graph", gpath, "--colours", cpath] if verb == "extend"
+              else ["--claim", "matching-extension"])
+    with pytest.raises(SystemExit) as stop:
+        run([verb, *target, option, value, "--no-timestamp"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be at least" in captured.err
+
+
 def test_extend_gallai_budget_exit(tmp_path, capsys):
     # K4 with a precoloured matching: its one component needs a 4-node
     # search, so a budget of 1 is spent.
@@ -254,7 +271,9 @@ def test_verify_budget_exit(claim, jobs, capsys):
 @pytest.mark.parametrize("bound", [["--claim", "line-degree-extension",
                                     "--max-k", "-1"],
                                    ["--claim", "matching-extension",
-                                    "--delta-max", "0"]])
+                                    "--delta-max", "0"],
+                                   ["--claim", "matching-extension",
+                                    "--palette-offset", "-5"]])
 def test_verify_rejects_bounds_that_admit_nothing(bound, capsys):
     assert run(["verify", *bound, "--max-n", "3", "--max-e", "3",
                 "--no-timestamp"]) == 2

@@ -11,10 +11,11 @@ from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
                           edges_path)
 from edgeext.colouring import Palette, is_proper, max_precoloured_degree
 from edgeext.exact import BudgetSpent, avoid, chromatic_index, extend
+from edgeext import instances
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
-                               _edge_automorphisms,
+                               _colourings_of, _edge_automorphisms,
                                _multigraphs_with_automorphisms,
-                               canonical_form,
+                               _partitions, canonical_form,
                                compute_rho, distance_conflicts,
                                enumerate_edge_sets,
                                enumerate_multigraphs,
@@ -286,6 +287,32 @@ def test_precolourings_match_the_set_based_stream(g, t, up_to, bound,
         max_load=bound)] == expected
 
 
+@settings(max_examples=60)
+@given(multigraphs(max_n=5, max_e=6, max_mu=2),
+       st.sampled_from([(0, 1), (1, None), (1, 1), (3, None)]))
+def test_edge_sets_flag_the_maximal_matchings(g, family):
+    # the flag is maximality among the sets of the stream, and the stream
+    # is the plain one
+    t, bound = family
+    flagged = list(enumerate_edge_sets(g, t, bound, True))
+    assert [subset for subset, _ in flagged] == \
+        list(enumerate_edge_sets(g, t, bound))
+    sets = {frozenset(subset) for subset, _ in flagged}
+    for subset, maximal in flagged:
+        assert maximal == all(frozenset(subset) | {eid} not in sets
+                              for eid in g.edge_ids if eid not in subset)
+
+
+def test_partitions_count_the_colourings_of_a_matching():
+    for s in range(7):
+        matching = MultiGraph(2 * s, [(i, 2 * i, 2 * i + 1)
+                                      for i in range(s)])
+        subset = tuple(range(s))
+        for q in range(1, 8):
+            assert _partitions(s, q) == len(list(
+                _colourings_of(matching, subset, Palette(q), True))), (s, q)
+
+
 def test_precolourings_up_to_colour_permutation():
     g = edges_path(4)
     pal = Palette(3)
@@ -415,6 +442,48 @@ def test_verify_checks_one_instance_per_orbit():
     assert obj["instances_checked"] == rep.instances_checked
 
 
+# extender runs per claim at (5, 6, 2), max_k=2: one per orbit, for
+# matchings on the maximal sets only, less the certified ones
+_CHECKED = {
+    "bipartite-extension": 979,
+    "bipartite-matching-extension": 84,
+    "distance3-extension": 77,
+    "line-degree-extension": 721,
+    "matching-avoidance": 287,
+    "matching-extension": 167,
+    "shannon-extension": 2117,
+    "shannon-matching-extension": 159,
+    "subcubic-matching-extension": 73,
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_verify_extender_runs_are_pinned(claim):
+    rep = verify(claim, max_n=5, max_e=6, max_mu=2, max_k=2)
+    assert rep.ok
+    assert rep.instances_checked == _CHECKED[claim]
+
+
+def test_only_extension_claims_record_certificates(monkeypatch):
+    # a colouring that avoids a forbidden assignment is no extension of
+    # its restrictions, so avoidance keys none
+    keyed = []
+    original = instances._first_use
+
+    def first_use(colours):
+        keyed.append(colours)
+        return original(colours)
+
+    monkeypatch.setattr(instances, "_first_use", first_use)
+    avoided = verify("matching-avoidance", max_n=4, max_e=5, max_mu=2)
+    assert avoided.ok and not keyed
+    extended = verify("matching-extension", max_n=4, max_e=5, max_mu=2)
+    assert extended.ok and keyed
+    # same cases and palettes: the certificates alone save runs
+    assert extended.instances == avoided.instances
+    assert extended.instances_checked < avoided.instances_checked
+
+
 def test_all_claims_run_on_tiny_bounds():
     for claim in sorted(CLAIMS):
         rep = verify(claim, max_n=3, max_e=3, max_mu=2, max_k=1)
@@ -502,6 +571,7 @@ def test_verify_raises_budget_spent(claim, jobs):
     ("bipartite-extension", {"max_k": 0}),
     ("shannon-extension", {"max_k": 0}),
     ("matching-extension", {"delta_max": 0}),
+    ("matching-extension", {"palette_offset": -5}),
 ])
 def test_verify_rejects_bounds_that_admit_nothing(claim, bounds):
     with pytest.raises(InputError):
