@@ -406,27 +406,38 @@ def enumerate_edge_sets(g: MultiGraph, t: int = 1,
     stream is the unbounded one filtered, in the same order.
 
     With ``_with_maximal``, each set comes as (set, maximal): maximal is
-    True when every edge is in the set or in conflict with one of it.
-    That is maximality in the family when only conflicts bound it, that
-    is for matchings (``max_load`` 1, whose conflicts include line
-    adjacency, or None with t >= 1).
+    True when no edge can join it, every edge being in the set, in
+    conflict with one of it, or at a vertex the set already meets
+    ``max_load`` times.
     """
     ids = sorted(g.edge_ids, key=_id_sort_key)
     position = {eid: p for p, eid in enumerate(ids)}
     # each edge's conflicts and the edge itself
     closed = [1 << p for p in range(len(ids))]
-    if t >= 1 or max_load == 1:
+    adjacency = t >= 1 or max_load == 1
+    if adjacency:
         for eid, near in distance_conflicts(g, max(t, 1)).items():
             for f in near:
                 closed[position[eid]] |= 1 << position[f]
     ends = [g.endpoints(eid) for eid in ids]
+    at = [0] * g.n                      # the edges at each vertex
+    for p, (u, v) in enumerate(ends):
+        at[u] |= 1 << p
+        at[v] |= 1 << p
     load = [0] * g.n
     # no set meets a vertex more than len(ids) times
     cap = len(ids) if max_load is None else max_load
     full = (1 << len(ids)) - 1
+    # A vertex the set meets cap times blocks its other edges.  Where the
+    # conflicts include line adjacency they block those edges already, and
+    # with no cap the vertex is saturated only once the set holds every
+    # edge; a zero cap saturates every vertex from the start.
+    watch = not adjacency and max_load is not None
 
-    def grow(start: int, chosen: tuple, blocked: int):
-        yield (chosen, blocked == full) if _with_maximal else chosen
+    def grow(start: int, chosen: tuple, blocked: int, saturated: int):
+        # saturated: the edges at the vertices the set meets cap times
+        yield (chosen, (blocked | saturated) == full) if _with_maximal \
+            else chosen
         for p in range(start, len(ids)):
             if blocked >> p & 1:
                 continue
@@ -435,11 +446,18 @@ def enumerate_edge_sets(g: MultiGraph, t: int = 1,
                 continue
             load[u] += 1
             load[v] += 1
-            yield from grow(p + 1, chosen + (ids[p],), blocked | closed[p])
+            grown = saturated
+            if watch:
+                if load[u] == cap:
+                    grown |= at[u]
+                if load[v] == cap:
+                    grown |= at[v]
+            yield from grow(p + 1, chosen + (ids[p],), blocked | closed[p],
+                            grown)
             load[u] -= 1
             load[v] -= 1
 
-    yield from grow(0, (), 0)
+    yield from grow(0, (), 0, full if cap == 0 else 0)
 
 
 def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
@@ -459,14 +477,17 @@ def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
                                   up_to_colour_permutation)
 
 
-def _colourings_of(g, subset, palette, up_to_permutation):
+def _colourings_of(g, subset, palette, up_to_permutation, tuples=False):
+    """The proper precolourings of ``subset``, as dicts, or with
+    ``tuples`` as colour tuples in its order; up to permutation, colours
+    come in first-use order."""
     ends = [g.endpoints(eid) for eid in subset]
     used = [0] * g.n                    # colour bits at each vertex
     chosen: list[int] = []
 
     def assign(i, max_used):
         if i == len(subset):
-            yield dict(zip(subset, chosen))
+            yield tuple(chosen) if tuples else dict(zip(subset, chosen))
             return
         u, v = ends[i]
         taken = used[u] | used[v]
@@ -484,6 +505,37 @@ def _colourings_of(g, subset, palette, up_to_permutation):
             used[v] ^= bit
 
     yield from assign(0, 0)
+
+
+def _count_colourings(g, subset, q: int) -> int:
+    """The precolourings of ``subset`` from q colours up to colour
+    permutation, as many as ``_colourings_of`` yields, counted by the same
+    walk with no tuple built: the last edge adds its free colours."""
+    if not subset:
+        return 1
+    ends = [g.endpoints(eid) for eid in subset]
+    used = [0] * g.n
+    last = len(subset) - 1
+
+    def walk(i, max_used):
+        u, v = ends[i]
+        taken = used[u] | used[v]
+        top = min(q, max_used + 1)
+        if i == last:
+            return top - (taken & ((2 << top) - 2)).bit_count()
+        total = 0
+        for c in range(1, top + 1):
+            bit = 1 << c
+            if taken & bit:
+                continue
+            used[u] |= bit
+            used[v] |= bit
+            total += walk(i + 1, max(max_used, c))
+            used[u] ^= bit
+            used[v] ^= bit
+        return total
+
+    return walk(0, 0)
 
 
 def random_distance_matching(g: MultiGraph, t: int, palette: Palette,
@@ -656,7 +708,8 @@ def _partitions(s: int, q: int) -> int:
     return sum(row[:q + 1])
 
 
-def _first_use(colours) -> tuple:
+@functools.lru_cache(maxsize=1 << 16)
+def _first_use(colours: tuple) -> tuple:
     """``colours`` renamed 1, 2, ... in order of first use, the form in
     which ``_colourings_of`` yields one colouring per permutation orbit."""
     names: dict[int, int] = {}
@@ -680,18 +733,26 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
     (every set before it passes, or is the image of one that passed), so
     the counts and the counterexample are those of checking every set.
 
-    With ``dominance``, a case whose edge sets are matchings (k 1, or no
-    load cap and t >= 1) goes to ``_check_maximal``, on two arguments:
+    With ``dominance``, a case goes to ``_check_maximal`` when its edge
+    sets are matchings (t >= 1, or at most one edge at each vertex), and
+    when t = 0, the cap is k and the palette has at least 2 min(k, Delta)
+    - 1 colours, as it has in both degree-k claims (Delta + k and
+    floor((3 Delta + k) / 2) colours).  It rests on two arguments:
 
-    - Dominance.  Take a precolouring P' of a set S' inside a maximal set
-      S of the case, and give the edges of S - S' any palette colours.
-      They share no vertex with another edge of S, so the result P is a
-      proper precolouring of S; a colouring that extends P extends P',
-      and one that avoids P avoids P'.  So the case passes if every
-      precolouring of every maximal set passes, and the extender runs on
-      those alone.  (An instance the claim excepts is excepted by g and k
-      alone, so the sets below it are excepted too.)  A set of s edges
-      has ``_partitions(s, palette size)`` precolourings.
+    - Dominance.  Take a precolouring P' of a set S' of the case, and add
+      edges to S' one at a time up to a maximal set S of the case, each
+      coloured greedily.  An edge of a matching case shares no vertex
+      with the set, so any colour will do.  With cap k, an added edge
+      meets fewer than k edges of the set at each end, and fewer than
+      Delta, being none of them; so it sees at most 2 min(k, Delta) - 2
+      colours, and the palette has one more.  The result P is a proper
+      precolouring of S; a colouring that extends P extends P', and one
+      that avoids P avoids P'.  So the case passes if every precolouring
+      of every maximal set passes, and the extender runs on those alone.
+      (An instance the claim excepts is excepted by g and k alone, so the
+      sets below it are excepted too.)  A matching of s edges has
+      ``_partitions(s, palette size)`` precolourings; another set's are
+      counted by ``_count_colourings``, once per orbit.
     - Certificates, for the extension claims.  A proper colouring phi the
       extender returns restricts, on every maximal set L, to a
       precolouring of L that phi extends; renamed by first use, it is a
@@ -709,7 +770,8 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
     instances = checked = 0
     for k, size, t in cases:
         palette = Palette(size)
-        if dominance and (k == 1 or k is None and t >= 1):
+        if dominance and (t >= 1 or k is not None and
+                          size >= 2 * min(k, g.delta()) - 1):
             counts = _check_maximal(g, k, t, palette, perms, extend,
                                     claim != "matching-avoidance")
             if counts is None:
@@ -743,38 +805,60 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
 
 def _check_maximal(g: MultiGraph, k, t: int, palette: Palette, perms,
                    extend, certify: bool) -> tuple[int, int] | None:
-    """(instances, instances checked) of one case whose edge sets are
-    matchings, by dominance and certificates (see ``_check_graph``), or
-    None once an instance fails or spends its budget.
+    """(instances, instances checked) of one case, by dominance and
+    certificates (see ``_check_graph``), or None once an instance fails or
+    spends its budget.
 
     The extender runs on the maximal sets, one per automorphism orbit, in
-    stream order; a colouring found is recorded as a certificate only for
-    the leaders still to come, this one included.
+    stream order, on the precolourings no certificate covers.  A colouring
+    found certifies its restrictions to the leaders still to come that
+    have a precolouring left uncovered; a leader with none is skipped.
     """
+    q = palette.k
+    # a set is a matching iff its edges' end bits add up without a carry
+    # (always, for t >= 1 or a cap of at most 1)
+    end_bits = None if t >= 1 or k is not None and k <= 1 else \
+        {eid: (1 << u) + (1 << v) for eid, u, v in g.edges}.__getitem__
+    counted = {}            # a set's orbit: its precolourings each
+    maximal = {}            # a maximal set: (its edges, its precolourings)
     instances = 0
-    maximal = {}
     for subset, is_maximal in enumerate_edge_sets(g, t, k, True):
-        instances += _partitions(len(subset), palette.k)
+        if end_bits is None or \
+                sum(map(end_bits, subset)).bit_count() == 2 * len(subset):
+            count = _partitions(len(subset), q)
+        else:
+            key = frozenset(subset)
+            count = counted.get(key)
+            if count is None:
+                count = _count_colourings(g, subset, q)
+                for image in _orbit(key, _edge_set_image, perms):
+                    counted[image] = count
+        instances += count
         if is_maximal:
-            maximal[frozenset(subset)] = subset
+            maximal[frozenset(subset)] = subset, count
     leaders = [maximal[key] for key in
                _orbit_leaders(maximal, _edge_set_image, perms)]
     certified = [set() for _ in leaders]
     checked = 0
-    for i, subset in enumerate(leaders):
-        for pre in _colourings_of(g, subset, palette, True):
-            if tuple(pre.values()) in certified[i]:
+    for i, (subset, count) in enumerate(leaders):
+        done = certified[i]
+        if len(done) == count:
+            continue
+        later = [(leaders[j][0], certified[j])
+                 for j in range(i + 1, len(leaders))
+                 if len(certified[j]) < leaders[j][1]] if certify else []
+        for colours in _colourings_of(g, subset, palette, True, tuples=True):
+            if colours in done:
                 continue
             checked += 1
-            out = extend(pre, k, palette)
+            out = extend(dict(zip(subset, colours)), k, palette)
             if out is None:
                 continue
             if not (out.solved and is_proper(g, out.colouring)):
                 return None
-            if certify:
-                phi = out.colouring
-                for j in range(i, len(leaders)):
-                    certified[j].add(_first_use([phi[e] for e in leaders[j]]))
+            phi = out.colouring.__getitem__
+            for edges, keys in later:
+                keys.add(_first_use(tuple(map(phi, edges))))
     return instances, checked
 
 
@@ -825,8 +909,9 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
     """Exhaustively check a claim over all connected multigraphs in bounds.
 
     Each graph's instances are checked once per orbit of its
-    automorphisms, and for matchings on the maximal sets only, less the
-    instances a colouring already found certifies (see ``_check_graph``):
+    automorphisms, on the maximal sets only where a greedy colouring
+    extends every precolouring to one of a maximal set, less the instances
+    a colouring already found certifies (see ``_check_graph``):
     ``instances`` counts every labelled instance, ``instances_checked``
     the extender runs.  ``budget`` bounds only the searches that run; an
     instance decided by symmetry, dominance or a certificate runs none.

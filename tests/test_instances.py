@@ -11,9 +11,10 @@ from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
                           edges_path)
 from edgeext.colouring import Palette, is_proper, max_precoloured_degree
 from edgeext.exact import BudgetSpent, avoid, chromatic_index, extend
-from edgeext import instances
+from edgeext import exact, instances, kernels
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
-                               _colourings_of, _edge_automorphisms,
+                               _colourings_of, _count_colourings,
+                               _edge_automorphisms,
                                _multigraphs_with_automorphisms,
                                _partitions, canonical_form,
                                compute_rho, distance_conflicts,
@@ -289,8 +290,9 @@ def test_precolourings_match_the_set_based_stream(g, t, up_to, bound,
 
 @settings(max_examples=60)
 @given(multigraphs(max_n=5, max_e=6, max_mu=2),
-       st.sampled_from([(0, 1), (1, None), (1, 1), (3, None)]))
-def test_edge_sets_flag_the_maximal_matchings(g, family):
+       st.sampled_from([(0, 1), (1, None), (1, 1), (3, None), (0, 0),
+                        (0, 2), (0, 3), (1, 2)]))
+def test_edge_sets_flag_the_maximal_sets(g, family):
     # the flag is maximality among the sets of the stream, and the stream
     # is the plain one
     t, bound = family
@@ -311,6 +313,17 @@ def test_partitions_count_the_colourings_of_a_matching():
         for q in range(1, 8):
             assert _partitions(s, q) == len(list(
                 _colourings_of(matching, subset, Palette(q), True))), (s, q)
+
+
+@settings(max_examples=80)
+@given(multigraphs(max_n=5, max_e=7, max_mu=3), st.integers(1, 7),
+       st.data())
+def test_counting_walk_counts_the_colourings_of_a_set(g, q, data):
+    # random sets with at most 3 edges at each vertex, matchings or not
+    sets = list(enumerate_edge_sets(g, 0, 3))
+    subset = data.draw(st.sampled_from(sets))
+    assert _count_colourings(g, subset, q) == len(list(
+        _colourings_of(g, subset, Palette(q), True)))
 
 
 def test_precolourings_up_to_colour_permutation():
@@ -396,6 +409,15 @@ def test_verify_parallel_matches_serial():
         assert serial.instances_checked == parallel.instances_checked
         assert serial.graphs == parallel.graphs
         assert serial.counterexample == parallel.counterexample
+    # the degree-k cases go through dominance too
+    for claim in ("bipartite-extension", "shannon-extension"):
+        serial = verify(claim, max_n=4, max_e=5, max_mu=2, max_k=2)
+        parallel = verify(claim, max_n=4, max_e=5, max_mu=2, max_k=2,
+                          jobs=2)
+        assert (serial.ok, serial.graphs, serial.instances,
+                serial.instances_checked, serial.counterexample) == \
+            (parallel.ok, parallel.graphs, parallel.instances,
+             parallel.instances_checked, parallel.counterexample)
 
 
 @pytest.mark.parametrize("max_k", [1, 2])
@@ -411,6 +433,36 @@ def test_verify_matches_the_unpruned_sweep(claim, offset, bounds, max_k):
         oracles.verify(claim, *bounds, max_k=max_k, palette_offset=offset)
     assert rep.ok == (rep.counterexample is None)
     assert rep.instances_checked <= rep.instances
+
+
+def test_a_planted_degree_k_failure_is_found_as_without_dominance(
+        monkeypatch):
+    # An extender that fails whenever a vertex meets two precoloured
+    # edges fails on every superset, image and colour permutation of such
+    # an instance too, so the degree-k case with k = 2 falls back to the
+    # orbit loop and must report the oracle's first counterexample.
+    def loaded(g, pre):
+        ends = [w for eid in pre for w in g.endpoints(eid)]
+        return len(set(ends)) < len(ends)
+
+    def failing(original, graph_at):
+        def extend(*args, **kwargs):
+            g, pre = graph_at(args)
+            if loaded(g, pre):
+                return exact.SolveOutcome(exact.UNSOLVABLE)
+            return original(*args, **kwargs)
+        return extend
+
+    monkeypatch.setattr(kernels, "extend_bipartite", failing(
+        kernels.extend_bipartite, lambda args: (args[0], args[2])))
+    monkeypatch.setattr(exact, "extend", failing(
+        exact.extend, lambda args: (args[0], args[1])))
+    rep = verify("bipartite-extension", max_n=4, max_e=5, max_mu=2,
+                 max_k=2)
+    assert not rep.ok
+    assert (rep.graphs, rep.instances, rep.counterexample) == \
+        oracles.verify("bipartite-extension", 4, 5, 2, max_k=2)
+    assert rep.counterexample["note"] == "bipartite extender failed"
 
 
 def test_edge_automorphisms_map_ends_onto_themselves():
@@ -442,16 +494,16 @@ def test_verify_checks_one_instance_per_orbit():
     assert obj["instances_checked"] == rep.instances_checked
 
 
-# extender runs per claim at (5, 6, 2), max_k=2: one per orbit, for
-# matchings on the maximal sets only, less the certified ones
+# extender runs per claim at (5, 6, 2), max_k=2: one per orbit, on the
+# maximal sets only, less the certified ones
 _CHECKED = {
-    "bipartite-extension": 979,
+    "bipartite-extension": 261,
     "bipartite-matching-extension": 84,
     "distance3-extension": 77,
-    "line-degree-extension": 721,
+    "line-degree-extension": 351,
     "matching-avoidance": 287,
     "matching-extension": 167,
-    "shannon-extension": 2117,
+    "shannon-extension": 510,
     "shannon-matching-extension": 159,
     "subcubic-matching-extension": 73,
 }
