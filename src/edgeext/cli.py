@@ -38,6 +38,14 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph(path: str) -> MultiGraph:
     return MultiGraph.from_json_obj(_load_json(path))
 
@@ -81,13 +89,12 @@ def _finish_outcome(g: MultiGraph, outcome, args, extra=None) -> int:
             raise AssertionError("refusing to print an improper colouring")
         if len(outcome.colouring) != len(g.edges):
             raise AssertionError("refusing to print a partial colouring")
+    if outcome.solved and getattr(args, "dot", None):
+        _write(args.dot, g.to_dot(outcome.colouring))
     obj = outcome.to_json_obj()
     if extra:
         obj.update(extra)
     _emit(obj, args)
-    if outcome.solved and getattr(args, "dot", None):
-        with open(args.dot, "w") as fh:
-            fh.write(g.to_dot(outcome.colouring))
     return _EXIT[outcome.status]
 
 
@@ -195,10 +202,9 @@ def _cmd_vizing(args) -> int:
            "colours_used": max(colouring.values(), default=0),
            "bound": exact.vizing_bound(g),
            "colouring": {str(eid): c for eid, c in colouring.items()}}
-    _emit(obj, args)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(g.to_dot(colouring))
+        _write(args.dot, g.to_dot(colouring))
+    _emit(obj, args)
     return 0
 
 
@@ -221,13 +227,9 @@ def _cmd_gen(args) -> int:
     graph_obj = g.to_json_obj()
     colours_obj = colouring_to_json_obj(pre, palette)
     if args.graph_out:
-        with open(args.graph_out, "w") as fh:
-            json.dump(graph_obj, fh)
-            fh.write("\n")
+        _write(args.graph_out, json.dumps(graph_obj) + "\n")
     if args.colours_out:
-        with open(args.colours_out, "w") as fh:
-            json.dump(colours_obj, fh)
-            fh.write("\n")
+        _write(args.colours_out, json.dumps(colours_obj) + "\n")
     _emit({"family": args.family, "params": list(args.params),
            "graph": graph_obj, "precolouring": colours_obj}, args)
     return 0

@@ -717,51 +717,48 @@ def _first_use(colours: tuple) -> tuple:
 
 
 def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
-                 palette_offset: int, budget, dominance: bool = True
-                 ) -> tuple[int, int, dict | None]:
+                 palette_offset: int, budget) -> tuple[int, int, dict | None]:
     """Check one graph against the claim; (instances, instances checked,
     counterexample).
 
-    An automorphism of g, or a permutation of the palette, maps an
-    instance to one that extends alike, and the number of precolourings
-    of an edge set up to colour permutation is the same for every set in
-    its orbit.  So each case's edge sets are grouped into orbits under
-    the vertex ``automorphisms`` (see ``_edge_automorphisms``) in
-    ``enumerate_edge_sets`` order: the extender runs only on the
-    precolourings of each orbit's first set, and every later set counts
-    as many instances.  The first failing instance lies in a first set
-    (every set before it passes, or is the image of one that passed), so
-    the counts and the counterexample are those of checking every set.
+    Each case is one walk over its edge sets in ``enumerate_edge_sets``
+    order (see ``_check_case``), resting on three arguments:
 
-    With ``dominance``, a case goes to ``_check_maximal`` when its edge
-    sets are matchings (t >= 1, or at most one edge at each vertex), and
-    when t = 0, the cap is k and the palette has at least 2 min(k, Delta)
-    - 1 colours, as it has in both degree-k claims (Delta + k and
-    floor((3 Delta + k) / 2) colours).  It rests on two arguments:
-
+    - Orbits.  An automorphism of g, or a permutation of the palette, maps
+      an instance to one that extends alike, and the number of
+      precolourings of an edge set up to colour permutation is the same
+      for every set in its orbit under the vertex ``automorphisms`` (see
+      ``_edge_automorphisms``).  So the extender runs only on the first
+      set of each orbit, and every later set counts as many instances.
     - Dominance.  Take a precolouring P' of a set S' of the case, and add
       edges to S' one at a time up to a maximal set S of the case, each
-      coloured greedily.  An edge of a matching case shares no vertex
-      with the set, so any colour will do.  With cap k, an added edge
-      meets fewer than k edges of the set at each end, and fewer than
+      coloured greedily.  When the case's sets are matchings (t >= 1, or
+      at most one edge at each vertex), an added edge shares no vertex
+      with the set, so any colour will do.  With t = 0 and cap k, an added
+      edge meets fewer than k edges of the set at each end, and fewer than
       Delta, being none of them; so it sees at most 2 min(k, Delta) - 2
-      colours, and the palette has one more.  The result P is a proper
-      precolouring of S; a colouring that extends P extends P', and one
-      that avoids P avoids P'.  So the case passes if every precolouring
-      of every maximal set passes, and the extender runs on those alone.
-      (An instance the claim excepts is excepted by g and k alone, so the
-      sets below it are excepted too.)  A matching of s edges has
-      ``_partitions(s, palette size)`` precolourings; another set's are
-      counted by ``_count_colourings``, once per orbit.
+      colours, and a palette of at least 2 min(k, Delta) - 1 colours, as
+      both degree-k claims have (Delta + k and floor((3 Delta + k) / 2)),
+      has one more.  The result P is a proper precolouring of S; a
+      colouring that extends P extends P', and one that avoids P avoids
+      P'.  So such a case passes if every precolouring of every maximal
+      set passes, and the extender runs on those alone.  (An instance the
+      claim excepts is excepted by g and k alone, so the sets below it are
+      excepted too.)
     - Certificates, for the extension claims.  A proper colouring phi the
-      extender returns restricts, on every maximal set L, to a
+      extender returns restricts, on every later maximal set L, to a
       precolouring of L that phi extends; renamed by first use, it is a
       precolouring ``_colourings_of`` yields, and it passes with no run.
 
-    That shows that the case passes, not which instance fails first: once
-    any check fails or spends its budget, the graph is checked again
-    without ``dominance``, so the counts and the counterexample are still
-    those of checking every set.
+    Orbits keep the first failing instance: every set before it passes,
+    or is the image of one that passed.  Dominance and certificates show
+    only that a case passes, not which instance fails first.  So once any
+    check of that pass fails or spends its budget, the case is checked
+    again instance by instance, on every orbit's first set with no
+    certificate, and the counts and the counterexample are those of
+    checking every set.  On a failing graph, ``instances_checked`` counts
+    the runs of the cases that passed and those of that re-check up to the
+    failure, not the runs of the pass that failed.
 
     A search that passes ``budget`` raises ``exact.BudgetSpent``.
     """
@@ -770,96 +767,86 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
     instances = checked = 0
     for k, size, t in cases:
         palette = Palette(size)
-        if dominance and (t >= 1 or k is not None and
-                          size >= 2 * min(k, g.delta()) - 1):
-            counts = _check_maximal(g, k, t, palette, perms, extend,
-                                    claim != "matching-avoidance")
-            if counts is None:
-                return _check_graph(claim, g, automorphisms, max_k,
-                                    palette_offset, budget, dominance=False)
-            instances += counts[0]
-            checked += counts[1]
-            continue
-        counted = {}            # a checked orbit's sets: precolourings each
-        for subset in enumerate_edge_sets(g, t, k):
-            key = frozenset(subset)
-            if key in counted:
-                instances += counted[key]
-                continue
-            count = 0
-            for pre in _colourings_of(g, subset, palette, True):
-                count += 1
-                out = extend(pre, k, palette)
-                if out is None or out.solved and is_proper(g, out.colouring):
-                    continue
-                if out.status == exact.BUDGET:
-                    raise exact.BudgetSpent(out.nodes, out.depth)
-                return (instances + count, checked + count,
-                        _counterexample(claim, g, pre, palette, note))
-            instances += count
-            checked += count
-            for image in _orbit(key, _edge_set_image, perms):
-                counted[image] = count
+        pruned = t >= 1 or \
+            k is not None and size >= 2 * min(k, g.delta()) - 1
+        counts = _check_case(g, k, t, palette, perms, extend, pruned,
+                             pruned and claim != "matching-avoidance")
+        instances += counts[0]
+        checked += counts[1]
+        if counts[2] is not None:
+            return instances, checked, _counterexample(claim, g, counts[2],
+                                                       palette, note)
     return instances, checked, None
 
 
-def _check_maximal(g: MultiGraph, k, t: int, palette: Palette, perms,
-                   extend, certify: bool) -> tuple[int, int] | None:
-    """(instances, instances checked) of one case, by dominance and
-    certificates (see ``_check_graph``), or None once an instance fails or
-    spends its budget.
+def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
+                dominance: bool, certify: bool):
+    """(instances, instances checked, the first failing precolouring or
+    None) of one case (see ``_check_graph``).
 
-    The extender runs on the maximal sets, one per automorphism orbit, in
-    stream order, on the precolourings no certificate covers.  A colouring
-    found certifies its restrictions to the leaders still to come that
-    have a precolouring left uncovered; a leader with none is skipped.
+    The extender runs on the first set of each orbit, in stream order;
+    with ``dominance``, only on the maximal ones, and once an instance
+    fails or spends its budget the case is checked again without
+    dominance or certificates.  With ``certify``, every colouring found
+    is kept, and a set runs only the precolourings that no restriction of
+    one covers; a set they cover is skipped.  Each set counts as many
+    instances as ``_colourings_of`` yields: ``_partitions`` of its size
+    for a matching, ``_count_colourings`` once per orbit for another set;
+    a matching the extender skips builds no orbit.
     """
     q = palette.k
     # a set is a matching iff its edges' end bits add up without a carry
     # (always, for t >= 1 or a cap of at most 1)
     end_bits = None if t >= 1 or k is not None and k <= 1 else \
         {eid: (1 << u) + (1 << v) for eid, u, v in g.edges}.__getitem__
-    counted = {}            # a set's orbit: its precolourings each
-    maximal = {}            # a maximal set: (its edges, its precolourings)
-    instances = 0
-    for subset, is_maximal in enumerate_edge_sets(g, t, k, True):
-        if end_bits is None or \
-                sum(map(end_bits, subset)).bit_count() == 2 * len(subset):
-            count = _partitions(len(subset), q)
-        else:
-            key = frozenset(subset)
-            count = counted.get(key)
-            if count is None:
-                count = _count_colourings(g, subset, q)
-                for image in _orbit(key, _edge_set_image, perms):
-                    counted[image] = count
+    counted = {}            # a set of a visited orbit: its precolourings
+    found = []              # the colourings found, as lookups
+    instances = checked = 0
+    for subset, maximal in enumerate_edge_sets(g, t, k, True):
+        matching = end_bits is None or \
+            sum(map(end_bits, subset)).bit_count() == 2 * len(subset)
+        if matching and dominance and not maximal:
+            instances += _partitions(len(subset), q)
+            continue
+        key = frozenset(subset)
+        count = counted.get(key)
+        if count is not None:
+            instances += count
+            continue
+        count = _partitions(len(subset), q) if matching \
+            else _count_colourings(g, subset, q)
+        for image in _orbit(key, _edge_set_image, perms):
+            counted[image] = count
         instances += count
-        if is_maximal:
-            maximal[frozenset(subset)] = subset, count
-    leaders = [maximal[key] for key in
-               _orbit_leaders(maximal, _edge_set_image, perms)]
-    certified = [set() for _ in leaders]
-    checked = 0
-    for i, (subset, count) in enumerate(leaders):
-        done = certified[i]
+        if dominance and not maximal:
+            continue
+        done = set()
+        for phi in found:
+            if len(done) == count:
+                break
+            done.add(_first_use(tuple(map(phi, subset))))
         if len(done) == count:
             continue
-        later = [(leaders[j][0], certified[j])
-                 for j in range(i + 1, len(leaders))
-                 if len(certified[j]) < leaders[j][1]] if certify else []
-        for colours in _colourings_of(g, subset, palette, True, tuples=True):
+        for seen, colours in enumerate(
+                _colourings_of(g, subset, palette, True, tuples=True), 1):
             if colours in done:
                 continue
             checked += 1
-            out = extend(dict(zip(subset, colours)), k, palette)
+            pre = dict(zip(subset, colours))
+            out = extend(pre, k, palette)
             if out is None:
                 continue
-            if not (out.solved and is_proper(g, out.colouring)):
-                return None
-            phi = out.colouring.__getitem__
-            for edges, keys in later:
-                keys.add(_first_use(tuple(map(phi, edges))))
-    return instances, checked
+            if out.solved and is_proper(g, out.colouring):
+                if certify:
+                    found.append(out.colouring.__getitem__)
+                continue
+            if dominance:
+                return _check_case(g, k, t, palette, perms, extend, False,
+                                   False)
+            if out.status == exact.BUDGET:
+                raise exact.BudgetSpent(out.nodes, out.depth)
+            return instances - count + seen, checked, pre
+    return instances, checked, None
 
 
 def _counterexample(claim, g, pre, palette, note) -> dict:
@@ -911,9 +898,11 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
     Each graph's instances are checked once per orbit of its
     automorphisms, on the maximal sets only where a greedy colouring
     extends every precolouring to one of a maximal set, less the instances
-    a colouring already found certifies (see ``_check_graph``):
-    ``instances`` counts every labelled instance, ``instances_checked``
-    the extender runs.  ``budget`` bounds only the searches that run; an
+    a colouring already found certifies (see ``_check_graph``); a failure
+    re-checks that case instance by instance.  ``instances`` counts every
+    labelled instance, ``instances_checked`` the extender runs: on a
+    failing graph, those of its cases that passed and of the re-check up
+    to the failure.  ``budget`` bounds only the searches that run; an
     instance decided by symmetry, dominance or a certificate runs none.
     The first counterexample in enumeration order (fewest edges first) is
     recorded after an exact-solver replay confirms it.  Bounds that admit

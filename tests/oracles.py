@@ -59,8 +59,13 @@ vertex and must yield the same dicts in the same order.
 
 ``_check_graph`` and ``verify`` are the sweep that ran the extender on
 every labelled instance.  The one in ``edgeext.instances`` runs it once
-per orbit of each graph's automorphisms, so the two must agree on the
-graph and instance counts and on the counterexample.
+per orbit of each graph's automorphisms, on maximal sets only where a
+greedy colouring extends every precolouring to one of a maximal set, and
+skips what a colouring found already certifies; a failure re-checks that
+case instance by instance.  So the two must agree on the graph and
+instance counts and on the counterexample, though not on the extender
+runs: on a failing graph, the one in ``edgeext.instances`` counts the
+runs of the cases that passed and of the re-check up to the failure.
 
 ``IdKeyedMultiGraph`` is ``edgeext.core.MultiGraph`` as it was when it
 kept an endpoint dict keyed by edge id and (edge id, other end) pairs per

@@ -399,6 +399,29 @@ def test_solve_list_rejects_bool_colour(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("verb, inputs, option", [
+    ("extend", {"--colours": _GOOD_COLOURS}, "--dot"),
+    ("avoid", {"--colours": _GOOD_COLOURS}, "--dot"),
+    ("solve-list", {"--lists": {"lists": {"0": [1], "1": [2]}}}, "--dot"),
+    ("vizing", {}, "--dot"),
+    ("gen", None, "--graph-out"),
+    ("gen", None, "--colours-out"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, verb, inputs, option):
+    if inputs is None:
+        argv = ["gen", "--family", "subdivided-star", "--params", "3"]
+    else:
+        argv = [verb, "--graph", write(tmp_path, "g.json", _GOOD_GRAPH)]
+        for flag, obj in inputs.items():
+            argv += [flag, write(tmp_path, "in.json", obj)]
+    target = str(tmp_path / "missing" / "out")
+    assert run(argv + [option, target, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert "cannot write" in error["error"] and "traceback" not in error
+
+
 def test_extend_planar_deep_wheel(tmp_path, capsys):
     # 1,000 peel steps, more than the default recursion limit allows
     from edgeext.planar import wheel

@@ -16,7 +16,7 @@ from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                _colourings_of, _count_colourings,
                                _edge_automorphisms,
                                _multigraphs_with_automorphisms,
-                               _partitions, canonical_form,
+                               _partitions, _plan, canonical_form,
                                compute_rho, distance_conflicts,
                                enumerate_edge_sets,
                                enumerate_multigraphs,
@@ -439,8 +439,9 @@ def test_a_planted_degree_k_failure_is_found_as_without_dominance(
         monkeypatch):
     # An extender that fails whenever a vertex meets two precoloured
     # edges fails on every superset, image and colour permutation of such
-    # an instance too, so the degree-k case with k = 2 falls back to the
-    # orbit loop and must report the oracle's first counterexample.
+    # an instance too, so the degree-k case with k = 2 is checked again
+    # instance by instance and must report the oracle's first
+    # counterexample.
     def loaded(g, pre):
         ends = [w for eid in pre for w in g.endpoints(eid)]
         return len(set(ends)) < len(ends)
@@ -463,6 +464,8 @@ def test_a_planted_degree_k_failure_is_found_as_without_dominance(
     assert (rep.graphs, rep.instances, rep.counterexample) == \
         oracles.verify("bipartite-extension", 4, 5, 2, max_k=2)
     assert rep.counterexample["note"] == "bipartite extender failed"
+    # the failing graph's k = 1 case passed and reports its pruned runs
+    assert rep.instances_checked == 6
 
 
 def test_edge_automorphisms_map_ends_onto_themselves():
@@ -514,6 +517,38 @@ def test_verify_extender_runs_are_pinned(claim):
     rep = verify(claim, max_n=5, max_e=6, max_mu=2, max_k=2)
     assert rep.ok
     assert rep.instances_checked == _CHECKED[claim]
+
+
+# extender runs of the sweeps that fail, with max_k=2 and palette offset
+# -1: the pruned runs of the cases that passed, and the runs of the
+# failing case's re-check up to its counterexample
+_CHECKED_FAILING = {
+    ("matching-avoidance", (4, 5, 2)): 2,
+    ("matching-avoidance", (5, 6, 2)): 2,
+    ("matching-extension", (4, 5, 2)): 4,
+    ("matching-extension", (5, 6, 2)): 4,
+}
+
+
+@pytest.mark.parametrize("claim, bounds", sorted(_CHECKED_FAILING))
+def test_failing_sweep_extender_runs_are_pinned(claim, bounds):
+    rep = verify(claim, *bounds, max_k=2, palette_offset=-1)
+    assert not rep.ok
+    assert rep.instances_checked == _CHECKED_FAILING[claim, bounds]
+
+
+@pytest.mark.parametrize("claim", sorted(CLAIMS))
+def test_every_case_is_first_checked_by_dominance(claim):
+    # Each case meets the guard of the pruned pass: its sets are matchings,
+    # or its palette leaves a colour for each edge added greedily.  Then
+    # the instance-by-instance pass runs only after a failure.
+    offsets = (0, -1) if claim in OFFSET_CLAIMS else (0,)
+    for g, _ in _multigraphs_with_automorphisms(5, 6, 2, True, None):
+        for max_k, offset in itertools.product((1, 2, 3), offsets):
+            cases, _, _ = _plan(claim, g, max_k, offset, None)
+            for k, size, t in cases:
+                assert t >= 1 or k is not None and \
+                    size >= 2 * min(k, g.delta()) - 1, (g.edges, k, size)
 
 
 def test_only_extension_claims_record_certificates(monkeypatch):
