@@ -77,34 +77,22 @@ def check_load(g: MultiGraph, colouring: Mapping[EdgeId, int], k: int) -> None:
 def validate_precolouring(g: MultiGraph, colouring: Mapping[EdgeId, int],
                           palette: Palette) -> list[int]:
     """Reject unknown edges, colours outside the palette and an improper
-    precolouring; return each vertex's used colours as a bitmask."""
-    used = [0] * g.n
-    proper = True
-    for eid, colour in colouring.items():
-        u, v = g.endpoints(eid)
-        if colour not in palette:
-            raise InputError(
-                f"edge {eid!r} has colour {colour!r} outside palette [{palette.k}]")
-        bit = 1 << colour
-        if (used[u] | used[v]) & bit:
-            proper = False
-        used[u] |= bit
-        used[v] |= bit
-    if not proper:
-        raise InputError("precolouring is not proper")
-    return used
+    precolouring; return each vertex's used colours as a bitmask.
+
+    This is ``extension_masks`` with a load bound no vertex can pass."""
+    return extension_masks(g, colouring, palette, len(colouring))
 
 
 def extension_masks(g: MultiGraph, colouring: Mapping[EdgeId, int],
                     palette: Palette, k: int) -> list[int]:
     """The extenders' shared preamble: bound, then validate, in one pass.
 
-    Rejects a precolouring with more than k edges at some vertex, the
-    hypothesis every extension theorem here shares, then validates it as
-    ``validate_precolouring`` does; the errors come in the order of
-    ``check_load`` followed by ``validate_precolouring``.  Returns each
-    vertex's used colours as a bitmask.  An uncoloured edge uv may take
-    exactly the palette colours outside ``used[u] | used[v]``.
+    Rejects, in this order, an edge id the graph lacks, a vertex meeting
+    more than k precoloured edges (the hypothesis every extension theorem
+    here shares), a colour outside the palette and an improper
+    precolouring.  Returns each vertex's used colours as a bitmask.  An
+    uncoloured edge uv may take exactly the palette colours outside
+    ``used[u] | used[v]``.
     """
     used = [0] * g.n
     load = [0] * g.n

@@ -29,16 +29,23 @@ def _is_int(x) -> bool:
 
 
 def _id_sort_key(eid):
-    # Mixed int/str ids must still order deterministically.
-    return (0, eid, "") if isinstance(eid, int) else (1, 0, str(eid))
+    # Mixed int/str ids must still order deterministically; a tuple id (a
+    # line graph's) orders element by element.
+    if isinstance(eid, int):
+        return (0, eid, "")
+    if isinstance(eid, tuple):
+        return (2, tuple(map(_id_sort_key, eid)), "")
+    return (1, 0, str(eid))
 
 
 class MultiGraph:
     """Immutable loopless multigraph on vertices 0..n-1, in index form.
 
-    ``edges`` is an ordered sequence of (edge_id, u, v) triples; parallel
-    edges are distinct entries with distinct ids.  Edge i is ``edges[i]``,
-    and the engines work on these indices: ``ids[i]`` is its id,
+    ``edges`` holds the (edge_id, u, v) triples in edge-id order
+    (``_id_sort_key``), whatever order they were listed in, so index order
+    is id order and every engine breaks ties the same way; parallel edges
+    are distinct entries with distinct ids.  Edge i is ``edges[i]``, and
+    the engines work on these indices: ``ids[i]`` is its id,
     ``index`` maps an id back to i, ``ends[i]`` is its (u, v) and
     ``incidence[v]`` lists the edges at v in increasing order.  The
     id-keyed accessors below are read off these arrays.
@@ -56,7 +63,7 @@ class MultiGraph:
         ends = []
         index = {}
         incidence: list[list[int]] = [[] for _ in range(n)]
-        for eid, u, v in edges:
+        for eid, u, v in sorted(edges, key=lambda e: _id_sort_key(e[0])):
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {eid!r}: endpoint out of range")
             if u == v:
@@ -246,45 +253,31 @@ class DenseForm:
     Bit i of an edge mask stands for edge i of the graph (see
     ``MultiGraph``), whose arrays hold everything else.  ``at_vertex[v]``
     is the mask of the edges at vertex v and ``adjacent[i]`` that of edge
-    i's line-graph neighbours.  ``rank[i]`` is edge i's position in
-    edge-id order (``_id_sort_key``), so ties broken by rank fall as they
-    would by id.  ``connected`` is ``g.is_connected()``.  ``_ends`` is the
-    graph's own ``ends`` tuple, shared, not copied.
+    i's line-graph neighbours.  Edge index order is edge-id order, so
+    ties broken by index fall as they would by id.  ``connected`` is
+    ``g.is_connected()``.
     """
 
-    __slots__ = ("_ends", "at_vertex", "adjacent", "rank", "connected")
+    __slots__ = ("at_vertex", "adjacent", "connected")
 
     def __init__(self, g: MultiGraph):
-        self._ends = g.ends
         # an edge lies at most once at a vertex, so the sum is the union
         self.at_vertex = at_vertex = tuple(sum(1 << i for i in edges)
                                            for edges in g.incidence)
         #: line-graph neighbours of each edge, as an edge mask
         self.adjacent = tuple((at_vertex[u] | at_vertex[v]) & ~(1 << i)
                               for i, (u, v) in enumerate(g.ends))
-        ids = g.ids
-        rank = [0] * len(ids)
-        for r, i in enumerate(sorted(range(len(ids)),
-                                     key=lambda i: _id_sort_key(ids[i]))):
-            rank[i] = r
-        self.rank = tuple(rank)
-        self.connected = len(self.components((1 << len(ids)) - 1)) <= 1
+        self.connected = len(self.components((1 << len(g.ids)) - 1)) <= 1
 
     def line_neighbours(self, i: int, within: int) -> list[int]:
-        """Edge i's neighbours among the ``within`` edges, in the order
-        ``line_graph``'s incidence lists them: earlier edges, then later
-        edges at i's first end, then later edges at its second end only,
-        each ascending."""
-        u, v = self._ends[i]
-        later = -2 << i
-        at_u = self.at_vertex[u] & within
+        """Edge i's neighbours among the ``within`` edges, ascending, as
+        ``line_graph``'s incidence lists them."""
+        mask = self.adjacent[i] & within
         out = []
-        for mask in (self.adjacent[i] & within & ~later, at_u & later,
-                     self.at_vertex[v] & within & later & ~at_u):
-            while mask:
-                low = mask & -mask
-                out.append(low.bit_length() - 1)
-                mask ^= low
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return out
 
     def components(self, live: int) -> list[int]:
@@ -340,7 +333,9 @@ def degree_stats(g: MultiGraph) -> DegreeStats:
 def line_graph(g: MultiGraph) -> MultiGraph:
     """Simple graph on g's edges; vertex i is g.edges[i].
 
-    The returned edge ids are (id_a, id_b) pairs in edge order.
+    The returned edge ids are (id_a, id_b) pairs, a before b in edge
+    order; they sort as pairs (``_id_sort_key``), so the line graph's
+    edges and incidence lists are in (a, b) order.
     """
     ids = g.ids
     edges = []

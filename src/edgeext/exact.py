@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import EdgeId, InputError, MultiGraph, _id_sort_key
+from .core import EdgeId, InputError, MultiGraph
 from .colouring import Palette, is_proper, validate_precolouring
 
 SOLVED = "solved"
@@ -104,7 +104,7 @@ def solve_list(g: MultiGraph,
         used[v] |= bit
     ids, ends, masks = [], [], []
     last = mask = None
-    for eid, u, v in sorted(g.edges, key=lambda e: _id_sort_key(e[0])):
+    for eid, u, v in g.edges:
         if eid in base:
             continue
         if eid not in lists:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
-                   degree_stats, edge_bits, edge_distance)
+from .core import (EdgeId, InputError, MultiGraph, degree_stats,
+                   edge_bits, edge_distance)
 from .colouring import Palette, colouring_to_json_obj, is_proper
 from . import exact, kernels, gallai
 
@@ -278,6 +278,7 @@ def canonical_form(g: MultiGraph, generators: list | None = None) -> tuple:
         levels.pop()
 
     search((0,) * n, 1)
+    del search      # a recursive closure is a reference cycle: break it
     if generators is not None:
         generators.extend(found)
     return (n, best[0])
@@ -375,14 +376,14 @@ def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
         yield MultiGraph(g.n + 2, list(g.edges) + [(e, g.n, g.n + 1)])
 
 
-def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
-    """The edges within line-graph distance t of each edge (itself
-    excluded), by one breadth-first search to depth t from each edge."""
+def _within(g: MultiGraph, t: int) -> list[int]:
+    """The edges within line-graph distance t of each edge, itself
+    included, as edge masks, by one breadth-first search to depth t from
+    each edge."""
     adjacent = g.dense().adjacent
-    out = {}
-    for i, eid in enumerate(g.ids):
-        reached = 1 << i
-        frontier = reached
+    out = []
+    for i in range(len(g.ids)):
+        reached = frontier = 1 << i
         for _ in range(t):
             grown = 0
             for j in edge_bits(frontier):
@@ -391,8 +392,16 @@ def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
             if not frontier:
                 break
             reached |= frontier
-        out[eid] = {g.ids[j] for j in edge_bits(reached & ~(1 << i))}
+        out.append(reached)
     return out
+
+
+def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
+    """The edges within line-graph distance t of each edge (itself
+    excluded)."""
+    ids = g.ids
+    return {ids[i]: {ids[j] for j in edge_bits(near & ~(1 << i))}
+            for i, near in enumerate(_within(g, t))}
 
 
 def enumerate_edge_sets(g: MultiGraph, t: int = 1,
@@ -410,20 +419,11 @@ def enumerate_edge_sets(g: MultiGraph, t: int = 1,
     conflict with one of it, or at a vertex the set already meets
     ``max_load`` times.
     """
-    ids = sorted(g.edge_ids, key=_id_sort_key)
-    position = {eid: p for p, eid in enumerate(ids)}
-    # each edge's conflicts and the edge itself
-    closed = [1 << p for p in range(len(ids))]
+    ids, ends = g.ids, g.ends
     adjacency = t >= 1 or max_load == 1
-    if adjacency:
-        for eid, near in distance_conflicts(g, max(t, 1)).items():
-            for f in near:
-                closed[position[eid]] |= 1 << position[f]
-    ends = [g.endpoints(eid) for eid in ids]
-    at = [0] * g.n                      # the edges at each vertex
-    for p, (u, v) in enumerate(ends):
-        at[u] |= 1 << p
-        at[v] |= 1 << p
+    # each edge's conflicts and the edge itself
+    closed = _within(g, max(t, 1) if adjacency else 0)
+    at = g.dense().at_vertex            # the edges at each vertex
     load = [0] * g.n
     # no set meets a vertex more than len(ids) times
     cap = len(ids) if max_load is None else max_load
@@ -458,6 +458,7 @@ def enumerate_edge_sets(g: MultiGraph, t: int = 1,
             load[v] -= 1
 
     yield from grow(0, (), 0, full if cap == 0 else 0)
+    del grow                            # the cycle (see canonical_form)
 
 
 def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
@@ -505,6 +506,7 @@ def _colourings_of(g, subset, palette, up_to_permutation, tuples=False):
             used[v] ^= bit
 
     yield from assign(0, 0)
+    del assign                          # the cycle (see canonical_form)
 
 
 def _count_colourings(g, subset, q: int) -> int:
@@ -513,35 +515,34 @@ def _count_colourings(g, subset, q: int) -> int:
     walk with no tuple built: the last edge adds its free colours."""
     if not subset:
         return 1
-    ends = [g.endpoints(eid) for eid in subset]
-    used = [0] * g.n
-    last = len(subset) - 1
+    return _walk([g.endpoints(eid) for eid in subset], [0] * g.n, q, 0, 0)
 
-    def walk(i, max_used):
-        u, v = ends[i]
-        taken = used[u] | used[v]
-        top = min(q, max_used + 1)
-        if i == last:
-            return top - (taken & ((2 << top) - 2)).bit_count()
-        total = 0
-        for c in range(1, top + 1):
-            bit = 1 << c
-            if taken & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            total += walk(i + 1, max(max_used, c))
-            used[u] ^= bit
-            used[v] ^= bit
-        return total
 
-    return walk(0, 0)
+def _walk(ends, used, q: int, i: int, max_used: int) -> int:
+    """``_count_colourings`` from edge i on, ``used`` holding the colour
+    bits at each vertex of the edges before it."""
+    u, v = ends[i]
+    taken = used[u] | used[v]
+    top = min(q, max_used + 1)
+    if i == len(ends) - 1:
+        return top - (taken & ((2 << top) - 2)).bit_count()
+    total = 0
+    for c in range(1, top + 1):
+        bit = 1 << c
+        if taken & bit:
+            continue
+        used[u] |= bit
+        used[v] |= bit
+        total += _walk(ends, used, q, i + 1, max(max_used, c))
+        used[u] ^= bit
+        used[v] ^= bit
+    return total
 
 
 def random_distance_matching(g: MultiGraph, t: int, palette: Palette,
                              rng) -> dict[EdgeId, int]:
     """Random precoloured distance-t matching (proper by construction)."""
-    ids = sorted(g.edge_ids, key=_id_sort_key)
+    ids = list(g.ids)
     rng.shuffle(ids)
     chosen = []
     for eid in ids:
@@ -674,8 +675,7 @@ def _edge_automorphisms(g: MultiGraph, automorphisms) -> list[dict]:
     fix every vertex.
     """
     parallel: dict[tuple[int, int], list] = {}
-    for eid in sorted(g.ids, key=_id_sort_key):
-        u, v = g.endpoints(eid)
+    for eid, u, v in g.edges:
         parallel.setdefault((u, v) if u < v else (v, u), []).append(eid)
     perms = []
     for gamma in automorphisms:

@@ -198,11 +198,9 @@ class _Orientation:
         for i in edges:
             if arcs[i].bit_count() > delta - 1:
                 raise AssertionError("orientation out-degree exceeded Delta-1")
-        d = g.dense()
-        self.adjacent = d.adjacent
+        self.adjacent = g.dense().adjacent
         self.arcs = arcs
-        rank = d.rank
-        self.order = sorted(edges, key=lambda i: (phi[i], rank[i]))
+        self.order = sorted(edges, key=lambda i: (phi[i], i))
         self.place = [0] * m
         for p, i in enumerate(self.order):
             self.place[i] = p
@@ -388,12 +386,13 @@ def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
 
     # Some list ran dry before its edge was chosen: solve the rest
     # exactly, honouring the colours already committed, and then, as those
-    # may themselves be the obstruction, from scratch.
+    # may themselves be the obstruction, from scratch.  A spent budget
+    # stops there: a second search would spend it again.
     sub = g.restrict_edges(ids[i] for i in edges)
     id_lists = {ids[i]: exact._colours_of(lists[i]) for i in edges}
     committed = {ids[i]: colour[i] for i in edge_bits(live & ~left)}
     outcome = exact.solve_list(sub, id_lists, budget, fixed=committed)
-    if not outcome.solved:
+    if outcome.status == UNSOLVABLE:
         outcome = exact.solve_list(sub, id_lists, budget)
     outcome.method = EXACT_FALLBACK
     return outcome

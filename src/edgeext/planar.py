@@ -83,7 +83,7 @@ class RotationSystem:
 def check_rotation(g: MultiGraph, r: RotationSystem) -> None:
     ids = g.ids
     for v in range(g.n):
-        expected = sorted((ids[i] for i in g.incidence[v]), key=_id_sort_key)
+        expected = [ids[i] for i in g.incidence[v]]     # in id order
         got = sorted(r.around.get(v, ()), key=_id_sort_key)
         if expected != got:
             raise InputError(
@@ -112,8 +112,7 @@ def trace_faces(g: MultiGraph, r: RotationSystem) -> FaceSet:
     ring = [[index[eid] for eid in r.around.get(v, ())] for v in range(g.n)]
     position = {(v, i): p for v, around in enumerate(ring)
                 for p, i in enumerate(around)}
-    darts = [(v, i) for v in range(g.n) for i in
-             sorted(g.incidence[v], key=lambda i: _id_sort_key(ids[i]))]
+    darts = [(v, i) for v in range(g.n) for i in g.incidence[v]]
     unused = set(darts)
     faces = []
     # each face starts at the least dart still unused
@@ -190,7 +189,7 @@ def find_reducible(g: MultiGraph, m: Iterable[EdgeId], mode: str,
         return ReducibleConfig(BASE_CASE)
 
     bound = _light_threshold(mode, delta)
-    for eid in sorted(uncoloured, key=_id_sort_key):
+    for eid in uncoloured:
         u, v = g.endpoints(eid)
         if g.degree(u) + g.degree(v) <= bound:
             return ReducibleConfig(LIGHT_EDGE, (eid,))
@@ -215,9 +214,10 @@ def find_reducible(g: MultiGraph, m: Iterable[EdgeId], mode: str,
 
 def _find_even_cycle(g: MultiGraph, eids: Sequence[EdgeId]) -> list | None:
     """First even cycle (as an ordered edge list) in the subgraph, by DFS
-    with lowest-edge-id tie-breaking."""
+    taking ``eids`` in the order given (``find_reducible`` gives them in
+    edge order, so the lowest edge id first)."""
     adj: dict[int, list[tuple[EdgeId, int]]] = {}
-    for eid in sorted(eids, key=_id_sort_key):
+    for eid in eids:
         u, v = g.endpoints(eid)
         adj.setdefault(u, []).append((eid, v))
         adj.setdefault(v, []).append((eid, u))
@@ -306,7 +306,8 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
     Palette is [Delta+1] in matching mode and [Delta] in distance-3 mode.
     When no reducible configuration exists the exact solver takes over on
     the current subgraph, which is sound: a subgraph that cannot be
-    extended proves the original cannot either.
+    extended proves the original cannot either.  The outcome then carries
+    that search's nodes and depth (0 and 0 when it never runs).
     """
     if mode not in (VARIANT_MATCHING, VARIANT_DISTANCE3):
         raise InputError(f"unknown mode {mode!r}")
@@ -325,13 +326,13 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
     # until none applies or only precoloured edges are left; settle that
     # core, then replay the configurations in reverse.  Edge i is
     # g.edges[i].  Degrees only fall, so a light edge stays light: light
-    # edges wait in a heap by id order, the others at both ends.
+    # edges wait in a heap by index (id order), the others at both ends.
     ids, ends, index = g.ids, g.ends, g.index
     deg = [g.degree(v) for v in range(g.n)]
     bound = _light_threshold(mode, delta0)
     done = bytearray(len(ids))       # 1 once queued as light, or peeled
     waiting = [[i for i in edges if ids[i] not in m] for edges in g.incidence]
-    light: list = []                 # (id key, i) of queued, unpeeled i
+    light: list = []                 # queued, unpeeled edge indices
 
     def recheck(vertices):
         for w in vertices:
@@ -341,7 +342,7 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
                     u, v = ends[i]
                     if deg[u] + deg[v] <= bound:
                         done[i] = 1
-                        heapq.heappush(light, (_id_sort_key(ids[i]), i))
+                        heapq.heappush(light, i)
                     else:
                         keep.append(i)
             waiting[w] = keep
@@ -351,9 +352,10 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
     peeled: list = []                # light edge indices and even cycles
     colouring = {eid: m[eid] for eid in ids if eid in m}
     method = REDUCTION
+    nodes = depth = 0                # the exact fallback's, if it runs
     while uncoloured:
         if light:
-            step = heapq.heappop(light)[1]
+            step = heapq.heappop(light)
             cut = (step,)
         else:
             # Nothing queued: the live edges are those never queued.
@@ -363,10 +365,11 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
             if step is None:
                 # No configuration: exact search settles the subgraph.
                 outcome = exact.extend(h, colouring, palette, budget=budget)
+                outcome.method = method = EXACT_FALLBACK
                 if not outcome.solved:
-                    return SolveOutcome(outcome.status, None,
-                                        method=EXACT_FALLBACK)
-                colouring, method = outcome.colouring, EXACT_FALLBACK
+                    return outcome
+                colouring = outcome.colouring
+                nodes, depth = outcome.nodes, outcome.depth
                 break
             cut = [index[eid] for eid in step.edges]
         peeled.append(step)
@@ -416,7 +419,7 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
             raise AssertionError("planar extension changed a precoloured edge")
     if len(colouring) != len(g.edges):
         raise AssertionError("planar extension left edges uncoloured")
-    return SolveOutcome(SOLVED, colouring, method=method)
+    return SolveOutcome(SOLVED, colouring, nodes, depth, method)
 
 
 # -- discharging audit ---------------------------------------------------

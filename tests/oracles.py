@@ -36,9 +36,9 @@ the same order, so the two must agree on status, method and the
 colouring as a mapping.
 
 ``trace_faces`` is the face tracer that found each face's start by a
-``min`` over all unused darts.  The one in ``edgeext.planar`` sorts the
-darts once and takes the next unused one, so the two must return the
-same faces in the same order.
+``min`` over all unused darts.  The one in ``edgeext.planar`` lists the
+darts once, by vertex and then edge (so edge id), and takes the next
+unused one, so the two must return the same faces in the same order.
 
 ``vizing_colour`` is the fan colouring that kept each vertex's colours as
 a set and rebuilt them from ``g.incident`` after every chain swap.  The
@@ -496,8 +496,9 @@ def list_colour_bipartite(g: MultiGraph,
         return SolveOutcome(SOLVED, merged, nodes=outcome.nodes,
                             depth=outcome.depth, method=EXACT_FALLBACK)
     # The committed kernel colours may themselves be the obstruction;
-    # retry from scratch.
-    outcome = exact.solve_list(g, lists, budget=budget)
+    # retry from scratch, unless the budget is spent.
+    if outcome.status == UNSOLVABLE:
+        outcome = exact.solve_list(g, lists, budget=budget)
     outcome.method = EXACT_FALLBACK
     return outcome
 

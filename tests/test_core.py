@@ -1,11 +1,14 @@
+import ast
 import json
 import pathlib
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import edgeext
+from edgeext import exact, gallai, kernels, planar
+from edgeext.colouring import Palette
 from edgeext.core import (INFINITE_DISTANCE, DenseForm, InputError,
                           MultiGraph, degree_stats, edge_distance,
                           edges_cycle, edges_path, is_distance_matching,
@@ -70,8 +73,9 @@ def test_dense_line_degree_counts_neighbours(g):
 
 @given(multigraphs(max_n=7, max_e=10, mixed_ids=True), st.data())
 def test_dense_components_and_line_order(g, data):
-    # line_neighbours lists a live edge's neighbours as the line graph of
-    # the live edges orders them; components() agrees with MultiGraph's
+    # line_neighbours lists a live edge's neighbours in ascending order,
+    # as the line graph of the live edges lists them (its pair ids sort in
+    # edge order); components() agrees with MultiGraph's
     d = g.dense()
     live_ids = [eid for eid in g.edge_ids if data.draw(st.booleans())]
     live = sum(1 << g.index[eid] for eid in live_ids)
@@ -139,12 +143,11 @@ def test_index_form_answers_as_the_id_keyed_graph(g, data):
 
 
 def test_dense_form_holds_no_second_copy_of_the_graph():
+    # edges sort by id: 1, 2, "a", "d"
     g = MultiGraph(4, [("a", 0, 1), (1, 0, 1), (2, 1, 2), ("d", 2, 3)])
     d = g.dense()
-    assert set(DenseForm.__slots__) == {"_ends", "at_vertex", "adjacent",
-                                        "rank", "connected"}
-    assert d._ends is g.ends
-    assert d.at_vertex == (0b0011, 0b0111, 0b1100, 0b1000)
+    assert set(DenseForm.__slots__) == {"at_vertex", "adjacent", "connected"}
+    assert d.at_vertex == (0b0101, 0b0111, 0b1010, 0b1000)
 
 
 def test_no_library_module_uses_the_pair_view():
@@ -152,6 +155,51 @@ def test_no_library_module_uses_the_pair_view():
     # (id, other end) pairs on every call
     for path in sorted(pathlib.Path(edgeext.__file__).parent.glob("*.py")):
         assert ".incident(" not in path.read_text(), path.name
+
+
+def test_only_core_orders_edges_by_id():
+    # a graph's edges are in id order, so the engines break ties by index;
+    # outside core, only a caller's own collection of ids gets sorted
+    allowed = {"check_rotation", "kernel_brute"}
+    for path in sorted(pathlib.Path(edgeext.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            uses = any(isinstance(name, ast.Name) and name.id == "_id_sort_key"
+                       for name in ast.walk(node))
+            assert not uses or getattr(node, "name", None) in allowed, \
+                (path.name, node.lineno)
+
+
+def _answer(run, g):
+    try:
+        return run(g)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(max_n=7, max_e=10, max_degree=3, mixed_ids=True),
+       st.data())
+def test_listing_order_changes_no_answer(g, data):
+    # the same triples in another order make the same graph, so every
+    # engine gives the same answer: ties fall by edge id, not by listing
+    shuffled = MultiGraph(g.n, data.draw(st.permutations(g.edges)))
+    assert shuffled.to_json_obj() == g.to_json_obj()
+    palette = Palette(g.delta() + 1)
+    m = {}
+    free = [True] * g.n
+    for eid, u, v in g.edges:
+        if free[u] and free[v] and data.draw(st.booleans()):
+            m[eid] = data.draw(st.sampled_from(palette.colours))
+            free[u] = free[v] = False
+    for run in (lambda h: exact.extend(h, m, palette),
+                exact.vizing_colour,
+                lambda h: gallai.extend_subcubic(h, m),
+                lambda h: gallai.extend_gallai(h, m, 1),
+                lambda h: kernels.extend_bipartite(h, None, m, 1),
+                lambda h: planar.extend_planar(h, m, planar.VARIANT_MATCHING)):
+        assert _answer(run, shuffled) == _answer(run, g)
 
 
 def test_delete_and_restrict_keep_ids():

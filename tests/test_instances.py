@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -503,7 +504,7 @@ _CHECKED = {
     "bipartite-extension": 261,
     "bipartite-matching-extension": 84,
     "distance3-extension": 77,
-    "line-degree-extension": 351,
+    "line-degree-extension": 353,
     "matching-avoidance": 287,
     "matching-extension": 167,
     "shannon-extension": 510,
@@ -575,6 +576,28 @@ def test_all_claims_run_on_tiny_bounds():
     for claim in sorted(CLAIMS):
         rep = verify(claim, max_n=3, max_e=3, max_mu=2, max_k=1)
         assert rep.ok, claim
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    # A sweep's objects are freed by reference counting as it goes.  Any
+    # left in reference cycles would wait for the cyclic collector, and
+    # its full passes would fall wherever the allocation count put them.
+    enabled = gc.isenabled()
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for claim in sorted(CLAIMS):
+            assert verify(claim, max_n=4, max_e=5, max_mu=2, max_k=2).ok
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage[before:]]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 def test_verify_rejects_an_offset_the_claim_ignores():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from edgeext import exact
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import Palette, is_proper
-from edgeext.exact import BUDGET
+from edgeext.exact import BUDGET, SOLVED, UNSOLVABLE
 from edgeext.kernels import (EXACT_FALLBACK, KERNEL, extend_bipartite,
                              extend_shannon, find_bipartition, galvin_orient,
                              is_kernel, kernel, kernel_brute, konig_colour,
@@ -120,6 +121,31 @@ def test_list_colour_kernel_path_on_full_lists():
     lists = {e: frozenset({1, 2}) for e in g.edge_ids}
     out = list_colour_bipartite(g, None, lists)
     assert out.solved and out.method == KERNEL
+
+
+def test_list_colour_searches_again_only_after_unsolvable(monkeypatch):
+    # Degree lists on which the kernel path stalls, and the colours it
+    # committed leave the rest unsolvable.  A spent budget stops the
+    # search; only an unsolvable residual earns a search from scratch.
+    g = MultiGraph(6, [(0, 1, 4), (1, 2, 3), (2, 1, 4), (3, 1, 5),
+                       (4, 2, 5)])
+    lists = {0: {1, 2, 3}, 1: {1, 3}, 2: {1, 2, 3}, 3: {1, 3, 4}, 4: {1, 3}}
+    calls = []
+    solve_list = exact.solve_list
+
+    def counted(*args, **kwargs):
+        out = solve_list(*args, **kwargs)
+        calls.append(out.status)
+        return out
+
+    monkeypatch.setattr(exact, "solve_list", counted)
+    out = list_colour_bipartite(g, None, lists, budget=0)
+    assert (out.status, out.method, out.nodes) == (BUDGET, EXACT_FALLBACK, 1)
+    assert calls == [BUDGET]
+    calls.clear()
+    out = list_colour_bipartite(g, None, lists)
+    assert (out.status, out.method) == (SOLVED, EXACT_FALLBACK)
+    assert calls == [UNSOLVABLE, SOLVED]
 
 
 @given(bipartite_multigraphs(max_side=3, max_e=7),

@@ -175,6 +175,23 @@ def test_extend_planar_falls_back_below_threshold():
     assert ex.solved
 
 
+@pytest.mark.parametrize("budget, status, nodes, depth",
+                         [(None, "solved", 11, 9), (1, "budget", 2, 1)])
+def test_extend_planar_reports_the_exact_fallbacks_search(budget, status,
+                                                          nodes, depth):
+    # K5 has no light edge and no auxiliary even cycle, so the exact
+    # search settles the whole graph, and its counts are the outcome's
+    g = MultiGraph(5, [(i, u, v) for i, (u, v) in
+                       enumerate((u, v) for u in range(5)
+                                 for v in range(u + 1, 5))])
+    ex = exact_extend(g, {}, Palette(5), budget=budget)
+    out = extend_planar(g, {}, VARIANT_MATCHING, budget)
+    assert (ex.status, ex.nodes, ex.depth) == (status, nodes, depth)
+    assert (out.status, out.nodes, out.depth, out.method) == \
+        (status, nodes, depth, EXACT_FALLBACK)
+    assert out.colouring == ex.colouring
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=200))
 def test_extend_planar_agrees_with_exact_on_small_plane_graphs(seed):
