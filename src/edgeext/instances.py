@@ -179,7 +179,8 @@ def compute_rho(g: MultiGraph) -> Fraction:
 
 # -- canonical forms and enumeration -------------------------------------
 
-def canonical_form(g: MultiGraph, generators: list | None = None) -> tuple:
+def canonical_form(g: MultiGraph, generators: list | None = None,
+                   _labelling: list | None = None) -> tuple:
     """Exact canonical form: iterated neighbourhood refinement, with
     branching on the first non-singleton class until discrete; the form
     is the least sorted edge list over the leaves.
@@ -189,7 +190,9 @@ def canonical_form(g: MultiGraph, generators: list | None = None) -> tuple:
     keeps the orbits of those fixing its path pointwise, and skips (or
     abandons) a child whose orbit holds a smaller target vertex: its
     subtree is the image of an explored one, with the same edge lists.
-    The automorphisms are appended to ``generators``, as vertex images.
+    The automorphisms are appended to ``generators``, as vertex images;
+    they generate the whole automorphism group.  ``_labelling`` gets the
+    best leaf's rank of each vertex, under which g's edges are the form's.
     """
     n = g.n
     nbr: list[dict[int, int]] = [dict() for _ in range(n)]
@@ -281,6 +284,8 @@ def canonical_form(g: MultiGraph, generators: list | None = None) -> tuple:
     del search      # a recursive closure is a reference cycle: break it
     if generators is not None:
         generators.extend(found)
+    if _labelling is not None:
+        _labelling.extend(best[1])
     return (n, best[0])
 
 
@@ -291,10 +296,11 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
     """All multigraphs within the bounds, one per isomorphism class.
 
     Graphs have no isolated vertices and at least one edge; the stream is
-    produced level by level in edge count and is deterministic.  Each
-    class keeps the first child, in augmentation order, that reaches it,
-    so children that an automorphism ``canonical_form`` found on their
-    parent maps onto an earlier child are never built or keyed.
+    produced level by level in edge count, each level in canonical-form
+    order, and is deterministic.  Each class is generated once, by
+    canonical augmentation with an invariant filter (see
+    ``_multigraphs_with_automorphisms``), and is represented by the child
+    that augmentation accepts.
     """
     for g, _ in _multigraphs_with_automorphisms(n_max, e_max, mu_max,
                                                 connected_only, delta_max):
@@ -304,30 +310,39 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
 def _multigraphs_with_automorphisms(n_max, e_max, mu_max, connected_only,
                                     delta_max):
     """``enumerate_multigraphs``'s stream, each graph with the automorphism
-    generators ``canonical_form`` found on it, as vertex images."""
+    generators ``canonical_form`` found on it, as vertex images.
+
+    Canonical augmentation (McKay 1998, "Isomorph-free exhaustive
+    generation").  An edge of a graph is removable if taking it out, and
+    any vertex left isolated, leaves a graph of the family: with
+    ``connected_only`` a pendant edge or a non-bridge, else any edge.  Of
+    the removable edges, the canonical one has the largest invariant (see
+    ``_children``), ties broken by the largest ranked pair under the
+    labelling of ``canonical_form``'s best leaf.  A graph h is kept as a
+    child of g, h = g plus a new edge, iff the new edge lies in the
+    automorphism orbit of h's canonical edge.  Then h minus its canonical
+    edge is isomorphic to g, so h is kept only from the one graph of
+    g's class the stream holds, and from it only once, as ``_augment``
+    adds one edge per orbit of g's automorphisms; and every class is
+    reached, from the graph its canonical edge leaves.  Both rest on the
+    generators generating the whole group.
+    """
     if n_max < 2 or e_max < 1 or mu_max < 1 or (
             delta_max is not None and delta_max < 1):
         raise InputError("bounds must allow at least a single edge")
 
-    level = {}
     seed = MultiGraph(2, [(0, 0, 1)])
     generators: list = []
-    level[canonical_form(seed, generators)] = seed, generators
+    level = [(canonical_form(seed, generators), seed, generators)]
     for e in range(1, e_max + 1):
-        ordered = sorted(level.items())
-        for _, (g, automorphisms) in ordered:
+        level.sort(key=lambda entry: entry[0])
+        for _, g, automorphisms in level:
             yield g, automorphisms
         if e == e_max:
             break
-        nxt = {}
-        for _, (g, automorphisms) in ordered:
-            for h in _augment(g, automorphisms, n_max, mu_max, delta_max,
-                              connected_only):
-                generators = []
-                key = canonical_form(h, generators)
-                if key not in nxt:
-                    nxt[key] = h, generators
-        level = nxt
+        level = [child for _, g, automorphisms in level
+                 for child in _children(g, automorphisms, n_max, mu_max,
+                                        delta_max, connected_only)]
 
 
 def _orbit(p, image, generators):
@@ -353,27 +368,143 @@ def _orbit_leaders(points, image, generators):
             seen |= _orbit(p, image, generators)
 
 
+def _pair_image(gamma, pair):
+    a, b = gamma[pair[0]], gamma[pair[1]]
+    return (a, b) if a < b else (b, a)
+
+
 def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
-             connected_only):
-    e = len(g.edges)
-    cap = e + 1 if delta_max is None else delta_max
-    mults = {}
-    for _, u, v in g.edges:
-        pair = (u, v) if u < v else (v, u)
-        mults[pair] = mults.get(pair, 0) + 1
+             connected_only, mults):
+    """The vertex pairs (u, v), u < v, that a new edge of g may join, one
+    per orbit of g's automorphisms; v = g.n is a new vertex, and (g.n,
+    g.n + 1) a new edge on two new ones.  ``mults`` counts g's edges at
+    each pair."""
+    cap = len(g.edges) + 1 if delta_max is None else delta_max
     # automorphisms keep degrees and multiplicities: they map these to these
     free = [v for v in range(g.n) if g.degree(v) < cap]
     open_pairs = [(u, v) for u in free for v in free
                   if u < v and mults.get((u, v), 0) < mu_max]
-    for u, v in _orbit_leaders(open_pairs, lambda gamma, p: tuple(
-            sorted((gamma[p[0]], gamma[p[1]]))), generators):
-        yield MultiGraph(g.n, list(g.edges) + [(e, u, v)])
+    yield from _orbit_leaders(open_pairs, _pair_image, generators)
     if g.n < n_max:
-        for u in _orbit_leaders(free, lambda gamma, v: gamma[v],
-                                generators):
-            yield MultiGraph(g.n + 1, list(g.edges) + [(e, u, g.n)])
+        for u in _orbit_leaders(free, _vertex_image, generators):
+            yield u, g.n
     if not connected_only and g.n + 2 <= n_max:
-        yield MultiGraph(g.n + 2, list(g.edges) + [(e, g.n, g.n + 1)])
+        yield g.n, g.n + 1
+
+
+def _vertex_image(gamma, v):
+    return gamma[v]
+
+
+def _children(g: MultiGraph, generators, n_max, mu_max, delta_max,
+              connected_only):
+    """The children of g that canonical augmentation keeps, as (form,
+    graph, generators) (see ``_multigraphs_with_automorphisms``).
+
+    Edges are compared by the sorted pair of their ends' degrees, then by
+    the sorted pair, over their ends, of (the end's degree, the sorted
+    degrees at the far ends of its edges).  Both are read off g's arrays
+    and the new pair, and a child with a removable edge that compares
+    larger than the new one is dropped before it is built: its canonical
+    edge compares at least as large, so no automorphism maps the new edge
+    onto it.
+    """
+    n = g.n
+    mults: dict[tuple[int, int], int] = {}
+    for u, v in g.ends:
+        pair = (u, v) if u < v else (v, u)
+        mults[pair] = mults.get(pair, 0) + 1
+    far = [g.neighbours(v) for v in range(n)]
+    # the bridges of g, each with the vertices on its first end's side;
+    # a bridge stays one in a child unless the new edge crosses it
+    sides = {}
+    if connected_only:
+        for (a, b), m in mults.items():
+            if m == 1:
+                side = _side(far, a, b)
+                if not side >> b & 1:
+                    sides[a, b] = side
+    base = list(map(len, g.incidence)) + [0, 0]
+    for u, v in _augment(g, generators, n_max, mu_max, delta_max,
+                         connected_only, mults):
+        deg = base[:]
+        deg[u] += 1
+        deg[v] += 1
+        du, dv = deg[u], deg[v]
+        key = (du, dv) if du < dv else (dv, du)
+        ties = []
+        for pair in mults:
+            if pair == (u, v):
+                continue
+            a, b = pair
+            da, db = deg[a], deg[b]
+            other = (da, db) if da < db else (db, da)
+            if other < key:
+                continue
+            side = sides.get(pair)
+            if side is not None and da > 1 and db > 1 and (
+                    v == n or not (side >> u ^ side >> v) & 1):
+                continue                    # still a bridge: not removable
+            if other > key:
+                break
+            ties.append(pair)
+        else:
+            if ties:
+                ties = _top_ties(far, deg, u, v, ties)
+                if ties is None:
+                    continue
+            h = MultiGraph(max(n, v + 1),
+                           list(g.edges) + [(len(g.edges), u, v)])
+            automorphisms: list = []
+            labelling: list = []
+            form = canonical_form(h, automorphisms, labelling)
+            if ties:
+                best = max([(u, v)] + ties, key=lambda p: sorted(
+                    (labelling[p[0]], labelling[p[1]])))
+                if best != (u, v) and (u, v) not in _orbit(
+                        best, _pair_image, automorphisms):
+                    continue
+            yield form, h, automorphisms
+
+
+def _top_ties(far, deg, u, v, ties):
+    """The pairs of ``ties``, removable and with the new pair (u, v)'s
+    degree pair, whose full invariant (see ``_children``) equals the new
+    pair's, in the child of degrees ``deg``; None if one is larger."""
+    def invariant(a, b):
+        ends = []
+        for x in (a, b):
+            seen = [deg[y] for y in far[x]] if x < len(far) else []
+            if x == u:
+                seen.append(deg[v])
+            elif x == v:
+                seen.append(deg[u])
+            ends.append((deg[x], sorted(seen)))
+        ends.sort()
+        return ends
+
+    new = invariant(u, v)
+    top = []
+    for a, b in ties:
+        other = invariant(a, b)
+        if other > new:
+            return None
+        if other == new:
+            top.append((a, b))
+    return top
+
+
+def _side(far, a, b):
+    """The vertices reached from a, as a mask, without the edge ab (a
+    single edge) of the graph whose far ends at each vertex are ``far``."""
+    reached = 1 << a
+    todo = [a]
+    for x in todo:
+        for y in far[x]:
+            if not reached >> y & 1 and (x, y) != (a, b):
+                reached |= 1 << y
+                todo.append(y)
+    return reached
 
 
 def _within(g: MultiGraph, t: int) -> list[int]:
@@ -654,7 +785,7 @@ def _plan(claim: str, g: MultiGraph, max_k: int, palette_offset: int,
             return [], None, None
         return ([(k, delta + k, 0) for k in ks],
                 lambda pre, k, palette: kernels.extend_bipartite(
-                    g, side, pre, k, budget=budget),
+                    g, side, pre, k, budget=budget, _checked=True),
                 "bipartite extender failed")
     if claim.startswith("shannon"):
         return ([(k, (3 * delta + k) // 2, 0) for k in ks],

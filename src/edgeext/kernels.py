@@ -386,14 +386,18 @@ def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
 
     # Some list ran dry before its edge was chosen: solve the rest
     # exactly, honouring the colours already committed, and then, as those
-    # may themselves be the obstruction, from scratch.  A spent budget
-    # stops there: a second search would spend it again.
+    # may themselves be the obstruction, from scratch, on what is left of
+    # the budget.  A spent budget stops there.  The outcome counts the
+    # nodes of both searches.
     sub = g.restrict_edges(ids[i] for i in edges)
     id_lists = {ids[i]: exact._colours_of(lists[i]) for i in edges}
     committed = {ids[i]: colour[i] for i in edge_bits(live & ~left)}
     outcome = exact.solve_list(sub, id_lists, budget, fixed=committed)
     if outcome.status == UNSOLVABLE:
-        outcome = exact.solve_list(sub, id_lists, budget)
+        spent = outcome.nodes
+        outcome = exact.solve_list(
+            sub, id_lists, None if budget is None else budget - spent)
+        outcome.nodes += spent
     outcome.method = EXACT_FALLBACK
     return outcome
 
@@ -447,18 +451,21 @@ def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
 def extend_bipartite(g: MultiGraph,
                      side_of: Mapping[int, str] | None,
                      c: Mapping[EdgeId, int], k: int,
-                     budget: int | None = None) -> SolveOutcome:
+                     budget: int | None = None, *,
+                     _checked: bool = False) -> SolveOutcome:
     """Extend a precolouring of a bipartite multigraph within [Delta+k].
 
     Requires every vertex to meet at most k precoloured edges; under that
     hypothesis an extension always exists and is returned, unless a
     fallback search passes ``budget`` (a ``BUDGET`` outcome).  The
     uncoloured edges are list-coloured in place, with no reduced graph
-    built.
+    built.  ``_checked`` says that ``side_of`` came from
+    ``find_bipartition(g)``, and skips checking it again.
     """
     if side_of is None:
         side_of = find_bipartition(g)
-    check_bipartition(g, side_of)
+    elif not _checked:
+        check_bipartition(g, side_of)
     if k < 1:
         raise InputError("k must be positive")
     used, edges, deg, lists = _uncoloured(g, c, Palette(g.delta() + k), k)

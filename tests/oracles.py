@@ -48,14 +48,17 @@ choices, so the two must return the same colouring, insertion order
 included.
 
 ``canonical_form``, ``enumerate_multigraphs`` and ``_augment`` are the
-enumeration that visited every leaf of the individualisation tree and
-put every child of a graph through ``canonical_form``.  The one in
-``edgeext.instances`` skips subtrees and children that an automorphism
-maps onto ones already seen, so the two must give the same forms and the
-same graph stream, edge ids and order included.  ``_colourings_of`` is
-the precolouring step that checked each colour against a set of adjacent
-edges; the one in ``edgeext.instances`` keeps a colour bitmask per
-vertex and must yield the same dicts in the same order.
+enumeration that visited every leaf of the individualisation tree, put
+every child of a graph through ``canonical_form`` and kept the first
+child of each class.  The one in ``edgeext.instances`` skips subtrees
+that an automorphism maps onto ones already seen, and generates each
+class once, by canonical augmentation, so the two must give the same
+forms and the same classes in the same order, level by level; the
+labelled representative of a class, edge ids included, may differ.
+``_colourings_of`` is the precolouring step that checked each colour
+against a set of adjacent edges; the one in ``edgeext.instances`` keeps
+a colour bitmask per vertex and must yield the same dicts in the same
+order.
 
 ``_check_graph`` and ``verify`` are the sweep that ran the extender on
 every labelled instance.  The one in ``edgeext.instances`` runs it once
@@ -496,9 +499,13 @@ def list_colour_bipartite(g: MultiGraph,
         return SolveOutcome(SOLVED, merged, nodes=outcome.nodes,
                             depth=outcome.depth, method=EXACT_FALLBACK)
     # The committed kernel colours may themselves be the obstruction;
-    # retry from scratch, unless the budget is spent.
+    # retry from scratch on what is left of the budget, unless it is
+    # spent, and count the nodes of both searches.
     if outcome.status == UNSOLVABLE:
-        outcome = exact.solve_list(g, lists, budget=budget)
+        spent = outcome.nodes
+        outcome = exact.solve_list(
+            g, lists, budget=None if budget is None else budget - spent)
+        outcome.nodes += spent
     outcome.method = EXACT_FALLBACK
     return outcome
 

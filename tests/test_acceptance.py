@@ -61,6 +61,17 @@ def test_criterion_14_multigraph_matching_extension_sweeps(capsys):
                        "Delta+mu+1 (n<=6, e<=9, mu<=3)", body)
 
 
+def test_criterion_15_simple_graph_matching_extension_at_nine_vertices(
+        capsys):
+    def body():
+        rep = instances.verify("matching-extension",
+                               max_n=9, max_e=11, max_mu=1)
+        assert rep.ok, rep.counterexample
+        assert (rep.graphs, rep.instances) == (5428, 1237975)
+    _check(capsys, 15, "exhaustive matching extension on simple graphs, "
+                       "palette Delta+1 (n<=9, e<=11)", body)
+
+
 def test_criterion_2_subdivided_star_sharpness(capsys):
     def body():
         for s in range(2, 9):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,24 @@ def test_recorded_generators_are_automorphisms(g):
     assert all(_is_automorphism(g, gamma) for gamma in generators)
 
 
+@settings(max_examples=80)
+@given(multigraphs(max_n=6, max_e=8))
+def test_recorded_generators_generate_the_whole_group(g):
+    # canonical augmentation loses a class if the group is too small: the
+    # orbits of the group the generators produce, on vertices and on
+    # vertex pairs, are those of every automorphism
+    generators = []
+    canonical_form(g, generators)
+    group = [gamma for gamma in itertools.permutations(range(g.n))
+             if _is_automorphism(g, gamma)]
+    pairs = list(itertools.combinations(range(g.n), 2))
+    for points, image in ((range(g.n), instances._vertex_image),
+                          (pairs, instances._pair_image)):
+        for p in points:
+            assert instances._orbit(p, image, generators) == \
+                {image(gamma, p) for gamma in group}
+
+
 @pytest.mark.parametrize("g", [
     MultiGraph(11, [(i, 0, i + 1) for i in range(10)]),     # K_{1,10}
     MultiGraph(13, [(0, 0, 1)]),                  # 11 isolated vertices
@@ -226,12 +245,15 @@ def test_enumeration_disconnected_mode():
     ((5, 5, 2), {"connected_only": False}),
 ])
 def test_enumeration_stream_matches_the_unpruned_one(bounds, options):
-    # the same representative of each class, with the same edge ids, in
-    # the same order as when every child went through canonical_form
-    assert [g.to_json_obj()
-            for g in enumerate_multigraphs(*bounds, **options)] == \
-        [g.to_json_obj()
-         for g in oracles.enumerate_multigraphs(*bounds, **options)]
+    # the same classes in the same order, and as many at each level, as
+    # when every child went through canonical_form; the labelled
+    # representative of each class is the one augmentation accepts
+    got = list(enumerate_multigraphs(*bounds, **options))
+    expected = list(oracles.enumerate_multigraphs(*bounds, **options))
+    assert list(map(canonical_form, got)) == \
+        list(map(canonical_form, expected))
+    assert Counter(len(g.edges) for g in got) == \
+        Counter(len(g.edges) for g in expected)
 
 
 # -- precolouring enumeration -------------------------------------------
@@ -469,6 +491,18 @@ def test_a_planted_degree_k_failure_is_found_as_without_dominance(
     assert rep.instances_checked == 6
 
 
+def test_sweep_checks_no_bipartition_it_found(monkeypatch):
+    # _plan finds each graph's bipartition once, so the extender runs
+    # trust it
+    checks = []
+    monkeypatch.setattr(kernels, "check_bipartition",
+                        lambda g, side_of: checks.append(g))
+    rep = verify("bipartite-extension", max_n=4, max_e=5, max_mu=2,
+                 max_k=2)
+    assert rep.ok and rep.instances_checked > 0
+    assert checks == []
+
+
 def test_edge_automorphisms_map_ends_onto_themselves():
     # each generator's edge permutation moves every edge onto one between
     # the images of its ends; the rest swap two parallel edges
@@ -502,14 +536,14 @@ def test_verify_checks_one_instance_per_orbit():
 # maximal sets only, less the certified ones
 _CHECKED = {
     "bipartite-extension": 261,
-    "bipartite-matching-extension": 84,
+    "bipartite-matching-extension": 82,
     "distance3-extension": 77,
-    "line-degree-extension": 353,
+    "line-degree-extension": 373,
     "matching-avoidance": 287,
-    "matching-extension": 167,
-    "shannon-extension": 510,
-    "shannon-matching-extension": 159,
-    "subcubic-matching-extension": 73,
+    "matching-extension": 155,
+    "shannon-extension": 509,
+    "shannon-matching-extension": 156,
+    "subcubic-matching-extension": 77,
 }
 
 
@@ -590,6 +624,10 @@ def test_verify_leaves_no_cyclic_garbage():
     try:
         for claim in sorted(CLAIMS):
             assert verify(claim, max_n=4, max_e=5, max_mu=2, max_k=2).ok
+        # the generator on its own, in both modes
+        assert sum(1 for _ in enumerate_multigraphs(6, 6, 2)) == 112
+        assert sum(1 for _ in enumerate_multigraphs(
+            5, 5, 2, connected_only=False)) == 48
         gc.collect()
         left = [type(o).__name__ for o in gc.garbage[before:]]
     finally:

@@ -146,6 +146,14 @@ def test_list_colour_searches_again_only_after_unsolvable(monkeypatch):
     out = list_colour_bipartite(g, None, lists)
     assert (out.status, out.method) == (SOLVED, EXACT_FALLBACK)
     assert calls == [UNSOLVABLE, SOLVED]
+    # the outcome counts both searches' nodes: 1 with the committed
+    # colours, 5 from scratch
+    assert out.nodes == 1 + 5
+    # the search from scratch gets only what the first left of the
+    # budget, so 5 nodes no longer do
+    assert list_colour_bipartite(g, None, lists, budget=6).solved
+    out = list_colour_bipartite(g, None, lists, budget=5)
+    assert (out.status, out.nodes) == (BUDGET, 6)
 
 
 @given(bipartite_multigraphs(max_side=3, max_e=7),
@@ -200,6 +208,12 @@ def test_extend_bipartite_rejects_overloaded_vertex():
     g = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)])
     with pytest.raises(InputError):
         extend_bipartite(g, None, {0: 1, 1: 2}, 1)
+
+
+def test_extend_bipartite_rejects_a_side_that_splits_no_edge():
+    g = MultiGraph(3, [(0, 0, 1), (1, 1, 2)])
+    with pytest.raises(InputError):
+        extend_bipartite(g, {0: "X", 1: "X", 2: "Y"}, {}, 1)
 
 
 def test_extend_shannon_edgeless_rejects_unknown_edge():
