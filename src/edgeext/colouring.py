@@ -120,6 +120,20 @@ def extension_masks(g: MultiGraph, colouring: Mapping[EdgeId, int],
     return used
 
 
+def used_colours(g: MultiGraph, colouring: Mapping[EdgeId, int]) -> list[int]:
+    """Each vertex's used colours as a bitmask, read straight off the
+    edges' ends: ``extension_masks`` for a precolouring already known to
+    be proper, with nothing checked."""
+    ends, index = g.ends, g.index
+    used = [0] * g.n
+    for eid, colour in colouring.items():
+        u, v = ends[index[eid]]
+        bit = 1 << colour
+        used[u] |= bit
+        used[v] |= bit
+    return used
+
+
 def reduce_to_lists(
     g: MultiGraph,
     colouring: Mapping[EdgeId, int],

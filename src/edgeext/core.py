@@ -63,7 +63,13 @@ class MultiGraph:
         ends = []
         index = {}
         incidence: list[list[int]] = [[] for _ in range(n)]
-        for eid, u, v in sorted(edges, key=lambda e: _id_sort_key(e[0])):
+        edges = list(edges)
+        first = [e[0] for e in edges]
+        # int ids order as ``_id_sort_key`` orders them, so triples that
+        # come in increasing int ids (a subgraph's, a child's) stay put
+        if set(map(type, first)) != {int} or first != sorted(first):
+            edges.sort(key=lambda e: _id_sort_key(e[0]))
+        for eid, u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge {eid!r}: endpoint out of range")
             if u == v:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, degree_stats, edge_bits
-from .colouring import Palette, extension_masks
+from .colouring import Palette, extension_masks, used_colours
 from .exact import BUDGET, SOLVED, BudgetSpent, SolveOutcome, _mask_of
 
 ODD_CYCLE_K0 = "odd-cycle-k0"
@@ -359,6 +359,25 @@ def exception_shape(g: MultiGraph, k: int) -> ExceptionReport | None:
     return None
 
 
+def prepare_gallai(g: MultiGraph
+                   ) -> Callable[..., SolveOutcome | ExceptionReport]:
+    """``extend_gallai`` on g, prepared once for many precolourings:
+    ``run(c, k, budget=None)`` answers as it does, taking ``c`` and k as
+    admissible, unchecked.  Each k's exceptional shape is found once."""
+    if not g.dense().connected:
+        raise InputError("extender needs a connected graph")
+    delta = g.delta()
+    shapes: dict[int, ExceptionReport | None] = {}
+
+    def run(c, k, budget=None):
+        if k not in shapes:
+            shapes[k] = exception_shape(g, k)
+        # Both shapes fail for every admissible precolouring; re-verified
+        # cheaply for small instances in the test suite.
+        return shapes[k] or _extend(g, c, delta + k, budget)
+    return run
+
+
 def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
                   budget: int | None = None
                   ) -> SolveOutcome | ExceptionReport:
@@ -372,36 +391,30 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     """
     if k < 0:
         raise InputError("k must be non-negative")
-    if not g.dense().connected:
-        raise InputError("extender needs a connected graph")
+    run = prepare_gallai(g)
     stats = degree_stats(g)
     if stats.line_delta > stats.delta + k:
         raise InputError("line-graph degree exceeds Delta+k")
-    palette = Palette(stats.delta + k)
-    used = extension_masks(g, c, palette, k)
-
-    shape = exception_shape(g, k)
-    if shape is not None:
-        # Both shapes fail for every admissible precolouring; re-verified
-        # cheaply for small instances in the test suite.
-        return shape
-
-    return _extend(g, c, used, palette, budget)
+    extension_masks(g, c, Palette(stats.delta + k), k)
+    return run(c, k, budget)
 
 
-def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
-            palette: Palette, budget: int | None) -> SolveOutcome:
+def _extend(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
+            budget: int | None) -> SolveOutcome:
     """``c`` and a colouring of each component of the uncoloured edges'
-    line graph from the palette colours neither end ``used``, counting the
+    line graph from the colours of [q] neither end uses, counting the
     nodes of every search.  The callers ruled out both exceptional shapes,
-    so a failure is a bug and raises; a search past ``budget`` is BUDGET."""
+    so a failure is a bug and raises, as does a colour outside its edge's
+    list or not new at both ends; a search past ``budget`` is BUDGET."""
     d = g.dense()
     adjacent = d.adjacent
-    live = (1 << len(g.ids)) - 1
+    ids, ends = g.ids, g.ends
+    used = used_colours(g, c)
+    live = (1 << len(ids)) - 1
     for eid in c:
         live ^= 1 << g.index[eid]
-    full = (1 << (palette.k + 1)) - 2
-    lists = [full & ~(used[u] | used[v]) for u, v in g.ends]
+    full = (1 << (q + 1)) - 2
+    lists = [full & ~(used[u] | used[v]) for u, v in ends]
     colouring = dict(c)
     nodes = 0
     for comp in d.components(live):
@@ -431,8 +444,23 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], used: Sequence[int],
         if part is None:
             raise AssertionError("non-exceptional instance failed")
         for i, colour in part.items():
-            colouring[g.ids[i]] = colour
+            bit = 1 << colour
+            u, v = ends[i]
+            if not lists[i] & bit or (used[u] | used[v]) & bit:
+                raise AssertionError("degree-list colouring is improper")
+            used[u] |= bit
+            used[v] |= bit
+            colouring[ids[i]] = colour
     return SolveOutcome(SOLVED, colouring, nodes=nodes, method="gallai")
+
+
+def prepare_subcubic(g: MultiGraph) -> Callable[..., SolveOutcome]:
+    """``extend_subcubic`` on g, prepared once for many precolourings:
+    ``run(m, budget=None)`` answers as it does, taking ``m`` as a proper
+    precoloured matching, unchecked."""
+    if g.delta() > 3:
+        raise InputError("graph is not subcubic")
+    return lambda m, budget=None: _extend(g, m, 4, budget)
 
 
 def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
@@ -447,7 +475,6 @@ def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],
     which forces a vertex of degree 4.  So the whole graph is coloured
     component by component.
     """
-    if g.delta() > 3:
-        raise InputError("graph is not subcubic")
-    palette = Palette(4)
-    return _extend(g, m, extension_masks(g, m, palette, 1), palette, budget)
+    run = prepare_subcubic(g)
+    extension_masks(g, m, Palette(4), 1)
+    return run(m, budget)

@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .core import (EdgeId, InputError, MultiGraph, degree_stats,
                    edge_bits, edge_distance)
-from .colouring import Palette, colouring_to_json_obj, is_proper
+from .colouring import Palette, colouring_to_json_obj
 from . import exact, kernels, gallai
 
 
@@ -747,25 +747,36 @@ def _plan(claim: str, g: MultiGraph, max_k: int, palette_offset: int,
     number for k None).  The extender takes a precolouring, k and the
     palette, and returns an outcome, or None for an instance the claim
     itself excepts.  A claim that does not apply to g has no cases.
+
+    The engine is prepared here, once per graph, by the ``prepare_*``
+    entry of its module, and the extender is its run.  The walk builds
+    only proper precolourings within the case's load, so the run takes
+    them unchecked; each engine checks the colouring it returns.
     """
     stats = degree_stats(g)
     delta = stats.delta
     if claim in OFFSET_CLAIMS:
         t = 3 if claim == "distance3-extension" else 1
         size = delta + stats.mu + (1 if t == 3 else 0) + palette_offset
-        cases = [(None, size, t)] if size >= 1 else []
+        if size < 1:
+            return [], None, None
         if claim == "matching-avoidance":
-            return (cases, lambda pre, k, palette: exact.avoid(
+            return ([(None, size, t)], lambda pre, k, palette: exact.avoid(
                 g, pre, palette, budget=budget), "not avoidable")
-        return (cases, lambda pre, k, palette: exact.extend(
-            g, pre, palette, budget=budget), "not extendable")
+        run = exact.prepare_extend(g, Palette(size))
+        return ([(None, size, t)], lambda pre, k, palette: run(pre, budget),
+                "not extendable")
     if claim == "subcubic-matching-extension":
-        return ([(1, 4, 1)] if delta <= 3 else [],
-                lambda pre, k, palette: gallai.extend_subcubic(
-                    g, pre, budget=budget), "subcubic extender failed")
+        if delta > 3:
+            return [], None, None
+        run = gallai.prepare_subcubic(g)
+        return ([(1, 4, 1)], lambda pre, k, palette: run(pre, budget),
+                "subcubic extender failed")
     if claim == "line-degree-extension":
+        run = gallai.prepare_gallai(g)
+
         def extend(pre, k, palette):
-            out = gallai.extend_gallai(g, pre, k, budget=budget)
+            out = run(pre, k, budget)
             if not isinstance(out, gallai.ExceptionReport):
                 return out
             # both shapes fail for every precolouring the claim admits
@@ -780,17 +791,16 @@ def _plan(claim: str, g: MultiGraph, max_k: int, palette_offset: int,
     ks = [1] if claim.endswith("matching-extension") else range(1, max_k + 1)
     if claim.startswith("bipartite"):
         try:
-            side = kernels.find_bipartition(g)
+            run = kernels.prepare_bipartite(g)
         except InputError:
             return [], None, None
         return ([(k, delta + k, 0) for k in ks],
-                lambda pre, k, palette: kernels.extend_bipartite(
-                    g, side, pre, k, budget=budget, _checked=True),
+                lambda pre, k, palette: run(pre, k, budget),
                 "bipartite extender failed")
     if claim.startswith("shannon"):
+        run = kernels.prepare_shannon(g)
         return ([(k, (3 * delta + k) // 2, 0) for k in ks],
-                lambda pre, k, palette: kernels.extend_shannon(
-                    g, pre, k, budget=budget),
+                lambda pre, k, palette: run(pre, k, budget),
                 "shannon extender failed")
     raise InputError(f"unknown claim {claim!r}")
 
@@ -828,15 +838,16 @@ def _edge_set_image(perm, edge_set):
 
 
 @functools.lru_cache(maxsize=None)
-def _partitions(s: int, q: int) -> int:
-    """The precolourings of s pairwise disjoint edges from q colours up to
-    colour permutation: the partitions of the edges into at most q
-    blocks, sum over j <= min(s, q) of the Stirling numbers S(s, j)."""
-    row = [1]                           # S(0, j) for j = 0
-    for size in range(1, s + 1):
-        row = [0] + [j * (row[j] if j < size else 0) + row[j - 1]
-                     for j in range(1, size + 1)]
-    return sum(row[:q + 1])
+def _growth_strings(s: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """The colour tuples ``_colourings_of`` yields for a matching of s
+    edges from q colours, in its order: the restricted growth strings of
+    length s with letters at most q, in lexicographic order.  There is one
+    for each partition of the edges into at most q blocks."""
+    strings = [((), 0)]                 # (string, its largest letter)
+    for _ in range(s):
+        strings = [(w + (c,), max(top, c)) for w, top in strings
+                   for c in range(1, min(q, top + 1) + 1)]
+    return tuple(w for w, _ in strings)
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -921,9 +932,11 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
     dominance or certificates.  With ``certify``, every colouring found
     is kept, and a set runs only the precolourings that no restriction of
     one covers; a set they cover is skipped.  Each set counts as many
-    instances as ``_colourings_of`` yields: ``_partitions`` of its size
-    for a matching, ``_count_colourings`` once per orbit for another set;
-    a matching the extender skips builds no orbit.
+    instances as ``_colourings_of`` yields, and runs those of a matching
+    from ``_growth_strings``: a matching counts them with no orbit built
+    when the extender skips it, another set counts ``_count_colourings``
+    once per orbit.  A solved outcome passes with no second check, as
+    each engine checks its own colouring (see ``_plan``).
     """
     q = palette.k
     # a set is a matching iff its edges' end bits add up without a carry
@@ -937,14 +950,14 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
         matching = end_bits is None or \
             sum(map(end_bits, subset)).bit_count() == 2 * len(subset)
         if matching and dominance and not maximal:
-            instances += _partitions(len(subset), q)
+            instances += len(_growth_strings(len(subset), q))
             continue
         key = frozenset(subset)
         count = counted.get(key)
         if count is not None:
             instances += count
             continue
-        count = _partitions(len(subset), q) if matching \
+        count = len(_growth_strings(len(subset), q)) if matching \
             else _count_colourings(g, subset, q)
         for image in _orbit(key, _edge_set_image, perms):
             counted[image] = count
@@ -959,6 +972,7 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
         if len(done) == count:
             continue
         for seen, colours in enumerate(
+                _growth_strings(len(subset), q) if matching else
                 _colourings_of(g, subset, palette, True, tuples=True), 1):
             if colours in done:
                 continue
@@ -967,7 +981,7 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
             out = extend(pre, k, palette)
             if out is None:
                 continue
-            if out.solved and is_proper(g, out.colouring):
+            if out.solved:
                 if certify:
                     found.append(out.colouring.__getitem__)
                 continue

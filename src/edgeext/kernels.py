@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, _id_sort_key, edge_bits
 from .colouring import (Palette, check_load, extension_masks, is_proper,
-                        merge_colourings)
+                        merge_colourings, used_colours)
 from . import exact
 from .exact import SolveOutcome, SOLVED, UNSOLVABLE
 
@@ -77,7 +77,14 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _x_sides(g: MultiGraph, side_of: Mapping[int, str]) -> list[bool]:
+def _x_sides(g: MultiGraph,
+             side_of: Mapping[int, str] | None) -> list[bool]:
+    """Whether each vertex lies on side X: of ``side_of`` once it is
+    checked, or of a bipartition found when it is None."""
+    if side_of is None:
+        side_of = find_bipartition(g)
+    else:
+        check_bipartition(g, side_of)
     return [side_of.get(v) == "X" for v in range(g.n)]
 
 
@@ -159,9 +166,7 @@ def konig_colour(g: MultiGraph,
                  side_of: Mapping[int, str] | None = None) -> dict[EdgeId, int]:
     """Proper Delta-edge-colouring of a bipartite multigraph (see
     ``_konig``)."""
-    if side_of is None:
-        side_of = find_bipartition(g)
-    check_bipartition(g, side_of)
+    _x_sides(g, side_of)
     return dict(zip(g.ids, _konig(g, range(len(g.ids)), g.delta())))
 
 
@@ -238,7 +243,7 @@ def galvin_orient(g: MultiGraph, side_of: Mapping[int, str] | None,
                   phi: Mapping[EdgeId, int]) -> GalvinOrientation:
     if side_of is None:
         side_of = find_bipartition(g)
-    check_bipartition(g, side_of)
+    is_x = _x_sides(g, side_of)
     delta = g.delta()
     for eid in g.edge_ids:
         c = phi.get(eid)
@@ -248,7 +253,7 @@ def galvin_orient(g: MultiGraph, side_of: Mapping[int, str] | None,
     if not is_proper(g, phi):
         raise InputError("base colouring is not proper")
     dense = _Orientation(g, range(len(g.ids)), [phi[eid] for eid in g.ids],
-                         _x_sides(g, side_of), delta)
+                         is_x, delta)
     return GalvinOrientation(g, dict(side_of), dict(phi), dense)
 
 
@@ -414,28 +419,31 @@ def list_colour_bipartite(g: MultiGraph,
     on the whole instance) covers everything else.  The outcome's method
     tag records which engine finished the job.
     """
-    if side_of is None:
-        side_of = find_bipartition(g)
-    check_bipartition(g, side_of)
     edges = range(len(g.ids))
     return _list_colour(g, _x_sides(g, side_of), edges, _degrees(g, edges),
                         [exact._mask_of(lists[eid]) for eid in g.ids],
                         [0] * g.n, budget)
 
 
-def _uncoloured(g: MultiGraph, c: Mapping[EdgeId, int], palette: Palette,
-                k: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The extenders' shared preamble: ``extension_masks``, then the
-    uncoloured edges as indices, how many of them meet each vertex, and
-    each one's list mask (entry i for edge i, 0 for a coloured edge)."""
-    used = extension_masks(g, c, palette, k)
+def _uncoloured(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
+                need: Callable[[int, int], int]
+                ) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The prepared extenders' shared preamble, for the palette [q]: each
+    vertex's used colours, the uncoloured edges as indices, how many of
+    them meet each vertex, and each one's list mask (entry i for edge i, 0
+    for a coloured edge).  A list shorter than ``need`` of its ends'
+    counts would break the extension theorem's hypothesis, and raises."""
+    used = used_colours(g, c)
     edges = [i for i, eid in enumerate(g.ids) if eid not in c]
-    full = (1 << (palette.k + 1)) - 2
+    deg = _degrees(g, edges)
+    full = (1 << (q + 1)) - 2
     lists = [0] * len(g.ids)
     for i in edges:
         u, v = g.ends[i]
         lists[i] = full & ~(used[u] | used[v])
-    return used, edges, _degrees(g, edges), lists
+        if lists[i].bit_count() < need(deg[u], deg[v]):
+            raise AssertionError("list inequality failed after reduction")
+    return used, edges, deg, lists
 
 
 def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
@@ -448,34 +456,55 @@ def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
     return outcome
 
 
+def prepare_bipartite(g: MultiGraph, side_of: Mapping[int, str] | None = None
+                      ) -> Callable[..., SolveOutcome]:
+    """``extend_bipartite`` on g, prepared once for many precolourings:
+    ``run(c, k, budget=None)`` answers as it does, taking ``c`` as proper
+    and meeting each vertex at most k times, unchecked."""
+    is_x, delta = _x_sides(g, side_of), g.delta()
+
+    def run(c, k, budget=None):
+        used, edges, deg, lists = _uncoloured(g, c, delta + k, max)
+        return _extended(c, _list_colour(g, is_x, edges, deg, lists, used,
+                                         budget))
+    return run
+
+
 def extend_bipartite(g: MultiGraph,
                      side_of: Mapping[int, str] | None,
                      c: Mapping[EdgeId, int], k: int,
-                     budget: int | None = None, *,
-                     _checked: bool = False) -> SolveOutcome:
+                     budget: int | None = None) -> SolveOutcome:
     """Extend a precolouring of a bipartite multigraph within [Delta+k].
 
     Requires every vertex to meet at most k precoloured edges; under that
     hypothesis an extension always exists and is returned, unless a
     fallback search passes ``budget`` (a ``BUDGET`` outcome).  The
     uncoloured edges are list-coloured in place, with no reduced graph
-    built.  ``_checked`` says that ``side_of`` came from
-    ``find_bipartition(g)``, and skips checking it again.
+    built.
     """
-    if side_of is None:
-        side_of = find_bipartition(g)
-    elif not _checked:
-        check_bipartition(g, side_of)
+    run = prepare_bipartite(g, side_of)
     if k < 1:
         raise InputError("k must be positive")
-    used, edges, deg, lists = _uncoloured(g, c, Palette(g.delta() + k), k)
-    ends = g.ends
-    for i in edges:
-        u, v = ends[i]
-        if lists[i].bit_count() < max(deg[u], deg[v]):
-            raise AssertionError("list inequality failed after reduction")
-    return _extended(c, _list_colour(g, _x_sides(g, side_of), edges, deg,
-                                     lists, used, budget))
+    extension_masks(g, c, Palette(g.delta() + k), k)
+    return run(c, k, budget)
+
+
+def prepare_shannon(g: MultiGraph) -> Callable[..., SolveOutcome]:
+    """``extend_shannon`` on g, prepared as ``prepare_bipartite`` is."""
+    delta = g.delta()
+
+    def run(c, k, budget=None):
+        q = (3 * delta + k) // 2
+        used, edges, deg, lists = _uncoloured(
+            g, c, q, lambda du, dv: max(du, dv) + min(du, dv) // 2)
+        is_x = _bipartition(g.n, (g.ends[i] for i in edges))
+        if is_x is None:
+            outcome = exact.prepare_extend(g, Palette(q))(c, budget)
+            outcome.method = EXACT_FALLBACK
+        else:
+            outcome = _list_colour(g, is_x, edges, deg, lists, used, budget)
+        return _extended(c, outcome)
+    return run
 
 
 def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
@@ -490,20 +519,8 @@ def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
     """
     if k < 1:
         raise InputError("k must be positive")
-    if not g.edges:
-        check_load(g, c, k)    # an edge id the graph lacks still raises
-        return SolveOutcome(SOLVED, {}, method=KERNEL)
-    palette = Palette((3 * g.delta() + k) // 2)
-    used, edges, deg, lists = _uncoloured(g, c, palette, k)
-    ends = g.ends
-    for i in edges:
-        du, dv = deg[ends[i][0]], deg[ends[i][1]]
-        if lists[i].bit_count() < max(du, dv) + min(du, dv) // 2:
-            raise AssertionError("list inequality failed after reduction")
-    is_x = _bipartition(g.n, (ends[i] for i in edges))
-    if is_x is None:
-        outcome = exact.extend(g, c, palette, budget=budget)
-        outcome.method = EXACT_FALLBACK
+    if g.edges:
+        extension_masks(g, c, Palette((3 * g.delta() + k) // 2), k)
     else:
-        outcome = _list_colour(g, is_x, edges, deg, lists, used, budget)
-    return _extended(c, outcome)
+        check_load(g, c, k)    # an edge id the graph lacks still raises
+    return prepare_shannon(g)(c, k, budget)

@@ -257,6 +257,28 @@ def test_extend_subcubic_rejects_non_matching():
         extend_subcubic(g, {0: 1, 1: 2})
 
 
+def test_subcubic_extender_checks_its_own_colouring(monkeypatch):
+    # ``verify`` no longer re-checks what the extender returns, so a
+    # degree-list colouring with a clash must raise inside the extender
+    from edgeext import gallai
+    from edgeext.instances import verify
+    original = gallai._degree_colour
+
+    def clashing(nbrs, nmask, lists, region, root, budget):
+        part, nodes = original(nbrs, nmask, lists, region, root, budget)
+        for i, j in itertools.permutations(part or (), 2):
+            if nmask[i] >> j & 1:
+                part[j] = part[i]
+                break
+        return part, nodes
+
+    monkeypatch.setattr(gallai, "_degree_colour", clashing)
+    with pytest.raises(AssertionError, match="improper"):
+        extend_subcubic(edges_path(4), {})
+    with pytest.raises(AssertionError, match="improper"):
+        verify("subcubic-matching-extension", max_n=4, max_e=4, max_mu=2)
+
+
 def test_gallai_extenders_honour_budget():
     # K4 with two precoloured edges: the reduced line graph is a tight
     # 4-cycle of equal lists, so the component goes to search, which

@@ -6,26 +6,27 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from edgeext.core import (InputError, MultiGraph, edge_distance, edges_cycle,
-                          edges_path)
-from edgeext.colouring import Palette, is_proper, max_precoloured_degree
+from edgeext.core import (InputError, MultiGraph, degree_stats,
+                          edge_distance, edges_cycle, edges_path)
+from edgeext.colouring import (Palette, extension_masks, is_proper,
+                               max_precoloured_degree)
 from edgeext.exact import BudgetSpent, avoid, chromatic_index, extend
-from edgeext import exact, instances, kernels
+from edgeext import exact, gallai, instances, kernels
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                _colourings_of, _count_colourings,
                                _edge_automorphisms,
                                _multigraphs_with_automorphisms,
-                               _partitions, _plan, canonical_form,
+                               _growth_strings, _plan, canonical_form,
                                compute_rho, distance_conflicts,
                                enumerate_edge_sets,
                                enumerate_multigraphs,
                                enumerate_precolourings, generate,
                                random_distance_matching, verify)
 
-from conftest import multigraphs
+from conftest import bipartite_multigraphs, multigraphs
 
 
 # -- families ------------------------------------------------------------
@@ -334,8 +335,8 @@ def test_partitions_count_the_colourings_of_a_matching():
                                       for i in range(s)])
         subset = tuple(range(s))
         for q in range(1, 8):
-            assert _partitions(s, q) == len(list(
-                _colourings_of(matching, subset, Palette(q), True))), (s, q)
+            assert _growth_strings(s, q) == tuple(_colourings_of(
+                matching, subset, Palette(q), True, tuples=True)), (s, q)
 
 
 @settings(max_examples=80)
@@ -477,8 +478,13 @@ def test_a_planted_degree_k_failure_is_found_as_without_dominance(
             return original(*args, **kwargs)
         return extend
 
-    monkeypatch.setattr(kernels, "extend_bipartite", failing(
-        kernels.extend_bipartite, lambda args: (args[0], args[2])))
+    # the sweep runs the extender that ``_plan`` prepares once per graph
+    prepare = kernels.prepare_bipartite
+
+    def prepare_failing(g, *args):
+        return failing(prepare(g, *args), lambda args: (g, args[0]))
+
+    monkeypatch.setattr(kernels, "prepare_bipartite", prepare_failing)
     monkeypatch.setattr(exact, "extend", failing(
         exact.extend, lambda args: (args[0], args[1])))
     rep = verify("bipartite-extension", max_n=4, max_e=5, max_mu=2,
@@ -501,6 +507,117 @@ def test_sweep_checks_no_bipartition_it_found(monkeypatch):
                  max_k=2)
     assert rep.ok and rep.instances_checked > 0
     assert checks == []
+
+
+# each prepared entry ``_plan`` uses: the (palette, load bound) of the case
+# a run serves, from the graph, the entry's arguments and the run's
+_ADMISSIBLE = {
+    (exact, "prepare_extend"): lambda g, prepared, run: (prepared[0], 1),
+    (gallai, "prepare_subcubic"): lambda g, prepared, run: (Palette(4), 1),
+    (kernels, "prepare_bipartite"): lambda g, prepared, run: (
+        Palette(g.delta() + run[0]), run[0]),
+}
+
+
+@pytest.mark.parametrize("claim, bounds, entry", [
+    ("matching-extension", dict(max_n=6, max_e=7, max_mu=2),
+     (exact, "prepare_extend")),
+    ("subcubic-matching-extension",
+     dict(max_n=8, max_e=7, max_mu=3, delta_max=3),
+     (gallai, "prepare_subcubic")),
+    ("bipartite-extension", dict(max_n=7, max_e=6, max_mu=2, max_k=2),
+     (kernels, "prepare_bipartite"))])
+def test_sweeps_hand_their_extenders_only_admissible_precolourings(
+        monkeypatch, claim, bounds, entry):
+    # the prepared runs validate nothing, so every precolouring the walk
+    # gives them must pass the public extenders' validation at its case
+    module, name = entry
+    prepare = getattr(module, name)
+    runs = []
+
+    def validating(g, *prepared):
+        run = prepare(g, *prepared)
+
+        def checked(pre, *args):
+            palette, k = _ADMISSIBLE[entry](g, prepared, args)
+            extension_masks(g, pre, palette, k)
+            runs.append(pre)
+            return run(pre, *args)
+        return checked
+
+    monkeypatch.setattr(module, name, validating)
+    rep = verify(claim, **bounds)
+    assert rep.ok and len(runs) == rep.instances_checked > 0
+
+
+def _admissible_precolouring(g, q, k, rnd):
+    """A random proper precolouring from [q], at most k edges a vertex."""
+    pre = {}
+    load = [0] * g.n
+    used = [set() for _ in range(g.n)]
+    for eid, u, v in g.edges:
+        free = [c for c in range(1, q + 1) if c not in used[u] | used[v]]
+        if free and max(load[u], load[v]) < k and rnd.random() < 0.5:
+            pre[eid] = c = rnd.choice(free)
+            for w in (u, v):
+                load[w] += 1
+                used[w].add(c)
+    return pre
+
+
+def _public_and_prepared(engine, g, k, rnd, budget):
+    """One engine's outcome through its public entry and through its
+    prepared run, on one admissible instance of g."""
+    delta = g.delta()
+    if engine == "exact":
+        palette = Palette(max(1, delta + g.mu() - rnd.randint(0, 1)))
+        pre = _admissible_precolouring(g, palette.k, 1, rnd)
+        return (exact.extend(g, pre, palette, budget),
+                exact.prepare_extend(g, palette)(pre, budget))
+    if engine == "subcubic":
+        pre = _admissible_precolouring(g, 4, 1, rnd)
+        return (gallai.extend_subcubic(g, pre, budget),
+                gallai.prepare_subcubic(g)(pre, budget))
+    if engine == "gallai":
+        pre = _admissible_precolouring(g, delta + k, k, rnd)
+        return (gallai.extend_gallai(g, pre, k, budget),
+                gallai.prepare_gallai(g)(pre, k, budget))
+    if engine == "bipartite":
+        side = rnd.choice([None, kernels.find_bipartition(g)])
+        pre = _admissible_precolouring(g, delta + k, k, rnd)
+        return (kernels.extend_bipartite(g, side, pre, k, budget),
+                kernels.prepare_bipartite(g, side)(pre, k, budget))
+    pre = _admissible_precolouring(g, (3 * delta + k) // 2, k, rnd)
+    return (kernels.extend_shannon(g, pre, k, budget),
+            kernels.prepare_shannon(g)(pre, k, budget))
+
+
+def _fields(out):
+    if isinstance(out, gallai.ExceptionReport):
+        return out
+    return out.status, out.colouring, out.nodes, out.depth, out.method
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["exact", "subcubic", "gallai", "bipartite",
+                        "shannon"]), st.integers(0, 2), st.randoms(),
+       st.one_of(st.none(), st.integers(0, 12)), st.data())
+def test_prepared_runs_answer_as_the_public_extenders(engine, k, rnd,
+                                                      budget, data):
+    if engine == "bipartite":
+        g = data.draw(bipartite_multigraphs(max_side=3, max_e=9, max_mu=3))
+    else:
+        g = data.draw(multigraphs(max_n=7, max_e=10, max_mu=3,
+                                  max_degree=3 if engine == "subcubic"
+                                  else None))
+    if engine == "gallai":
+        stats = degree_stats(g)
+        assume(g.dense().connected and stats.delta + k >= 1
+               and stats.line_delta <= stats.delta + k)
+    elif engine in ("bipartite", "shannon"):
+        k = max(k, 1)
+    public, prepared = _public_and_prepared(engine, g, k, rnd, budget)
+    assert _fields(public) == _fields(prepared)
 
 
 def test_edge_automorphisms_map_ends_onto_themselves():
