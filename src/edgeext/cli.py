@@ -61,7 +61,7 @@ def _load_lists(g: MultiGraph, path: str):
         raise InputError(f"{path}: expected an object with a 'lists' map")
     lists = {}
     for key, value in obj["lists"].items():
-        eid = _resolve_edge_key(g, key)
+        eid = _resolve_edge_key(g, key, f"{path}: 'lists'")
         if not isinstance(value, list) or not all(
                 _is_int(c) and c >= 1 for c in value):
             raise InputError(f"list for edge {key!r} must hold colours >= 1")
@@ -267,8 +267,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_distance(args) -> int:
     g = _load_graph(args.graph)
-    e = _resolve_edge_key(g, args.edges[0])
-    f = _resolve_edge_key(g, args.edges[1])
+    e, f = (_resolve_edge_key(g, key, "--edges") for key in args.edges)
     d = edge_distance(g, e, f)
     _emit({"distance": "infinite" if d == INFINITE_DISTANCE else d}, args)
     return 0

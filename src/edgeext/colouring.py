@@ -168,7 +168,9 @@ def colouring_to_json_obj(colouring: Mapping[EdgeId, int],
             "colours": {str(eid): c for eid, c in colouring.items()}}
 
 
-def _resolve_edge_key(g: MultiGraph, key: str) -> EdgeId:
+def _resolve_edge_key(g: MultiGraph, key: str,
+                      source: str = "precolouring") -> EdgeId:
+    """The edge id that ``key``, read from the input ``source``, names."""
     if g.has_edge(key):
         return key
     try:
@@ -177,7 +179,7 @@ def _resolve_edge_key(g: MultiGraph, key: str) -> EdgeId:
         as_int = None
     if as_int is not None and g.has_edge(as_int):
         return as_int
-    raise InputError(f"precolouring names unknown edge {key!r}")
+    raise InputError(f"{source} names unknown edge {key!r}")
 
 
 def colouring_from_json_obj(g: MultiGraph, obj: Mapping

@@ -932,11 +932,15 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
     dominance or certificates.  With ``certify``, every colouring found
     is kept, and a set runs only the precolourings that no restriction of
     one covers; a set they cover is skipped.  Each set counts as many
-    instances as ``_colourings_of`` yields, and runs those of a matching
-    from ``_growth_strings``: a matching counts them with no orbit built
-    when the extender skips it, another set counts ``_count_colourings``
-    once per orbit.  A solved outcome passes with no second check, as
-    each engine checks its own colouring (see ``_plan``).
+    instances as ``_colourings_of`` yields: a matching the length of its
+    ``_growth_strings``, another set ``_count_colourings``.  A set the
+    extender may run on is counted once per orbit; a set dominance skips
+    is counted on its own, with no orbit built.  The precolourings a set
+    runs, those of a matching from ``_growth_strings``, reach the
+    extender in a row, so a prepared run may keep what it derives from
+    the set alone until the set changes (see ``kernels._EdgeSet``).  A
+    solved outcome passes with no second check, as each engine checks
+    its own colouring (see ``_plan``).
     """
     q = palette.k
     # a set is a matching iff its edges' end bits add up without a carry
@@ -949,21 +953,22 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
     for subset, maximal in enumerate_edge_sets(g, t, k, True):
         matching = end_bits is None or \
             sum(map(end_bits, subset)).bit_count() == 2 * len(subset)
-        if matching and dominance and not maximal:
-            instances += len(_growth_strings(len(subset), q))
-            continue
-        key = frozenset(subset)
+        # a set the extender may run on is counted once per orbit; any
+        # other is counted directly, as maximality is invariant under
+        # automorphisms and no set that runs would read its orbit
+        runs = maximal or not dominance
+        key = frozenset(subset) if runs else None
         count = counted.get(key)
         if count is not None:
             instances += count
             continue
         count = len(_growth_strings(len(subset), q)) if matching \
             else _count_colourings(g, subset, q)
+        instances += count
+        if not runs:
+            continue
         for image in _orbit(key, _edge_set_image, perms):
             counted[image] = count
-        instances += count
-        if dominance and not maximal:
-            continue
         done = set()
         for phi in found:
             if len(done) == count:

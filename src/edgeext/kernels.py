@@ -88,15 +88,6 @@ def _x_sides(g: MultiGraph,
     return [side_of.get(v) == "X" for v in range(g.n)]
 
 
-def _degrees(g: MultiGraph, edges: Sequence[int]) -> list[int]:
-    deg = [0] * g.n
-    for i in edges:
-        u, v = g.ends[i]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def _edge_mask(g: MultiGraph, ids: Iterable[EdgeId]) -> int:
     mask = 0
     for eid in ids:
@@ -338,29 +329,93 @@ def kernel(orientation: GalvinOrientation, active: Iterable[EdgeId]) -> set:
     return {g.ids[i] for i in edge_bits(_kernel(orientation.dense, mask))}
 
 
-def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
-                 deg: Sequence[int], lists: Sequence[int], used: Sequence[int],
-                 budget: int | None) -> SolveOutcome:
-    """List-colour ``edges`` of the graph, kernel extraction first.
+class _EdgeSet:
+    """What the kernel runs derive from one set of precoloured edges of g
+    alone, built once for however many precolourings of that set come:
+    the uncoloured edges as indices, how many of them meet each vertex,
+    the sides ``is_x`` that split them (None when they hold an odd cycle),
+    the Galvin orientation of their König colouring, and each kernel
+    found so far, by its active mask: ``_kernel`` depends on the
+    orientation and the mask alone, so one found serves every later run.
 
-    ``lists[i]`` is edge i's colour mask and ``deg`` counts ``edges`` at
-    each vertex.  ``used`` holds the colours other, already coloured edges
+    ``is_x`` is given as g's own sides, or, when None, found on the
+    uncoloured edges alone.  ``key`` is the precoloured set.
+    """
+
+    __slots__ = ("g", "key", "edges", "deg", "is_x", "orientation",
+                 "kernels")
+
+    def __init__(self, g: MultiGraph, coloured: Iterable[EdgeId],
+                 is_x: Sequence[bool] | None = None):
+        self.g = g
+        self.key = frozenset(coloured)
+        self.edges = [i for i, eid in enumerate(g.ids)
+                      if eid not in self.key]
+        self.deg = [0] * g.n
+        for i in self.edges:
+            u, v = g.ends[i]
+            self.deg[u] += 1
+            self.deg[v] += 1
+        if is_x is None:
+            is_x = _bipartition(g.n, (g.ends[i] for i in self.edges))
+        self.is_x = is_x
+        self.orientation = None
+        if is_x is not None and self.edges:
+            delta = max(self.deg)
+            self.orientation = _Orientation(
+                g, self.edges, _konig(g, self.edges, delta), is_x, delta)
+        self.kernels: dict[int, int] = {}
+
+    def lists(self, c: Mapping[EdgeId, int], q: int,
+              need: Callable[[int, int], int]) -> tuple[list[int], list[int]]:
+        """Each vertex's used colours under the precolouring ``c`` of this
+        set, and each uncoloured edge's list mask within [q] (entry i for
+        edge i, 0 for a coloured edge).  A list shorter than ``need`` of
+        its ends' counts would break the extension theorem's hypothesis,
+        and raises."""
+        g, deg = self.g, self.deg
+        used = used_colours(g, c)
+        full = (1 << (q + 1)) - 2
+        lists = [0] * len(g.ids)
+        for i in self.edges:
+            u, v = g.ends[i]
+            lists[i] = full & ~(used[u] | used[v])
+            if lists[i].bit_count() < need(deg[u], deg[v]):
+                raise AssertionError("list inequality failed after reduction")
+        return used, lists
+
+
+def _edge_set(g: MultiGraph, c: Mapping[EdgeId, int], last: _EdgeSet | None,
+              is_x: Sequence[bool] | None = None) -> _EdgeSet:
+    """The ``_EdgeSet`` of the edges ``c`` colours: ``last`` when it is
+    that set's, else a new one."""
+    if last is not None and c.keys() == last.key:
+        return last
+    return _EdgeSet(g, c, is_x)
+
+
+def _list_colour(s: _EdgeSet, lists: Sequence[int], used: Sequence[int],
+                 budget: int | None) -> SolveOutcome:
+    """List-colour the uncoloured edges of ``s``, kernel extraction first.
+
+    ``lists[i]`` is edge i's colour mask.  Each kernel comes from the
+    set's memo, by its active mask, and is computed and kept only when
+    missing.  ``used`` holds the colours other, already coloured edges
     take at each vertex; a kernel colouring that clashes with them, or
     with itself, is a bug and raises.
     """
+    g, edges = s.g, s.edges
     ids, ends = g.ids, g.ends
     if not edges:
         return SolveOutcome(SOLVED, {}, method=KERNEL)
-    delta = max(deg)
-    orientation = _Orientation(g, edges, _konig(g, edges, delta), is_x,
-                               delta)
+    kernels = s.kernels
     live = union = 0
     for i in edges:
         live |= 1 << i
         union |= lists[i]
     colour = [0] * len(ids)
     left = live
-    pending = list(edges)
+    pending = edges
     # one kernel per colour, in increasing order, among the edges still
     # uncoloured whose lists hold it
     for c in range(union.bit_length()):
@@ -371,7 +426,9 @@ def _list_colour(g: MultiGraph, is_x: Sequence[bool], edges: Sequence[int],
             if lists[i] >> c & 1:
                 active |= 1 << i
         if active:
-            chosen = _kernel(orientation, active)
+            chosen = kernels.get(active)
+            if chosen is None:
+                chosen = kernels[active] = _kernel(s.orientation, active)
             left &= ~chosen
             for i in edge_bits(chosen):
                 colour[i] = c
@@ -419,31 +476,9 @@ def list_colour_bipartite(g: MultiGraph,
     on the whole instance) covers everything else.  The outcome's method
     tag records which engine finished the job.
     """
-    edges = range(len(g.ids))
-    return _list_colour(g, _x_sides(g, side_of), edges, _degrees(g, edges),
-                        [exact._mask_of(lists[eid]) for eid in g.ids],
-                        [0] * g.n, budget)
-
-
-def _uncoloured(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
-                need: Callable[[int, int], int]
-                ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The prepared extenders' shared preamble, for the palette [q]: each
-    vertex's used colours, the uncoloured edges as indices, how many of
-    them meet each vertex, and each one's list mask (entry i for edge i, 0
-    for a coloured edge).  A list shorter than ``need`` of its ends'
-    counts would break the extension theorem's hypothesis, and raises."""
-    used = used_colours(g, c)
-    edges = [i for i, eid in enumerate(g.ids) if eid not in c]
-    deg = _degrees(g, edges)
-    full = (1 << (q + 1)) - 2
-    lists = [0] * len(g.ids)
-    for i in edges:
-        u, v = g.ends[i]
-        lists[i] = full & ~(used[u] | used[v])
-        if lists[i].bit_count() < need(deg[u], deg[v]):
-            raise AssertionError("list inequality failed after reduction")
-    return used, edges, deg, lists
+    is_x = _x_sides(g, side_of)
+    masks = [exact._mask_of(lists[eid]) for eid in g.ids]
+    return _list_colour(_EdgeSet(g, (), is_x), masks, [0] * g.n, budget)
 
 
 def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
@@ -460,13 +495,20 @@ def prepare_bipartite(g: MultiGraph, side_of: Mapping[int, str] | None = None
                       ) -> Callable[..., SolveOutcome]:
     """``extend_bipartite`` on g, prepared once for many precolourings:
     ``run(c, k, budget=None)`` answers as it does, taking ``c`` as proper
-    and meeting each vertex at most k times, unchecked."""
+    and meeting each vertex at most k times, unchecked.
+
+    The run keeps the ``_EdgeSet`` of the last precoloured set it saw,
+    so the precolourings of one set in a row share one König colouring,
+    one orientation and one kernel memo, and a new set replaces it.  The
+    list masks, the Galvin bound and the final check stay per run."""
     is_x, delta = _x_sides(g, side_of), g.delta()
+    last = None
 
     def run(c, k, budget=None):
-        used, edges, deg, lists = _uncoloured(g, c, delta + k, max)
-        return _extended(c, _list_colour(g, is_x, edges, deg, lists, used,
-                                         budget))
+        nonlocal last
+        s = last = _edge_set(g, c, last, is_x)
+        used, lists = s.lists(c, delta + k, max)
+        return _extended(c, _list_colour(s, lists, used, budget))
     return run
 
 
@@ -490,19 +532,24 @@ def extend_bipartite(g: MultiGraph,
 
 
 def prepare_shannon(g: MultiGraph) -> Callable[..., SolveOutcome]:
-    """``extend_shannon`` on g, prepared as ``prepare_bipartite`` is."""
+    """``extend_shannon`` on g, prepared as ``prepare_bipartite`` is: the
+    run keeps the last precoloured set's ``_EdgeSet``, whose sides are
+    found on its uncoloured edges alone.  When those hold an odd cycle,
+    the run searches the whole extension exactly instead."""
     delta = g.delta()
+    last = None
 
     def run(c, k, budget=None):
+        nonlocal last
         q = (3 * delta + k) // 2
-        used, edges, deg, lists = _uncoloured(
-            g, c, q, lambda du, dv: max(du, dv) + min(du, dv) // 2)
-        is_x = _bipartition(g.n, (g.ends[i] for i in edges))
-        if is_x is None:
+        s = last = _edge_set(g, c, last)
+        used, lists = s.lists(
+            c, q, lambda du, dv: max(du, dv) + min(du, dv) // 2)
+        if s.is_x is None:
             outcome = exact.prepare_extend(g, Palette(q))(c, budget)
             outcome.method = EXACT_FALLBACK
         else:
-            outcome = _list_colour(g, is_x, edges, deg, lists, used, budget)
+            outcome = _list_colour(s, lists, used, budget)
         return _extended(c, outcome)
     return run
 

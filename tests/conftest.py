@@ -91,6 +91,21 @@ def random_extension_instance(seed, n, m, precoloured=20):
     return g, pre, palette
 
 
+def admissible_precolouring(g, q, k, rnd):
+    """A random proper precolouring from [q], at most k edges a vertex."""
+    pre = {}
+    load = [0] * g.n
+    used = [set() for _ in range(g.n)]
+    for eid, u, v in g.edges:
+        free = [c for c in range(1, q + 1) if c not in used[u] | used[v]]
+        if free and max(load[u], load[v]) < k and rnd.random() < 0.5:
+            pre[eid] = c = rnd.choice(free)
+            for w in (u, v):
+                load[w] += 1
+                used[w].add(c)
+    return pre
+
+
 def prism(n):
     """The prism C_n x K_2: rim edges first, then rung i joining the two
     rims' vertex i, precoloured 1 + i % 3.  From the palette [4] each rim

@@ -391,6 +391,25 @@ def test_malformed_rotation_and_lists_exit_2(tmp_path, capsys, verb, option,
     assert "traceback" not in json.loads(captured.err)
 
 
+@pytest.mark.parametrize("verb, option, obj, source", [
+    ("distance", "--edges", None, "--edges"),
+    ("solve-list", "--lists", {"lists": {"0": [1], "7": [2]}}, "'lists'"),
+    ("extend", "--colours", {"palette": 3, "colours": {"7": 1}},
+     "precolouring"),
+], ids=["distance-edges", "lists-key", "colours-key"])
+def test_unknown_edge_names_its_input(tmp_path, capsys, verb, option, obj,
+                                      source):
+    # the error names the input that held the unknown key
+    gpath = write(tmp_path, "g.json", _GOOD_GRAPH)
+    given = ["0", "7"] if obj is None else [write(tmp_path, "in.json", obj)]
+    assert run([verb, "--graph", gpath, option, *given,
+                "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.endswith(f"{source} names unknown edge '7'")
+
+
 def test_solve_list_rejects_bool_colour(tmp_path, capsys):
     gpath = write(tmp_path, "g.json", _GOOD_GRAPH)
     lpath = write(tmp_path, "l.json", {"lists": {"0": [True], "1": [2]}})

@@ -26,7 +26,8 @@ from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                enumerate_precolourings, generate,
                                random_distance_matching, verify)
 
-from conftest import bipartite_multigraphs, multigraphs
+from conftest import (admissible_precolouring, bipartite_multigraphs,
+                      multigraphs)
 
 
 # -- families ------------------------------------------------------------
@@ -550,44 +551,29 @@ def test_sweeps_hand_their_extenders_only_admissible_precolourings(
     assert rep.ok and len(runs) == rep.instances_checked > 0
 
 
-def _admissible_precolouring(g, q, k, rnd):
-    """A random proper precolouring from [q], at most k edges a vertex."""
-    pre = {}
-    load = [0] * g.n
-    used = [set() for _ in range(g.n)]
-    for eid, u, v in g.edges:
-        free = [c for c in range(1, q + 1) if c not in used[u] | used[v]]
-        if free and max(load[u], load[v]) < k and rnd.random() < 0.5:
-            pre[eid] = c = rnd.choice(free)
-            for w in (u, v):
-                load[w] += 1
-                used[w].add(c)
-    return pre
-
-
 def _public_and_prepared(engine, g, k, rnd, budget):
     """One engine's outcome through its public entry and through its
     prepared run, on one admissible instance of g."""
     delta = g.delta()
     if engine == "exact":
         palette = Palette(max(1, delta + g.mu() - rnd.randint(0, 1)))
-        pre = _admissible_precolouring(g, palette.k, 1, rnd)
+        pre = admissible_precolouring(g, palette.k, 1, rnd)
         return (exact.extend(g, pre, palette, budget),
                 exact.prepare_extend(g, palette)(pre, budget))
     if engine == "subcubic":
-        pre = _admissible_precolouring(g, 4, 1, rnd)
+        pre = admissible_precolouring(g, 4, 1, rnd)
         return (gallai.extend_subcubic(g, pre, budget),
                 gallai.prepare_subcubic(g)(pre, budget))
     if engine == "gallai":
-        pre = _admissible_precolouring(g, delta + k, k, rnd)
+        pre = admissible_precolouring(g, delta + k, k, rnd)
         return (gallai.extend_gallai(g, pre, k, budget),
                 gallai.prepare_gallai(g)(pre, k, budget))
     if engine == "bipartite":
         side = rnd.choice([None, kernels.find_bipartition(g)])
-        pre = _admissible_precolouring(g, delta + k, k, rnd)
+        pre = admissible_precolouring(g, delta + k, k, rnd)
         return (kernels.extend_bipartite(g, side, pre, k, budget),
                 kernels.prepare_bipartite(g, side)(pre, k, budget))
-    pre = _admissible_precolouring(g, (3 * delta + k) // 2, k, rnd)
+    pre = admissible_precolouring(g, (3 * delta + k) // 2, k, rnd)
     return (kernels.extend_shannon(g, pre, k, budget),
             kernels.prepare_shannon(g)(pre, k, budget))
 

@@ -9,12 +9,15 @@ from edgeext import exact
 from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import Palette, is_proper
 from edgeext.exact import BUDGET, SOLVED, UNSOLVABLE
+from edgeext import kernels
 from edgeext.kernels import (EXACT_FALLBACK, KERNEL, extend_bipartite,
                              extend_shannon, find_bipartition, galvin_orient,
                              is_kernel, kernel, kernel_brute, konig_colour,
-                             list_colour_bipartite)
+                             list_colour_bipartite, prepare_bipartite,
+                             prepare_shannon)
 
-from conftest import bipartite_multigraphs, multigraphs
+from conftest import (admissible_precolouring, bipartite_multigraphs,
+                      multigraphs)
 
 
 def test_find_bipartition_basic():
@@ -305,3 +308,99 @@ def test_extend_shannon_returns_a_spent_budget():
     assert (out.status, out.method, out.colouring) == \
         (BUDGET, EXACT_FALLBACK, None)
     assert extend_shannon(g, {}, 1, budget=3).solved
+
+
+def _admissible(g, q, k, rnd):
+    """Two precolourings of one edge set: a random admissible one (see
+    ``admissible_precolouring``) and its image under a permutation of
+    [q]."""
+    pre = admissible_precolouring(g, q, k, rnd)
+    perm = dict(zip(range(1, q + 1), rnd.sample(range(1, q + 1), q)))
+    return [pre, {eid: perm[c] for eid, c in pre.items()}]
+
+
+def _prepared_and_fresh(engine, g, rnd):
+    """The prepared run of ``engine`` on g, its public extender on g, and
+    each k's palette size."""
+    if engine == "bipartite":
+        side = rnd.choice([None, find_bipartition(g)])
+        return (prepare_bipartite(g, side),
+                lambda pre, k, budget: extend_bipartite(g, side, pre, k,
+                                                        budget),
+                lambda k: g.delta() + k)
+    return (prepare_shannon(g),
+            lambda pre, k, budget: extend_shannon(g, pre, k, budget),
+            lambda k: (3 * g.delta() + k) // 2)
+
+
+def _draw_graph(engine, data):
+    if engine == "bipartite":
+        return data.draw(bipartite_multigraphs(max_side=3, max_e=9,
+                                               max_mu=3, mixed_ids=True))
+    return data.draw(multigraphs(max_n=7, max_e=10, max_mu=3,
+                                 mixed_ids=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["bipartite", "shannon"]), st.randoms(), st.data())
+def test_a_prepared_run_answers_every_sequence_as_fresh_calls(engine, rnd,
+                                                             data):
+    # one run is fed precolourings of a few edge sets in an order that
+    # returns to a set after others, with k mixed: a precolouring
+    # admissible at its k stays admissible at any larger k
+    g = _draw_graph(engine, data)
+    run, fresh, q = _prepared_and_fresh(engine, g, rnd)
+    pool = [(pre, k) for k in (1, 2, 1) for pre in _admissible(g, q(k), k,
+                                                               rnd)]
+    for _ in range(16):
+        pre, least = rnd.choice(pool)
+        k = rnd.randint(least, 3)
+        budget = rnd.choice([None, None, 0, 3])
+        assert _outcome_key(run(pre, k, budget)) == \
+            _outcome_key(fresh(pre, k, budget))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["bipartite", "shannon"]), st.randoms(), st.data())
+def test_prepared_runs_of_two_graphs_share_nothing(engine, rnd, data):
+    # runs of two graphs alternate, on precolourings whose edge sets are
+    # often the same ids (the empty set always is), and each answers for
+    # its own graph alone
+    graphs = [_draw_graph(engine, data) for _ in range(2)]
+    both = [_prepared_and_fresh(engine, g, rnd) for g in graphs]
+    pools = [[({}, 1)] + [(pre, k) for k in (1, 2)
+                          for pre in _admissible(g, q(k), k, rnd)]
+             for g, (_, _, q) in zip(graphs, both)]
+    for step in range(16):
+        (run, fresh, _), pool = both[step % 2], pools[step % 2]
+        pre, least = rnd.choice(pool)
+        k = rnd.randint(least, 2)
+        assert _outcome_key(run(pre, k)) == _outcome_key(fresh(pre, k, None))
+
+
+def test_a_run_builds_one_orientation_per_edge_set(monkeypatch):
+    # precolourings of one set in a row share its orientation and its
+    # kernels; a new set builds its own, and a set seen before is built
+    # again only once another came between
+    built, found = [], []
+    orientation, find = kernels._Orientation, kernels._kernel
+
+    def counted_orientation(*args):
+        built.append(args[1])
+        return orientation(*args)
+
+    def counted_kernel(o, active):
+        found.append(active)
+        return find(o, active)
+
+    monkeypatch.setattr(kernels, "_Orientation", counted_orientation)
+    monkeypatch.setattr(kernels, "_kernel", counted_kernel)
+    g = MultiGraph(4, [(0, 0, 2), (1, 0, 3), (2, 1, 2), (3, 1, 3)])
+    run = prepare_bipartite(g)
+    for pre in ({0: 1}, {0: 2}, {0: 3}, {0: 1}):
+        assert run(pre, 1).solved
+    assert built == [[1, 2, 3]]
+    assert len(found) == len(set(found))
+    for pre in ({3: 1}, {0: 1}):
+        assert run(pre, 1).solved
+    assert built == [[1, 2, 3], [0, 1, 2], [1, 2, 3]]
