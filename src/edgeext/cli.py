@@ -83,12 +83,19 @@ def _emit(obj: dict, args) -> None:
 _EXIT = {exact.SOLVED: 0, exact.UNSOLVABLE: 1, exact.BUDGET: 3}
 
 
-def _finish_outcome(g: MultiGraph, outcome, args, extra=None) -> int:
+def _finish_outcome(g: MultiGraph, outcome, args, extra=None, palette=None,
+                    fixed=(), forbidden=()) -> int:
     if outcome.solved:
-        if not is_proper(g, outcome.colouring):
+        col = outcome.colouring
+        if not is_proper(g, col):
             raise AssertionError("refusing to print an improper colouring")
-        if len(outcome.colouring) != len(g.edges):
+        if len(col) != len(g.edges):
             raise AssertionError("refusing to print a partial colouring")
+        if (palette is not None and any(c not in palette for c in col.values())
+                or any(col[e] != fixed[e] for e in fixed)
+                or any(col[e] == forbidden[e] for e in forbidden)):
+            raise AssertionError("refusing to print a colouring that leaves "
+                                 "the palette or breaks a fixed colour")
     if outcome.solved and getattr(args, "dot", None):
         _write(args.dot, g.to_dot(outcome.colouring))
     obj = outcome.to_json_obj()
@@ -116,6 +123,8 @@ def _cmd_extend(args) -> int:
         outcome = kernels.extend_bipartite(g, None, pre, extra,
                                            budget=args.budget)
     elif method == "subcubic":
+        if palette.k != 4:
+            raise InputError("subcubic method needs palette size 4")
         outcome = gallai.extend_subcubic(g, pre, budget=args.budget)
     elif method == "gallai":
         extra = palette.k - g.delta()
@@ -138,7 +147,7 @@ def _cmd_extend(args) -> int:
         outcome = planar.extend_planar(g, pre, mode, budget=args.budget)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown method {method!r}")
-    return _finish_outcome(g, outcome, args)
+    return _finish_outcome(g, outcome, args, palette=palette, fixed=pre)
 
 
 def _pick_method(g, pre, palette) -> str:
@@ -163,7 +172,8 @@ def _cmd_avoid(args) -> int:
     forbidden, declared = _load_colouring(g, args.colours)
     palette = declared if args.palette is None else Palette(args.palette)
     outcome = exact.avoid(g, forbidden, palette, budget=args.budget)
-    return _finish_outcome(g, outcome, args)
+    return _finish_outcome(g, outcome, args, palette=palette,
+                           forbidden=forbidden)
 
 
 def _cmd_solve_list(args) -> int:

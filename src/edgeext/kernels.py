@@ -4,7 +4,7 @@ A proper Delta-colouring of a bipartite multigraph orients its line graph
 so that every induced sub-digraph has a kernel; extracting kernels colour
 by colour solves list instances whose lists have size at least Delta.
 The same pipeline powers the precolouring extenders for bipartite and
-Shannon-bound palettes, with the exact solver as a total fallback.
+Shannon-bound palettes; exact search takes over only on shorter lists.
 
 The pipeline runs on the graph's edge indices and, for line-graph
 adjacency and edge-id ranks, its dense form (``MultiGraph.dense``):
@@ -445,6 +445,10 @@ def _list_colour(s: _EdgeSet, lists: Sequence[int], used: Sequence[int],
             seen[v] |= bit
         return SolveOutcome(SOLVED, {ids[i]: colour[i] for i in edges},
                             method=KERNEL)
+    # Lists of at least the orientation's Delta cannot stall (Galvin).
+    if min(lists[i].bit_count() for i in edges) >= max(s.deg):
+        raise AssertionError("kernel path stalled on lists meeting Galvin's "
+                             "bound")
 
     # Some list ran dry before its edge was chosen: solve the rest
     # exactly, honouring the colours already committed, and then, as those
@@ -471,10 +475,10 @@ def list_colour_bipartite(g: MultiGraph,
     """List-colour a bipartite multigraph; kernel extraction first.
 
     Guaranteed to succeed whenever every list has size at least
-    max{d(u), d(v)}; the colour-by-colour kernel path alone already covers
-    lists of size at least Delta, and an exact search on the residual (then
-    on the whole instance) covers everything else.  The outcome's method
-    tag records which engine finished the job.
+    max{d(u), d(v)}; the colour-by-colour kernel path alone covers lists
+    of size at least Delta, and raises if it stalls there, and an exact
+    search on the residual (then on the whole instance) covers everything
+    else.  The outcome's method tag records which engine finished the job.
     """
     is_x = _x_sides(g, side_of)
     masks = [exact._mask_of(lists[eid]) for eid in g.ids]

@@ -138,6 +138,26 @@ def test_extend_method_subcubic(tmp_path, capsys):
     assert out["colouring"]["3"] == 2 and len(out["colouring"]) == 4
 
 
+@pytest.mark.parametrize("n, pairs, colours, palette", [
+    # K4 with edge 0 precoloured 1, asked for palette 2
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+     {"palette": 4, "colours": {"0": 1}}, ["--palette", "2"]),
+    # the path P3 under a colour file that declares palette 1
+    (3, [(0, 1), (1, 2)], {"palette": 1, "colours": {}}, []),
+])
+def test_extend_method_subcubic_needs_palette_4(tmp_path, capsys, n, pairs,
+                                                colours, palette):
+    # the subcubic extender colours within [4] whatever the palette
+    edges = [[i, u, v] for i, (u, v) in enumerate(pairs)]
+    gpath = write(tmp_path, "g.json", {"n": n, "edges": edges})
+    cpath = write(tmp_path, "c.json", colours)
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--method", "subcubic", "--no-timestamp"] + palette) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "palette" in json.loads(captured.err)["error"]
+
+
 def test_extend_auto_long_tight_cycles(tmp_path, capsys):
     # auto picks the subcubic extender, whose search of each 1,001-edge
     # rim used to die with RecursionError (exit 5)
@@ -333,6 +353,31 @@ def test_internal_error_exit(star_files, capsys, monkeypatch):
     err = json.loads(captured.err)
     assert "boom" in err["error"]
     assert "RuntimeError" in err["traceback"]
+
+
+@pytest.mark.parametrize("verb, input_colours, printed", [
+    ("extend", {"0": 1}, {0: 1, 1: 3}),     # colour 3 is off the palette
+    ("extend", {"0": 1}, {0: 2, 1: 1}),     # the precoloured edge changed
+    ("avoid", {"0": 1, "1": 1}, {0: 2, 1: 1}),  # edge 1 takes its forbidden 1
+])
+def test_a_colouring_the_input_rules_out_is_never_printed(
+        tmp_path, capsys, monkeypatch, verb, input_colours, printed):
+    # each colouring is proper and complete, but breaks the palette [2] or
+    # the input colours: a bug, so exit 5 with nothing printed
+    def wrong(*args, **kwargs):
+        return exact.SolveOutcome(exact.SOLVED, dict(printed))
+
+    monkeypatch.setattr(exact, verb, wrong)
+    gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 0, 1],
+                                                         [1, 1, 2]]})
+    cpath = write(tmp_path, "c.json", {"palette": 2,
+                                       "colours": input_colours})
+    method = ["--method", "exact"] if verb == "extend" else []
+    assert run([verb, "--graph", gpath, "--colours", cpath,
+                "--no-timestamp"] + method) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to print" in json.loads(captured.err)["error"]
 
 
 def test_extend_exact_deep_instance(tmp_path, capsys):

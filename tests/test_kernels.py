@@ -126,6 +126,19 @@ def test_list_colour_kernel_path_on_full_lists():
     assert out.solved and out.method == KERNEL
 
 
+def test_a_stall_on_lists_meeting_galvins_bound_raises(monkeypatch):
+    # A kernel finder that returns no edge stalls the kernel path.  Where
+    # every list holds at least Delta colours, Galvin's theorem rules the
+    # stall out, so it is a bug and no search may cover it.
+    g = MultiGraph(4, [(0, 0, 2), (1, 0, 3), (2, 1, 2), (3, 1, 3)])
+    monkeypatch.setattr(kernels, "_kernel", lambda o, active: 0)
+    lists = {e: frozenset({1, 2}) for e in g.edge_ids}
+    with pytest.raises(AssertionError, match="Galvin"):
+        list_colour_bipartite(g, None, lists)
+    with pytest.raises(AssertionError, match="Galvin"):
+        extend_bipartite(g, None, {0: 1}, 1)
+
+
 def test_list_colour_searches_again_only_after_unsolvable(monkeypatch):
     # Degree lists on which the kernel path stalls, and the colours it
     # committed leave the rest unsolvable.  A spent budget stops the
