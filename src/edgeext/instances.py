@@ -604,70 +604,56 @@ def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
     at most that many precoloured edges at each vertex (see
     ``enumerate_edge_sets``).
     """
+    q = palette.k
     for subset in enumerate_edge_sets(g, t, max_load):
-        yield from _colourings_of(g, subset, palette,
-                                  up_to_colour_permutation)
+        table = _colourings(_pattern(g, subset), q)
+        if not up_to_colour_permutation:
+            # every proper colouring is one entry of the table with its
+            # colours renamed, in exactly one way, by an injection into the
+            # palette; sorted, they come in lexicographic order, as the
+            # table does
+            table = sorted(tuple([names[c - 1] for c in colours])
+                           for colours in table
+                           for names in itertools.permutations(
+                               range(1, q + 1), max(colours, default=0)))
+        for colours in table:
+            yield dict(zip(subset, colours))
 
 
-def _colourings_of(g, subset, palette, up_to_permutation, tuples=False):
-    """The proper precolourings of ``subset``, as dicts, or with
-    ``tuples`` as colour tuples in its order; up to permutation, colours
-    come in first-use order."""
-    ends = [g.endpoints(eid) for eid in subset]
-    used = [0] * g.n                    # colour bits at each vertex
-    chosen: list[int] = []
-
-    def assign(i, max_used):
-        if i == len(subset):
-            yield tuple(chosen) if tuples else dict(zip(subset, chosen))
-            return
-        u, v = ends[i]
-        taken = used[u] | used[v]
-        top = min(palette.k, max_used + 1) if up_to_permutation else palette.k
-        for c in range(1, top + 1):
-            bit = 1 << c
-            if taken & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            chosen.append(c)
-            yield from assign(i + 1, max(max_used, c))
-            chosen.pop()
-            used[u] ^= bit
-            used[v] ^= bit
-
-    yield from assign(0, 0)
-    del assign                          # the cycle (see canonical_form)
+def _pattern(g: MultiGraph, subset) -> tuple[int, ...]:
+    """The ends of ``subset``'s edges in its order, each vertex renamed 0,
+    1, ... in order of first appearance; a matching of s edges has
+    ``tuple(range(2 * s))``."""
+    names: dict[int, int] = {}
+    return tuple([names.setdefault(x, len(names))
+                  for eid in subset for x in g.endpoints(eid)])
 
 
-def _count_colourings(g, subset, q: int) -> int:
-    """The precolourings of ``subset`` from q colours up to colour
-    permutation, as many as ``_colourings_of`` yields, counted by the same
-    walk with no tuple built: the last edge adds its free colours."""
-    if not subset:
-        return 1
-    return _walk([g.endpoints(eid) for eid in subset], [0] * g.n, q, 0, 0)
+@functools.lru_cache(maxsize=None)
+def _colourings(pattern: tuple[int, ...], q: int
+                ) -> tuple[tuple[int, ...], ...]:
+    """The proper precolourings from q colours, up to colour permutation,
+    of every edge set whose ``_pattern`` is ``pattern``, as colour tuples
+    in the set's order.
 
-
-def _walk(ends, used, q: int, i: int, max_used: int) -> int:
-    """``_count_colourings`` from edge i on, ``used`` holding the colour
-    bits at each vertex of the edges before it."""
-    u, v = ends[i]
-    taken = used[u] | used[v]
-    top = min(q, max_used + 1)
-    if i == len(ends) - 1:
-        return top - (taken & ((2 << top) - 2)).bit_count()
-    total = 0
-    for c in range(1, top + 1):
-        bit = 1 << c
-        if taken & bit:
-            continue
-        used[u] |= bit
-        used[v] |= bit
-        total += _walk(ends, used, q, i + 1, max(max_used, c))
-        used[u] ^= bit
-        used[v] ^= bit
-    return total
+    Colours come in first-use order, and the tuples in lexicographic
+    order.  An edge takes the colours up to one above the largest so far
+    that the earlier edges at its ends leave free, so the list depends on
+    the pattern alone, and every set of one pattern shares it.
+    """
+    ends = list(zip(pattern[::2], pattern[1::2]))
+    table: list[tuple[int, ...]] = [()]
+    for i, (u, v) in enumerate(ends):
+        near = [j for j in range(i) if u in ends[j] or v in ends[j]]
+        grown = []
+        for colours in table:
+            taken = {colours[j] for j in near}
+            grown += [colours + (c,)
+                      for c in range(1, min(q, max(colours, default=0) + 1)
+                                     + 1)
+                      if c not in taken]
+        table = grown
+    return tuple(table)
 
 
 def random_distance_matching(g: MultiGraph, t: int, palette: Palette,
@@ -837,23 +823,10 @@ def _edge_set_image(perm, edge_set):
     return frozenset(map(perm.__getitem__, edge_set))
 
 
-@functools.lru_cache(maxsize=None)
-def _growth_strings(s: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """The colour tuples ``_colourings_of`` yields for a matching of s
-    edges from q colours, in its order: the restricted growth strings of
-    length s with letters at most q, in lexicographic order.  There is one
-    for each partition of the edges into at most q blocks."""
-    strings = [((), 0)]                 # (string, its largest letter)
-    for _ in range(s):
-        strings = [(w + (c,), max(top, c)) for w, top in strings
-                   for c in range(1, min(q, top + 1) + 1)]
-    return tuple(w for w, _ in strings)
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _first_use(colours: tuple) -> tuple:
     """``colours`` renamed 1, 2, ... in order of first use, the form in
-    which ``_colourings_of`` yields one colouring per permutation orbit."""
+    which ``_colourings`` lists one colouring per permutation orbit."""
     names: dict[int, int] = {}
     return tuple([names.setdefault(c, len(names) + 1) for c in colours])
 
@@ -890,7 +863,7 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
     - Certificates, for the extension claims.  A proper colouring phi the
       extender returns restricts, on every later maximal set L, to a
       precolouring of L that phi extends; renamed by first use, it is a
-      precolouring ``_colourings_of`` yields, and it passes with no run.
+      precolouring ``_colourings`` lists, and it passes with no run.
 
     Orbits keep the first failing instance: every set before it passes,
     or is the image of one that passed.  Dominance and certificates show
@@ -932,27 +905,22 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
     dominance or certificates.  With ``certify``, every colouring found
     is kept, and a set runs only the precolourings that no restriction of
     one covers; a set they cover is skipped.  Each set counts as many
-    instances as ``_colourings_of`` yields: a matching the length of its
-    ``_growth_strings``, another set ``_count_colourings``.  A set the
-    extender may run on is counted once per orbit; a set dominance skips
-    is counted on its own, with no orbit built.  The precolourings a set
-    runs, those of a matching from ``_growth_strings``, reach the
-    extender in a row, so a prepared run may keep what it derives from
-    the set alone until the set changes (see ``kernels._EdgeSet``).  A
-    solved outcome passes with no second check, as each engine checks
-    its own colouring (see ``_plan``).
+    instances as its table of ``_colourings`` holds, and runs them in its
+    order.  A set the extender may run on is counted once per orbit; a set
+    dominance skips is counted on its own, with no orbit built.  The
+    precolourings a set runs reach the extender in a row, so a prepared
+    run may keep what it derives from the set alone until the set changes
+    (see ``kernels._EdgeSet``).  A solved outcome passes with no second
+    check, as each engine checks its own colouring (see ``_plan``).
     """
     q = palette.k
-    # a set is a matching iff its edges' end bits add up without a carry
-    # (always, for t >= 1 or a cap of at most 1)
-    end_bits = None if t >= 1 or k is not None and k <= 1 else \
-        {eid: (1 << u) + (1 << v) for eid, u, v in g.edges}.__getitem__
+    # every set is a matching for t >= 1 or a cap of at most 1, and its
+    # size gives its pattern
+    matchings = t >= 1 or k is not None and k <= 1
     counted = {}            # a set of a visited orbit: its precolourings
     found = []              # the colourings found, as lookups
     instances = checked = 0
     for subset, maximal in enumerate_edge_sets(g, t, k, True):
-        matching = end_bits is None or \
-            sum(map(end_bits, subset)).bit_count() == 2 * len(subset)
         # a set the extender may run on is counted once per orbit; any
         # other is counted directly, as maximality is invariant under
         # automorphisms and no set that runs would read its orbit
@@ -962,8 +930,9 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
         if count is not None:
             instances += count
             continue
-        count = len(_growth_strings(len(subset), q)) if matching \
-            else _count_colourings(g, subset, q)
+        table = _colourings(tuple(range(2 * len(subset))) if matchings
+                            else _pattern(g, subset), q)
+        count = len(table)
         instances += count
         if not runs:
             continue
@@ -976,9 +945,7 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
             done.add(_first_use(tuple(map(phi, subset))))
         if len(done) == count:
             continue
-        for seen, colours in enumerate(
-                _growth_strings(len(subset), q) if matching else
-                _colourings_of(g, subset, palette, True, tuples=True), 1):
+        for seen, colours in enumerate(table, 1):
             if colours in done:
                 continue
             checked += 1

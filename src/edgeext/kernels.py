@@ -232,9 +232,9 @@ class GalvinOrientation:
 
 def galvin_orient(g: MultiGraph, side_of: Mapping[int, str] | None,
                   phi: Mapping[EdgeId, int]) -> GalvinOrientation:
-    if side_of is None:
-        side_of = find_bipartition(g)
     is_x = _x_sides(g, side_of)
+    if side_of is None:
+        side_of = {v: "X" if x else "Y" for v, x in enumerate(is_x)}
     delta = g.delta()
     for eid in g.edge_ids:
         c = phi.get(eid)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import edgeext
 from edgeext import exact
 from edgeext.cli import run
 
@@ -61,6 +65,35 @@ def test_extend_methods_agree(star_files, capsys):
                     "--palette", "6", "--method", method, "--no-timestamp"])
         assert code == 0, method
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("method, palette", [
+    ("kernel", "5"), ("gallai", "4"), ("planar", "7"),
+], ids=["kernel-at-delta", "gallai-below-delta", "planar-at-delta-plus-2"])
+def test_extend_method_refuses_its_palette(star_files, capsys, method,
+                                           palette):
+    # the star has Delta 5
+    gpath, cpath = star_files
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--palette", palette, "--method", method,
+                "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "traceback" not in json.loads(captured.err)
+
+
+def test_extend_planar_at_delta_runs_the_distance3_mode(tmp_path, capsys):
+    from edgeext.planar import wheel
+    g, _ = wheel(25)
+    gpath = write(tmp_path, "w.json", g.to_json_obj())
+    cpath = write(tmp_path, "c.json", {"palette": g.delta(),
+                                       "colours": {"25": 1}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--method", "planar", "--no-timestamp"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "solved" and out["method"] == "reduction"
+    assert out["colouring"]["25"] == 1
+    assert max(out["colouring"].values()) <= g.delta()
 
 
 def test_extend_budget_exit(star_files, capsys):
@@ -274,6 +307,11 @@ def test_verify_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["counterexample"] is not None
 
+    assert run(["verify", "--claim", "matching-extension", "--max-n", "3",
+                "--max-e", "4"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["elapsed_seconds"] >= 0 and "generated_at" in out
+
 
 @pytest.mark.parametrize("claim, jobs", [
     ("matching-extension", "1"), ("line-degree-extension", "1"),
@@ -319,6 +357,22 @@ def test_audit_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["sums"] == {"alpha": "-12", "gamma": "0", "delta": "0"}
     assert code in (0, 1)
+
+
+def test_audit_reads_a_matching_from_colours(tmp_path, capsys):
+    from edgeext.planar import wheel
+    g, r = wheel(17)
+    gpath = write(tmp_path, "w.json", g.to_json_obj())
+    rpath = write(tmp_path, "rot.json", r.to_json_obj())
+    argv = ["audit", "--graph", gpath, "--rotation", rpath,
+            "--no-timestamp", "--colours"]
+    assert run(argv + [write(tmp_path, "c.json", {
+        "palette": g.delta() + 1, "colours": {"17": 1, "19": 2}})]) in (0, 1)
+    assert "sums" in json.loads(capsys.readouterr().out)
+    assert run(argv + [write(tmp_path, "c.json", {"colours": {}})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "traceback" not in json.loads(captured.err)
 
 
 def test_output_is_reproducible(star_files, capsys):
@@ -405,8 +459,15 @@ _GOOD_COLOURS = {"palette": 3, "colours": {"0": 1}}
     (_GOOD_GRAPH, {"palette": 3, "colours": {"0": "a"}}),
     (_GOOD_GRAPH, {"palette": 3, "colours": [1]}),
     (_GOOD_GRAPH, {"palette": 3, "colours": {"0": True}}),
+    ({"n": -1, "edges": []}, _GOOD_COLOURS),
+    ({"n": 3, "edges": [[0, 0, 1], [1, 1]]}, _GOOD_COLOURS),
+    ({"n": 3, "edges": [[0, 0, 1.5]]}, _GOOD_COLOURS),
+    (_GOOD_GRAPH, {"colours": {"0": 1}}),
+    (_GOOD_GRAPH, {"palette": 3}),
+    (_GOOD_GRAPH, {"palette": "3", "colours": {"0": 1}}),
 ], ids=["n-not-int", "list-edge-id", "edges-not-list", "colour-string",
-        "colours-not-object", "colour-bool"])
+        "colours-not-object", "colour-bool", "n-negative", "edge-not-triple",
+        "endpoint-not-int", "no-palette", "no-colours", "palette-not-int"])
 def test_malformed_input_exits_2(tmp_path, capsys, graph, colours):
     gpath = write(tmp_path, "g.json", graph)
     cpath = write(tmp_path, "c.json", colours)
@@ -517,3 +578,23 @@ def test_extend_planar_large_wheel_with_matching(tmp_path, capsys):
     assert out["method"] == "reduction"
     assert len(out["colouring"]) == len(g.edges)
     assert all(out["colouring"][eid] == c for eid, c in pre.items())
+
+
+def test_module_entry_point_exits_with_the_verdict(tmp_path):
+    # ``python -m edgeext.cli`` runs ``main``, the console script's entry
+    src = os.path.dirname(os.path.dirname(edgeext.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli(graph):
+        return subprocess.run(
+            [sys.executable, "-m", "edgeext.cli", "chi", "--graph",
+             write(tmp_path, "g.json", graph), "--no-timestamp"],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    done = cli(_GOOD_GRAPH)
+    assert done.returncode == 0
+    assert json.loads(done.stdout.splitlines()[-1])["chi"] == 2
+    done = cli({"n": 3, "edges": [[0, 0]]})
+    assert done.returncode == 2
+    assert done.stdout == "" and "traceback" not in json.loads(done.stderr)

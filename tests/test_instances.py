@@ -16,10 +16,9 @@ from edgeext.colouring import (Palette, extension_masks, is_proper,
 from edgeext.exact import BudgetSpent, avoid, chromatic_index, extend
 from edgeext import exact, gallai, instances, kernels
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
-                               _colourings_of, _count_colourings,
-                               _edge_automorphisms,
+                               _colourings, _edge_automorphisms,
                                _multigraphs_with_automorphisms,
-                               _growth_strings, _plan, canonical_form,
+                               _pattern, _plan, canonical_form,
                                compute_rho, distance_conflicts,
                                enumerate_edge_sets,
                                enumerate_multigraphs,
@@ -334,21 +333,46 @@ def test_partitions_count_the_colourings_of_a_matching():
     for s in range(7):
         matching = MultiGraph(2 * s, [(i, 2 * i, 2 * i + 1)
                                       for i in range(s)])
-        subset = tuple(range(s))
+        # a matching's pattern is given by its size, as _check_case keys it
+        assert _pattern(matching, matching.ids) == tuple(range(2 * s))
         for q in range(1, 8):
-            assert _growth_strings(s, q) == tuple(_colourings_of(
-                matching, subset, Palette(q), True, tuples=True)), (s, q)
+            assert _colourings(tuple(range(2 * s)), q) == tuple(
+                tuple(pre.values()) for pre in oracles._colourings_of(
+                    matching, matching.ids, Palette(q), True)), (s, q)
 
 
 @settings(max_examples=80)
 @given(multigraphs(max_n=5, max_e=7, max_mu=3), st.integers(1, 7),
        st.data())
 def test_counting_walk_counts_the_colourings_of_a_set(g, q, data):
+    # random sets with at most 3 edges at each vertex, matchings or not;
+    # _check_case counts a set's instances as its table's length
+    sets = list(enumerate_edge_sets(g, 0, 3))
+    subset = data.draw(st.sampled_from(sets))
+    assert len(_colourings(_pattern(g, subset), q)) == len(list(
+        oracles._colourings_of(g, subset, Palette(q), True)))
+
+
+@settings(max_examples=80)
+@given(multigraphs(max_n=5, max_e=7, max_mu=3), st.integers(1, 7),
+       st.data())
+def test_a_patterns_table_lists_the_colourings_of_its_sets(g, q, data):
     # random sets with at most 3 edges at each vertex, matchings or not
     sets = list(enumerate_edge_sets(g, 0, 3))
     subset = data.draw(st.sampled_from(sets))
-    assert _count_colourings(g, subset, q) == len(list(
-        _colourings_of(g, subset, Palette(q), True)))
+    table = _colourings(_pattern(g, subset), q)
+    assert table == tuple(tuple(pre.values()) for pre in
+                          oracles._colourings_of(g, subset, Palette(q), True))
+    # the same set in another graph: vertices relabelled, string edge ids,
+    # and one more edge on a new vertex
+    relabel = data.draw(st.permutations(range(g.n + 1)))
+    h = MultiGraph(g.n + 1, [(f"e{eid}", relabel[u], relabel[v])
+                             for eid, u, v in g.edges]
+                   + [("new", relabel[0], relabel[g.n])])
+    image = tuple(f"e{eid}" for eid in subset)
+    assert _pattern(h, image) == _pattern(g, subset)
+    assert table == tuple(tuple(pre.values()) for pre in
+                          oracles._colourings_of(h, image, Palette(q), True))
 
 
 def test_precolourings_up_to_colour_permutation():

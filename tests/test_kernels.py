@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,18 @@ def test_galvin_orientation_rejects_improper_base():
     side = {0: "X", 1: "Y", 2: "Y", 3: "Y"}
     with pytest.raises(InputError):
         galvin_orient(g, side, {0: 1, 1: 1, 2: 2})
+
+
+@given(bipartite_multigraphs(max_side=3, max_e=6))
+def test_galvin_orientation_finds_a_bipartition_without_checking_it(g):
+    side = find_bipartition(g)
+    phi = konig_colour(g, side)
+    given_side = galvin_orient(g, side, phi)
+    with mock.patch.object(kernels, "check_bipartition",
+                           side_effect=AssertionError("checked again")):
+        found = galvin_orient(g, None, phi)
+    assert (found.side_of, found.base_colouring, found.dense.arcs) == (
+        given_side.side_of, given_side.base_colouring, given_side.dense.arcs)
 
 
 @given(bipartite_multigraphs(max_side=3, max_e=6))
