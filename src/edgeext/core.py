@@ -260,11 +260,10 @@ class DenseForm:
     ``MultiGraph``), whose arrays hold everything else.  ``at_vertex[v]``
     is the mask of the edges at vertex v and ``adjacent[i]`` that of edge
     i's line-graph neighbours.  Edge index order is edge-id order, so
-    ties broken by index fall as they would by id.  ``connected`` is
-    ``g.is_connected()``.
+    ties broken by index fall as they would by id.
     """
 
-    __slots__ = ("at_vertex", "adjacent", "connected")
+    __slots__ = ("at_vertex", "adjacent")
 
     def __init__(self, g: MultiGraph):
         # an edge lies at most once at a vertex, so the sum is the union
@@ -273,7 +272,6 @@ class DenseForm:
         #: line-graph neighbours of each edge, as an edge mask
         self.adjacent = tuple((at_vertex[u] | at_vertex[v]) & ~(1 << i)
                               for i, (u, v) in enumerate(g.ends))
-        self.connected = len(self.components((1 << len(g.ids)) - 1)) <= 1
 
     def line_neighbours(self, i: int, within: int) -> list[int]:
         """Edge i's neighbours among the ``within`` edges, ascending, as

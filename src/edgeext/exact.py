@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .core import EdgeId, InputError, MultiGraph
-from .colouring import (Palette, is_proper, used_colours,
-                        validate_precolouring)
+from .colouring import Palette, is_proper, validate_precolouring
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -91,10 +90,9 @@ def solve_list(g: MultiGraph,
     colours fixed at its ends, and a solution comes back merged into a
     copy of ``fixed``.  The symmetry test reads the lists after that loss.
 
-    The input is validated here, and ``_run``, which ``prepare_extend``
-    shares, searches.  It checks the solution on every run, not just in
-    tests: each colour must be in its edge's list and new at both of its
-    ends, so no caller need check it again.
+    Every exact search enters here.  It checks the solution on every run,
+    not just in tests: each colour must be in its edge's list and new at
+    both of its ends, so no caller need check it again.
     """
     base = {} if fixed is None else fixed
     used = [0] * g.n
@@ -107,36 +105,29 @@ def solve_list(g: MultiGraph,
         used[v] |= bit
     ids, ends, masks = [], [], []
     last = mask = None
-    for eid, u, v in g.edges:
+    for eid, (u, v) in zip(g.ids, g.ends):
         if eid in base:
             continue
-        if eid not in lists:
+        colours = lists.get(eid)
+        if colours is None:
             raise InputError(f"edge {eid!r} has no colour list")
-        colours = lists[eid]
         if colours is not last:  # callers often give every edge one list
             last, mask = colours, _mask_of(colours)
         ids.append(eid)
         ends.append((u, v))
         masks.append(mask & ~(used[u] | used[v]))
-    return _run(g.n, ids, ends, masks, used, base, budget)
-
-
-def _run(n, ids, ends, masks, used, fixed, budget) -> SolveOutcome:
-    """``solve_list``'s search, on the uncoloured edges ``ids`` with their
-    ``ends`` and list masks; ``used`` holds each vertex's ``fixed``
-    colours.  Checks the solution it returns."""
     if not ids:
-        return SolveOutcome(SOLVED, dict(fixed), nodes=0, depth=0)
+        return SolveOutcome(SOLVED, dict(base), nodes=0, depth=0)
     union = 0
     for mask in masks:
         union |= mask
     full = (1 << union.bit_length()) - 2
     symmetric = full > 0 and all(mask == full for mask in masks)
-    status, assigned, nodes, depth = _search(n, ends, masks, symmetric,
+    status, assigned, nodes, depth = _search(g.n, ends, masks, symmetric,
                                              budget)
     if status != SOLVED:
         return SolveOutcome(status, None, nodes=nodes, depth=depth)
-    colouring = dict(fixed)
+    colouring = dict(base)
     for i, c in assigned:
         bit = 1 << c
         u, v = ends[i]
@@ -159,26 +150,20 @@ def extend(g: MultiGraph, colouring: Mapping[EdgeId, int], palette: Palette,
     colours seen at neither u nor v.
     """
     validate_precolouring(g, colouring, palette)
-    return solve_list(g, dict.fromkeys(g.edge_ids, palette.colours), budget,
-                      colouring)
+    return prepare_extend(g, palette)(colouring, budget)
 
 
 def prepare_extend(g: MultiGraph, palette: Palette
                    ) -> Callable[..., SolveOutcome]:
     """``extend`` on g and the palette, prepared once for many
-    precolourings: ``run(colouring, budget=None)`` answers as it does,
-    taking the precolouring as proper, unchecked."""
-    full = (1 << (palette.k + 1)) - 2
+    precolourings: ``run(colouring, budget=None)`` is ``solve_list`` on
+    the palette lists built here, with the colouring fixed.  It takes the
+    colours as inside the palette; ``solve_list`` still refuses an
+    improper colouring."""
+    lists = dict.fromkeys(g.ids, palette.colours)
 
     def run(colouring, budget=None):
-        used = used_colours(g, colouring)
-        ids, ends, masks = [], [], []
-        for eid, (u, v) in zip(g.ids, g.ends):
-            if eid not in colouring:
-                ids.append(eid)
-                ends.append((u, v))
-                masks.append(full & ~(used[u] | used[v]))
-        return _run(g.n, ids, ends, masks, used, colouring, budget)
+        return solve_list(g, lists, budget, colouring)
     return run
 
 

@@ -348,7 +348,7 @@ def exception_shape(g: MultiGraph, k: int) -> ExceptionReport | None:
     verts = [v for v in range(g.n) if g.incidence[v]]
     if k == 0 and degree_stats(g).mu == 1 and len(verts) >= 3 \
             and len(verts) % 2 == 1 and len(g.edges) == len(verts) \
-            and all(g.degree(v) == 2 for v in verts) and g.dense().connected:
+            and all(g.degree(v) == 2 for v in verts) and g.is_connected():
         return ExceptionReport(ODD_CYCLE_K0, {"cycle_length": len(verts)})
     if len(verts) == 3:
         mults = Counter((u, v) if u < v else (v, u) for _, u, v in g.edges)
@@ -364,7 +364,7 @@ def prepare_gallai(g: MultiGraph
     """``extend_gallai`` on g, prepared once for many precolourings:
     ``run(c, k, budget=None)`` answers as it does, taking ``c`` and k as
     admissible, unchecked.  Each k's exceptional shape is found once."""
-    if not g.dense().connected:
+    if not g.is_connected():
         raise InputError("extender needs a connected graph")
     delta = g.delta()
     shapes: dict[int, ExceptionReport | None] = {}

@@ -194,6 +194,19 @@ def find_reducible(g: MultiGraph, m: Iterable[EdgeId], mode: str,
         if g.degree(u) + g.degree(v) <= bound:
             return ReducibleConfig(LIGHT_EDGE, (eid,))
 
+    cycle = _find_even_cycle(g, _auxiliary_edges(g, m_ids, uncoloured,
+                                                  mode, delta))
+    if cycle is not None:
+        return ReducibleConfig(EVEN_CYCLE, tuple(cycle))
+    return None
+
+
+def _auxiliary_edges(g: MultiGraph, m_ids: set, uncoloured: Iterable[EdgeId],
+                     mode: str, delta: int) -> list[EdgeId]:
+    """The ``uncoloured`` edges of the auxiliary subgraph, in the order
+    given: those joining a degree-``delta`` vertex to a low one (degree 3
+    in matching mode; in distance-3 mode degree 2 and not at an edge of
+    ``m_ids``)."""
     if mode == VARIANT_MATCHING:
         low = {v for v in range(g.n) if g.degree(v) == 3}
     else:
@@ -206,10 +219,7 @@ def find_reducible(g: MultiGraph, m: Iterable[EdgeId], mode: str,
         u, v = g.endpoints(eid)
         if (u in low and v in high) or (v in low and u in high):
             aux.append(eid)
-    cycle = _find_even_cycle(g, aux)
-    if cycle is not None:
-        return ReducibleConfig(EVEN_CYCLE, tuple(cycle))
-    return None
+    return aux
 
 
 def _find_even_cycle(g: MultiGraph, eids: Sequence[EdgeId]) -> list | None:
@@ -488,7 +498,7 @@ def _vertex_classes(g: MultiGraph, m_ids: set, variant: str):
     covered = {x for eid in m_ids for x in g.endpoints(eid)}
     v2p = {v for v in range(g.n) if degree[v] == 2 and v not in covered}
     t2 = {v for v in t_set if degree[v] == 2}
-    return degree, v1, t_set, t2, v2p, covered
+    return degree, v1, t_set, t2, v2p
 
 
 def audit_discharge(g: MultiGraph, r: RotationSystem,
@@ -528,7 +538,7 @@ def audit_discharge(g: MultiGraph, r: RotationSystem,
         delta = max(g.delta(), threshold)
 
     faces = trace_faces(g, r)
-    degree, v1, t_set, t2, v2p, covered = _vertex_classes(g, m_ids, variant)
+    degree, v1, t_set, t2, v2p = _vertex_classes(g, m_ids, variant)
     verts = [v for v in range(g.n) if degree[v] > 0]
     in_t = t_set
     excluded = v1 if variant == VARIANT_MATCHING else v1 | t2
@@ -604,7 +614,7 @@ def audit_discharge(g: MultiGraph, r: RotationSystem,
                                  "value": str(value)})
 
     preconditions = _precondition_report(g, m_ids, variant, delta, degree,
-                                         v1, t2, v2p, covered)
+                                         v1, t2)
 
     vertex_balance = {}
     face_balance = []
@@ -700,17 +710,16 @@ def _delta_rule(variant, v, vminus, merged, degree, delta, in_t, v1, t2,
     return "none", Fraction(0)
 
 
-def _precondition_report(g, m_ids, variant, delta, degree, v1, t2, v2p,
-                         covered) -> list[str]:
+def _precondition_report(g, m_ids, variant, delta, degree, v1,
+                         t2) -> list[str]:
     """Structural hypotheses of the argument that this input violates."""
     failed = []
     if g.delta() < delta:
         failed.append("maximum degree below the rule threshold")
-    bound = delta + 3 if variant == VARIANT_MATCHING else delta + 2
-    light = [eid for eid in g.edge_ids if eid not in m_ids
-             and degree[g.endpoints(eid)[0]] + degree[g.endpoints(eid)[1]]
-             < bound]
-    if light:
+    uncoloured = [eid for eid in g.edge_ids if eid not in m_ids]
+    bound = _light_threshold(variant, delta)
+    if any(degree[u] + degree[v] <= bound
+           for u, v in map(g.endpoints, uncoloured)):
         failed.append("light non-matching edge present "
                       "(degree-sum lower bound fails)")
     if variant == VARIANT_MATCHING:
@@ -725,8 +734,8 @@ def _precondition_report(g, m_ids, variant, delta, degree, v1, t2, v2p,
                                  if w in special) > 1:
             failed.append("vertex with two special neighbours")
             break
-    cfg = find_reducible(g, m_ids, variant, delta=delta)
-    if cfg is not None and cfg.kind == EVEN_CYCLE:
+    if _find_even_cycle(g, _auxiliary_edges(g, m_ids, uncoloured, variant,
+                                            delta)) is not None:
         failed.append("even cycle in the auxiliary subgraph")
     return failed
 

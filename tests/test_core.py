@@ -146,7 +146,7 @@ def test_dense_form_holds_no_second_copy_of_the_graph():
     # edges sort by id: 1, 2, "a", "d"
     g = MultiGraph(4, [("a", 0, 1), (1, 0, 1), (2, 1, 2), ("d", 2, 3)])
     d = g.dense()
-    assert set(DenseForm.__slots__) == {"at_vertex", "adjacent", "connected"}
+    assert set(DenseForm.__slots__) == {"at_vertex", "adjacent"}
     assert d.at_vertex == (0b0101, 0b0111, 0b1010, 0b1000)
 
 

@@ -9,7 +9,8 @@ from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
 from edgeext.colouring import (Palette, is_proper, merge_colourings,
                                reduce_to_lists)
 from edgeext.exact import (BUDGET, SOLVED, UNSOLVABLE, BudgetSpent, avoid,
-                           chromatic_index, extend, solve_list, vizing_colour)
+                           chromatic_index, extend, prepare_extend, solve_list,
+                           vizing_colour)
 from edgeext.instances import MULTI_STAR, FamilySpec, generate
 
 import oracles
@@ -114,6 +115,13 @@ def test_extend_detects_unsolvable():
     g = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3)])
     assert extend(g, {0: 1}, Palette(2)).status == UNSOLVABLE
     assert extend(g, {0: 1}, Palette(3)).solved
+
+
+def test_prepared_extend_refuses_an_improper_precolouring():
+    run = prepare_extend(edges_cycle(3), Palette(3))
+    with pytest.raises(InputError, match="fixed colouring is not proper"):
+        run({0: 1, 1: 1})
+    assert run({0: 1, 1: 2}).solved
 
 
 def test_avoid_allows_improper_forbidden():

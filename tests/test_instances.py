@@ -554,8 +554,9 @@ _ADMISSIBLE = {
      (kernels, "prepare_bipartite"))])
 def test_sweeps_hand_their_extenders_only_admissible_precolourings(
         monkeypatch, claim, bounds, entry):
-    # the prepared runs validate nothing, so every precolouring the walk
-    # gives them must pass the public extenders' validation at its case
+    # the prepared runs take the palette and the load as given, so every
+    # precolouring the walk gives them must pass the public extenders'
+    # validation at its case
     module, name = entry
     prepare = getattr(module, name)
     runs = []
@@ -573,6 +574,24 @@ def test_sweeps_hand_their_extenders_only_admissible_precolourings(
     monkeypatch.setattr(module, name, validating)
     rep = verify(claim, **bounds)
     assert rep.ok and len(runs) == rep.instances_checked > 0
+
+
+@pytest.mark.parametrize("claim, runs", [("matching-extension", 839),
+                                         ("distance3-extension", 283)])
+def test_exact_backed_sweeps_search_through_solve_list(monkeypatch, claim,
+                                                        runs):
+    # every exact search enters through ``solve_list``, the prepared runs
+    # of the sweeps included
+    calls = []
+    solve_list = exact.solve_list
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_list(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "solve_list", counted)
+    rep = verify(claim, max_n=6, max_e=7, max_mu=2)
+    assert rep.ok and len(calls) == rep.instances_checked == runs
 
 
 def _public_and_prepared(engine, g, k, rnd, budget):
@@ -622,7 +641,7 @@ def test_prepared_runs_answer_as_the_public_extenders(engine, k, rnd,
                                   else None))
     if engine == "gallai":
         stats = degree_stats(g)
-        assume(g.dense().connected and stats.delta + k >= 1
+        assume(g.is_connected() and stats.delta + k >= 1
                and stats.line_delta <= stats.delta + k)
     elif engine in ("bipartite", "shannon"):
         k = max(k, 1)

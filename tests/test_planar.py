@@ -321,6 +321,24 @@ def test_audit_literal_rules_flag_changes_rules():
     assert strict.sum_delta == 0 and normal.sum_delta == 0
 
 
+def test_audit_reports_a_light_edge_and_an_even_cycle_together():
+    # hubs 0 and 1 each meet rim vertices 2..7, and the rim pairs (2,3),
+    # (4,5), (6,7) are joined: the pair edges are light (3 + 3 <= 6 + 2)
+    # and the hub-rim edges, degree 3 to degree 6, hold even cycles
+    pairs = [(hub, rim) for hub in (0, 1) for rim in range(2, 8)]
+    pairs += [(2, 3), (4, 5), (6, 7)]
+    g = MultiGraph(8, [(i, u, v) for i, (u, v) in enumerate(pairs)])
+    points = {0: (0.0, 1.0), 1: (0.0, -1.0)}
+    points.update((rim, (float(rim - 5), 0.0)) for rim in range(2, 8))
+    r = rotation_from_points(g, points)
+    assert len(trace_faces(g, r)) == len(g.edges) - g.n + 2
+    assert find_reducible(g, [], VARIANT_MATCHING, delta=6).kind == LIGHT_EDGE
+    led = audit_discharge(g, r, [], VARIANT_MATCHING, delta=6)
+    assert "light non-matching edge present (degree-sum lower bound fails)" \
+        in led.preconditions_failed
+    assert "even cycle in the auxiliary subgraph" in led.preconditions_failed
+
+
 def test_audit_requires_simple_connected():
     g = MultiGraph(2, [(0, 0, 1), (1, 0, 1)])
     r = RotationSystem({0: (0, 1), 1: (1, 0)})
