@@ -19,9 +19,8 @@ from .exact import (SOLVED, UNSOLVABLE, BUDGET, BudgetSpent, SolveOutcome,
 from .kernels import (find_bipartition, konig_colour, GalvinOrientation,
                       galvin_orient, kernel, is_kernel,
                       list_colour_bipartite, extend_bipartite, extend_shannon)
-from .gallai import (block_decompose, is_gallai_tree, degree_list_colour,
-                     ExceptionReport, exception_shape, extend_gallai,
-                     extend_subcubic)
+from .gallai import (block_decompose, degree_list_colour, ExceptionReport,
+                     exception_shape, extend_gallai, extend_subcubic)
 from .planar import (RotationSystem, trace_faces, extend_planar,
                      audit_discharge, wheel, icosahedron, random_plane_graph)
 from .instances import (FamilySpec, generate, compute_rho, canonical_form,

@@ -105,6 +105,12 @@ def _finish_outcome(g: MultiGraph, outcome, args, extra=None, palette=None,
     return _EXIT[outcome.status]
 
 
+def _finish_spent(spent: exact.BudgetSpent, args, extra: dict) -> int:
+    """A search that passed its budget, printed as a BUDGET outcome."""
+    return _finish_outcome(None, exact.SolveOutcome(
+        exact.BUDGET, nodes=spent.nodes, depth=spent.depth), args, extra)
+
+
 # -- commands ------------------------------------------------------------
 
 def _cmd_extend(args) -> int:
@@ -188,10 +194,7 @@ def _cmd_chi(args) -> int:
     try:
         value = exact.chromatic_index(g, budget=args.budget)
     except exact.BudgetSpent as spent:
-        spent_outcome = exact.SolveOutcome(exact.BUDGET, nodes=spent.nodes,
-                                           depth=spent.depth)
-        return _finish_outcome(g, spent_outcome, args,
-                               {"delta": g.delta(), "mu": g.mu()})
+        return _finish_spent(spent, args, {"delta": g.delta(), "mu": g.mu()})
     _emit({"chi": value, "delta": g.delta(), "mu": g.mu()}, args)
     return 0
 
@@ -253,10 +256,7 @@ def _cmd_verify(args) -> int:
             palette_offset=args.palette_offset, jobs=args.jobs,
             budget=args.budget, delta_max=args.delta_max)
     except exact.BudgetSpent as spent:
-        spent_outcome = exact.SolveOutcome(exact.BUDGET, nodes=spent.nodes,
-                                           depth=spent.depth)
-        return _finish_outcome(None, spent_outcome, args,
-                               {"claim": args.claim})
+        return _finish_spent(spent, args, {"claim": args.claim})
     _emit(report.to_json_obj(timestamp=not args.no_timestamp), args)
     return 0 if report.ok else 1
 

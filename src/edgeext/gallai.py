@@ -8,11 +8,14 @@ extenders for palettes [Delta+k] with two well-understood failure shapes:
 the bare odd cycle with an empty precolouring, and the fat triangle whose
 palette is one colour short of its chromatic index.
 
-One greedy, one repair, one block decomposition and one list search work
-on vertex and colour bitmasks.  Each sees the graph as ``nbrs(v, within)``,
-v's neighbours in the vertex mask ``within`` in visiting order (once per
-parallel edge), and ``nmask[v]``, the mask of all of them.  The extenders
-read the uncoloured edges' line graph off the dense form; the public
+The extenders colour each component of the uncoloured edges' line graph,
+read off the dense form, greedily when a list has slack and by
+``exact.solve_list`` when every list is tight.  The block test, the
+repair and the vertex list search serve only ``block_decompose``,
+``degree_list_colour`` and ``solve_vertex_lists``.  All work on vertex
+and colour bitmasks, seeing the graph as ``nbrs(v, within)``, v's
+neighbours in the vertex mask ``within`` in visiting order (once per
+parallel edge), and ``nmask[v]``, the mask of all of them; the public
 functions pass the graph's incidence order.
 """
 
@@ -25,6 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, degree_stats, edge_bits
 from .colouring import Palette, extension_masks, used_colours
+from . import exact
 from .exact import BUDGET, SOLVED, BudgetSpent, SolveOutcome, _mask_of
 
 ODD_CYCLE_K0 = "odd-cycle-k0"
@@ -124,14 +128,6 @@ def block_decompose(g: MultiGraph) -> BlockDecomposition:
         [tuple(g.ids[g.incidence[v][j]] for v, _, j in block)
          for block in blocks],
         frozenset(cut))
-
-
-def is_gallai_tree(g: MultiGraph) -> bool:
-    """True iff every block of the connected graph is complete or an odd cycle."""
-    if not g.is_connected():
-        raise InputError("Gallai-tree test needs a connected graph")
-    nbrs, _, region = _neighbours(g)
-    return all(_is_gallai_block(block) for block in _blocks(nbrs, region)[0])
 
 
 @dataclass
@@ -271,31 +267,31 @@ def _repair(nbrs: Neighbours, nmask: Sequence[int], lists: Mapping[int, int],
 def _degree_colour(nbrs: Neighbours, nmask: Sequence[int],
                    lists: Mapping[int, int], region: int,
                    root: int | None, budget: int | None
-                   ) -> tuple[dict[int, int] | None, int]:
+                   ) -> dict[int, int] | None:
     """Colour the connected graph on ``region`` from lists at least as
     large as the degrees; ``root`` is the least vertex whose list is
     larger, or None.  None means a tight Gallai tree.  A failed repair
-    falls back to a search bounded by ``budget``; the count is its nodes."""
+    falls back to a search bounded by ``budget``."""
     colouring: dict[int, int] = {}
     if root is not None:
         order = _bfs(nbrs, root, region)
         if order is None or not _greedy(nmask, lists, order, colouring):
             raise AssertionError("greedy colouring failed")
-        return colouring, 0
+        return colouring
     bad = next((block for block in _blocks(nbrs, region)[0]
                 if not _is_gallai_block(block)), None)
     if bad is None:
-        return None, 0
+        return None
     repaired = _repair(nbrs, nmask, lists, region,
                        _mask_of(x for v, w, _ in bad for x in (v, w)))
     if repaired is not None:
-        return repaired, 0
+        return repaired
     # A colouring is still guaranteed to exist here; find it directly.
-    solved, nodes = _search(nmask, lists, region, budget)
+    solved = _search(nmask, lists, region, budget)[0]
     if solved is None:
         raise AssertionError(
             "tight non-Gallai-tree instance turned out uncolourable")
-    return solved, nodes
+    return solved
 
 
 def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
@@ -325,7 +321,7 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
             raise InputError(f"list at vertex {v} is smaller than its degree")
         if root is None and masks[v].bit_count() > g.degree(v):
             root = v
-    result = _degree_colour(nbrs, nmask, masks, region, root, budget)[0] \
+    result = _degree_colour(nbrs, nmask, masks, region, root, budget) \
         if region else {}
     if result is None:
         return GallaiCertificate(is_gallai_tree=True)
@@ -402,10 +398,12 @@ def extend_gallai(g: MultiGraph, c: Mapping[EdgeId, int], k: int,
 def _extend(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
             budget: int | None) -> SolveOutcome:
     """``c`` and a colouring of each component of the uncoloured edges'
-    line graph from the colours of [q] neither end uses, counting the
-    nodes of every search.  The callers ruled out both exceptional shapes,
-    so a failure is a bug and raises, as does a colour outside its edge's
-    list or not new at both ends; a search past ``budget`` is BUDGET."""
+    line graph from the colours of [q] neither end uses: greedy where a
+    list has slack, ``exact.solve_list`` where every list is tight,
+    counting the nodes of every search.  The callers ruled out both
+    exceptional shapes, so a failure is a bug and raises, as does a colour
+    outside its edge's list or not new at both ends; a search past
+    ``budget`` is BUDGET."""
     d = g.dense()
     adjacent = d.adjacent
     ids, ends = g.ids, g.ends
@@ -432,17 +430,26 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
             elif size < degree or not size:
                 raise AssertionError("edge list empty or smaller than its "
                                      "line-graph degree")
-        try:
-            part, searched = _degree_colour(d.line_neighbours, adjacent,
-                                            lists, comp, root, budget)
-            if part is None:
-                part, searched = _search(adjacent, lists, comp, budget)
-        except BudgetSpent as spent:
-            return SolveOutcome(BUDGET, None, nodes=nodes + spent.nodes,
-                                method="gallai")
-        nodes += searched
-        if part is None:
-            raise AssertionError("non-exceptional instance failed")
+        if root is not None:
+            # a list with slack: greedy colouring from that edge succeeds
+            part = {}
+            order = _bfs(d.line_neighbours, root, comp)
+            if order is None or not _greedy(adjacent, lists, order, part):
+                raise AssertionError("greedy colouring failed")
+        else:
+            # every list tight: exact search decides the component
+            edges = list(edge_bits(comp))
+            outcome = exact.solve_list(
+                g.restrict_edges(ids[i] for i in edges),
+                {ids[i]: exact._colours_of(lists[i]) for i in edges}, budget)
+            nodes += outcome.nodes
+            if outcome.status == BUDGET:
+                return SolveOutcome(BUDGET, None, nodes=nodes,
+                                    method="gallai")
+            if not outcome.solved:
+                raise AssertionError("non-exceptional instance failed")
+            part = {g.index[eid]: colour
+                    for eid, colour in outcome.colouring.items()}
         for i, colour in part.items():
             bit = 1 << colour
             u, v = ends[i]

@@ -527,14 +527,6 @@ def _within(g: MultiGraph, t: int) -> list[int]:
     return out
 
 
-def distance_conflicts(g: MultiGraph, t: int) -> dict[EdgeId, set[EdgeId]]:
-    """The edges within line-graph distance t of each edge (itself
-    excluded)."""
-    ids = g.ids
-    return {ids[i]: {ids[j] for j in edge_bits(near & ~(1 << i))}
-            for i, near in enumerate(_within(g, t))}
-
-
 def enumerate_edge_sets(g: MultiGraph, t: int = 1,
                         max_load: int | None = None,
                         _with_maximal: bool = False) -> Iterator[tuple]:

@@ -27,7 +27,10 @@ pipeline (a reduced ``MultiGraph``, its ``components()``, a
 ``restrict_edges`` copy and a ``line_graph`` per component) that the
 dense one in ``edgeext.gallai`` replaced.  Both visit line-graph
 neighbours in the same order, so they must agree on status, method, node
-count and the colouring as a mapping.
+count and the colouring as a mapping.  Both extenders colour a component
+greedily when a list has slack and by ``solve_list`` when every list is
+tight; ``degree_list_colour`` keeps the block test and repair.
+``is_gallai_tree`` tests every block of ``block_decompose``.
 
 ``extend_planar`` is the peel-and-replay extender that rebuilt the peeled
 ``MultiGraph`` and re-ran ``find_reducible`` on every step.  The
@@ -686,15 +689,22 @@ def _block_is_odd_cycle(g: MultiGraph, vs: frozenset[int],
     return all(sub.degree(v) == 2 for v in vs)
 
 
+def is_gallai_tree(g: MultiGraph) -> bool:
+    """True iff every block of the connected graph is complete or an odd cycle."""
+    if not g.is_connected():
+        raise InputError("Gallai-tree test needs a connected graph")
+    dec = block_decompose(g)
+    return all(_block_is_complete(g, vs, es) or _block_is_odd_cycle(g, vs, es)
+               for vs, es in zip(dec.blocks, dec.block_edges))
+
+
 def solve_vertex_lists(g: MultiGraph,
                        lists: Mapping[int, Iterable[int]],
-                       budget: int | None = None,
-                       searched: list | None = None) -> dict[int, int] | None:
+                       budget: int | None = None) -> dict[int, int] | None:
     """Exact vertex list-colouring by backtracking (smallest list first).
 
     Each call of the search on a non-empty set of vertices is one node;
-    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.  The
-    node count of a search that finishes is appended to ``searched``.
+    with ``budget``, raises ``BudgetSpent`` once the nodes exceed it.
     """
     verts = [v for v in range(g.n) if g.incident(v) or v in lists]
     masks = {}
@@ -736,10 +746,7 @@ def solve_vertex_lists(g: MultiGraph,
                 used[w] &= ~bit
         return False
 
-    found = search(verts)
-    if searched is not None:
-        searched.append(nodes)
-    return dict(assignment) if found else None
+    return dict(assignment) if search(verts) else None
 
 
 def _greedy_from_root(g: MultiGraph, lists: Mapping[int, set],
@@ -773,15 +780,15 @@ def _greedy_from_root(g: MultiGraph, lists: Mapping[int, set],
 
 
 def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
-                       budget: int | None = None, searched: list | None = None
+                       budget: int | None = None
                        ) -> dict[int, int] | GallaiCertificate:
     """Colour vertices from lists at least as large as their degrees.
 
     Returns a proper colouring, or a certificate that the graph is a tight
     Gallai tree (every list exactly the degree), the one situation with no
     constructive guarantee — the caller decides by exact search.
-    ``budget`` bounds the search a failed repair falls back to, and
-    ``searched`` gets its node count (see ``solve_vertex_lists``).
+    ``budget`` bounds the search a failed repair falls back to (see
+    ``solve_vertex_lists``).
     """
     if not g.is_connected():
         raise InputError("degree-list colouring needs a connected graph")
@@ -818,7 +825,7 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
     if repaired is not None:
         return repaired | iso_colours
     # A colouring is still guaranteed to exist here; find it directly.
-    solved = solve_vertex_lists(g, lsets, budget, searched)
+    solved = solve_vertex_lists(g, lsets, budget)
     if solved is None:
         raise AssertionError(
             "tight non-Gallai-tree instance turned out uncolourable")
@@ -931,6 +938,8 @@ def _colour_reduced(c, reduced: MultiGraph, lists, budget) -> SolveOutcome:
 
 def _colour_component(sub: MultiGraph, lists, budget,
                       searched) -> dict[EdgeId, int] | None:
+    """Greedy from the first edge whose list is longer than its line
+    degree; with every list tight, ``solve_list`` on the component."""
     lg = line_graph(sub)
     index = {i: eid for i, (eid, _, _) in enumerate(sub.edges)}
     vlists = {i: set(lists[index[i]]) for i in range(lg.n)}
@@ -939,13 +948,16 @@ def _colour_component(sub: MultiGraph, lists, budget,
             return None
         if len(vlists[i]) < lg.degree(i):
             raise AssertionError("edge list smaller than line-graph degree")
-    result = degree_list_colour(lg, vlists, budget, searched) if lg.n else {}
-    if isinstance(result, GallaiCertificate):
-        solved = solve_vertex_lists(lg, vlists, budget, searched)
-        if solved is None:
-            return None
-        result = solved
-    return {index[i]: colour for i, colour in result.items()}
+    surplus = [i for i in range(lg.n) if len(vlists[i]) > lg.degree(i)]
+    if surplus:
+        result: dict[int, int] = {}
+        _greedy_from_root(lg, vlists, surplus[0], set(range(lg.n)), result)
+        return {index[i]: colour for i, colour in result.items()}
+    outcome = solve_list(sub, lists, budget)
+    if outcome.status == BUDGET:
+        raise BudgetSpent(outcome.nodes)
+    searched.append(outcome.nodes)
+    return outcome.colouring
 
 
 def extend_subcubic(g: MultiGraph, m: Mapping[EdgeId, int],

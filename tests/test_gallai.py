@@ -11,7 +11,7 @@ from edgeext.gallai import (BudgetSpent, ExceptionReport, GallaiCertificate,
                             ODD_CYCLE_K0, TRIANGLE_MULTIPLICITY,
                             block_decompose, degree_list_colour,
                             exception_shape, extend_gallai, extend_subcubic,
-                            is_gallai_tree, solve_vertex_lists)
+                            solve_vertex_lists)
 
 import oracles
 from conftest import multigraphs, prism
@@ -59,13 +59,13 @@ def test_blocks_partition_edges(g):
 
 
 def test_gallai_tree_recognition():
-    assert is_gallai_tree(edges_cycle(5))
-    assert not is_gallai_tree(edges_cycle(4))
-    assert is_gallai_tree(edges_path(4))
+    assert oracles.is_gallai_tree(edges_cycle(5))
+    assert not oracles.is_gallai_tree(edges_cycle(4))
+    assert oracles.is_gallai_tree(edges_path(4))
     # K4 is complete, hence a (single-block) Gallai tree
     k4 = MultiGraph(4, [(i, u, v) for i, (u, v) in
                         enumerate(itertools.combinations(range(4), 2))])
-    assert is_gallai_tree(k4)
+    assert oracles.is_gallai_tree(k4)
 
 
 # -- degree-list colouring ----------------------------------------------
@@ -257,35 +257,104 @@ def test_extend_subcubic_rejects_non_matching():
         extend_subcubic(g, {0: 1, 1: 2})
 
 
-def test_subcubic_extender_checks_its_own_colouring(monkeypatch):
-    # ``verify`` no longer re-checks what the extender returns, so a
-    # degree-list colouring with a clash must raise inside the extender
-    from edgeext import gallai
-    from edgeext.instances import verify
-    original = gallai._degree_colour
-
-    def clashing(nbrs, nmask, lists, region, root, budget):
-        part, nodes = original(nbrs, nmask, lists, region, root, budget)
-        for i, j in itertools.permutations(part or (), 2):
-            if nmask[i] >> j & 1:
-                part[j] = part[i]
-                break
-        return part, nodes
-
-    monkeypatch.setattr(gallai, "_degree_colour", clashing)
-    with pytest.raises(AssertionError, match="improper"):
-        extend_subcubic(edges_path(4), {})
-    with pytest.raises(AssertionError, match="improper"):
-        verify("subcubic-matching-extension", max_n=4, max_e=4, max_mu=2)
-
-
-def test_gallai_extenders_honour_budget():
+def _k4_tight():
     # K4 with two precoloured edges: the reduced line graph is a tight
     # 4-cycle of equal lists, so the component goes to search, which
     # needs one node per vertex.
     pairs = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3), (1, 2)]
     g = MultiGraph(4, [(i, u, v) for i, (u, v) in enumerate(pairs)])
-    pre = {0: 1, 3: 2}
+    return g, {0: 1, 3: 2}
+
+
+def test_subcubic_extender_checks_its_own_colouring(monkeypatch):
+    # ``verify`` no longer re-checks what the extender returns, so a
+    # colouring with a clash must raise inside the extender, whether the
+    # greedy pass (a list with slack) or the search (every list tight)
+    # made it
+    from edgeext import exact, gallai
+    from edgeext.instances import verify
+    greedy, solve_list = gallai._greedy, exact.solve_list
+
+    def clashing_greedy(nmask, lists, order, colouring):
+        done = greedy(nmask, lists, order, colouring)
+        for i, j in itertools.permutations(colouring, 2):
+            if nmask[i] >> j & 1:
+                colouring[j] = colouring[i]
+                break
+        return done
+
+    def clashing_search(g, lists, budget=None, fixed=None):
+        out = solve_list(g, lists, budget, fixed)
+        for (e, u, v), (f, x, y) in itertools.combinations(g.edges, 2):
+            if {u, v} & {x, y}:
+                out.colouring[f] = out.colouring[e]
+                break
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gallai, "_greedy", clashing_greedy)
+        with pytest.raises(AssertionError, match="improper"):
+            extend_subcubic(edges_path(4), {})
+        with pytest.raises(AssertionError, match="improper"):
+            verify("subcubic-matching-extension", max_n=4, max_e=4, max_mu=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "solve_list", clashing_search)
+        with pytest.raises(AssertionError, match="improper"):
+            extend_subcubic(*_k4_tight())
+        with pytest.raises(AssertionError, match="improper"):
+            verify("subcubic-matching-extension", max_n=4, max_e=6, max_mu=2)
+
+
+def test_engines_reach_no_gallai_search_block_test_or_repair(monkeypatch):
+    # the engines colour greedily or through exact.solve_list; gallai's
+    # own search, block test and repair serve the id-keyed facade only
+    from edgeext import gallai
+    from edgeext.instances import verify
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an engine reached a facade-only helper")
+
+    for name in ("_search", "_degree_colour", "_repair", "_blocks"):
+        monkeypatch.setattr(gallai, name, unreachable)
+
+    @settings(max_examples=100)
+    @given(multigraphs(max_n=7, max_e=10, max_degree=3), st.data())
+    def extenders_solve(g, data):
+        assert extend_subcubic(g, _precolouring(g, data, Palette(4), 1)
+                               ).solved
+        k = data.draw(st.integers(min_value=0, max_value=2))
+        if g.edges and g.is_connected() and \
+                degree_stats(g).line_delta <= g.delta() + k:
+            pre = _precolouring(g, data, Palette(g.delta() + k), k)
+            out = extend_gallai(g, pre, k)
+            assert isinstance(out, ExceptionReport) or out.solved
+
+    extenders_solve()
+    assert verify("subcubic-matching-extension", max_n=8, max_e=8,
+                  max_mu=3, delta_max=3).ok
+    assert verify("line-degree-extension", max_n=6, max_e=6, max_mu=3,
+                  max_k=2).ok
+
+
+def test_extend_subcubic_searches_tight_rims_through_solve_list(monkeypatch):
+    # each 1,001-edge rim is a tight odd cycle; the extender hands each to
+    # exact.solve_list, whose first descent colours it in one node per edge
+    from edgeext import exact
+    calls = []
+    solve_list = exact.solve_list
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return solve_list(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "solve_list", counted)
+    out = extend_subcubic(*prism(1001))
+    assert out.solved and out.nodes == 2002
+    assert [len(sub.edges) for sub in calls] == [1001, 1001]
+
+
+def test_gallai_extenders_honour_budget():
+    g, pre = _k4_tight()
     spent = extend_subcubic(g, pre, budget=3)
     assert spent.status == BUDGET and spent.nodes == 4
     assert spent.colouring is None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from edgeext.core import (InputError, MultiGraph, degree_stats,
+from edgeext.core import (InputError, MultiGraph, degree_stats, edge_bits,
                           edge_distance, edges_cycle, edges_path)
 from edgeext.colouring import (Palette, extension_masks, is_proper,
                                max_precoloured_degree)
@@ -18,9 +18,8 @@ from edgeext import exact, gallai, instances, kernels
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                _colourings, _edge_automorphisms,
                                _multigraphs_with_automorphisms,
-                               _pattern, _plan, canonical_form,
-                               compute_rho, distance_conflicts,
-                               enumerate_edge_sets,
+                               _pattern, _plan, _within, canonical_form,
+                               compute_rho, enumerate_edge_sets,
                                enumerate_multigraphs,
                                enumerate_precolourings, generate,
                                random_distance_matching, verify)
@@ -273,12 +272,13 @@ def test_edge_sets_distance_filter():
 @settings(max_examples=60)
 @given(g=multigraphs(max_n=6, max_e=8, max_mu=2))
 def test_edge_sets_match_pairwise_oracle(t, g):
-    # conflicts from one BFS per edge equal the pairwise distances, and
-    # the enumeration keeps the pairwise version's sets and order
-    conflicts = distance_conflicts(g, t)
-    for e in g.edge_ids:
-        assert conflicts[e] == {f for f in g.edge_ids
-                                if f != e and edge_distance(g, e, f) <= t}
+    # the masks from one BFS per edge hold the edges the pairwise
+    # distances put within t, the edge itself included, and the
+    # enumeration keeps the pairwise version's sets and order
+    ids = g.ids
+    for i, near in enumerate(_within(g, t)):
+        assert {ids[j] for j in edge_bits(near)} == \
+            {f for f in g.edge_ids if edge_distance(g, ids[i], f) <= t}
     assert list(enumerate_edge_sets(g, t)) == \
         list(oracles.enumerate_edge_sets(g, t))
 
