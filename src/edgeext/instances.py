@@ -585,30 +585,16 @@ def enumerate_edge_sets(g: MultiGraph, t: int = 1,
 
 
 def enumerate_precolourings(g: MultiGraph, palette: Palette, t: int = 1,
-                            up_to_colour_permutation: bool = True,
                             max_load: int | None = None
                             ) -> Iterator[dict[EdgeId, int]]:
-    """All proper precolourings whose support has pairwise distance > t.
-
-    With ``up_to_colour_permutation`` exactly one representative per
-    colour-permutation orbit is produced (colours appear in first-use
-    order along increasing edge id).  With ``max_load``, only those with
-    at most that many precoloured edges at each vertex (see
+    """All proper precolourings whose support has pairwise distance > t,
+    one per colour-permutation orbit (colours appear in first-use order
+    along increasing edge id).  With ``max_load``, only those with at
+    most that many precoloured edges at each vertex (see
     ``enumerate_edge_sets``).
     """
-    q = palette.k
     for subset in enumerate_edge_sets(g, t, max_load):
-        table = _colourings(_pattern(g, subset), q)
-        if not up_to_colour_permutation:
-            # every proper colouring is one entry of the table with its
-            # colours renamed, in exactly one way, by an injection into the
-            # palette; sorted, they come in lexicographic order, as the
-            # table does
-            table = sorted(tuple([names[c - 1] for c in colours])
-                           for colours in table
-                           for names in itertools.permutations(
-                               range(1, q + 1), max(colours, default=0)))
-        for colours in table:
+        for colours in _colourings(_pattern(g, subset), palette.k):
             yield dict(zip(subset, colours))
 
 
@@ -650,7 +636,10 @@ def _colourings(pattern: tuple[int, ...], q: int
 
 def random_distance_matching(g: MultiGraph, t: int, palette: Palette,
                              rng) -> dict[EdgeId, int]:
-    """Random precoloured distance-t matching (proper by construction)."""
+    """Random precoloured distance-t matching, t >= 1 (proper by
+    construction: no two of its edges meet)."""
+    if t < 1:
+        raise InputError("a distance-t matching needs t >= 1")
     ids = list(g.ids)
     rng.shuffle(ids)
     chosen = []

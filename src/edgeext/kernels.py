@@ -4,7 +4,9 @@ A proper Delta-colouring of a bipartite multigraph orients its line graph
 so that every induced sub-digraph has a kernel; extracting kernels colour
 by colour solves list instances whose lists have size at least Delta.
 The same pipeline powers the precolouring extenders for bipartite and
-Shannon-bound palettes; exact search takes over only on shorter lists.
+Shannon-bound palettes.  Where it stalls, on shorter lists, or where a
+Shannon instance's uncoloured edges hold an odd cycle, exact search
+solves the caller's own instance from scratch.
 
 The pipeline runs on the graph's edge indices and, for line-graph
 adjacency and edge-id ranks, its dense form (``MultiGraph.dense``):
@@ -394,27 +396,32 @@ def _edge_set(g: MultiGraph, c: Mapping[EdgeId, int], last: _EdgeSet | None,
     return _EdgeSet(g, c, is_x)
 
 
-def _list_colour(s: _EdgeSet, lists: Sequence[int], used: Sequence[int],
-                 budget: int | None) -> SolveOutcome:
-    """List-colour the uncoloured edges of ``s``, kernel extraction first.
+def _list_colour(s: _EdgeSet, lists: Sequence[int],
+                 used: Sequence[int]) -> SolveOutcome | None:
+    """List-colour the uncoloured edges of ``s`` by kernel extraction:
+    one kernel per colour, from the set's memo by its active mask.
+    ``lists[i]`` is edge i's colour mask and ``used`` the colours coloured
+    edges take at each vertex; a colouring that clashes with them or with
+    itself raises, as does a stall on lists of at least the orientation's
+    Delta, which Galvin's theorem rules out.
 
-    ``lists[i]`` is edge i's colour mask.  Each kernel comes from the
-    set's memo, by its active mask, and is computed and kept only when
-    missing.  ``used`` holds the colours other, already coloured edges
-    take at each vertex; a kernel colouring that clashes with them, or
-    with itself, is a bug and raises.
+    A stall below that bound returns None, and the caller searches its
+    own instance from scratch, since the colours committed so far are no
+    start: an edge e left uncoloured was active for every colour c of its
+    list and not chosen, so by the kernel property it has an arc to a
+    chosen edge, adjacent to e, that holds c.  With those colours fixed
+    e's list is empty, and a search refutes at its root.
     """
     g, edges = s.g, s.edges
     ids, ends = g.ids, g.ends
     if not edges:
         return SolveOutcome(SOLVED, {}, method=KERNEL)
     kernels = s.kernels
-    live = union = 0
+    left = union = 0
     for i in edges:
-        live |= 1 << i
+        left |= 1 << i
         union |= lists[i]
     colour = [0] * len(ids)
-    left = live
     pending = edges
     # one kernel per colour, in increasing order, among the edges still
     # uncoloured whose lists hold it
@@ -434,38 +441,21 @@ def _list_colour(s: _EdgeSet, lists: Sequence[int], used: Sequence[int],
                 colour[i] = c
             pending = [i for i in pending if left >> i & 1]
 
-    if not left:
-        seen = list(used)
-        for i in edges:
-            bit = 1 << colour[i]
-            u, v = ends[i]
-            if (seen[u] | seen[v]) & bit:
-                raise AssertionError("kernel colouring is improper")
-            seen[u] |= bit
-            seen[v] |= bit
-        return SolveOutcome(SOLVED, {ids[i]: colour[i] for i in edges},
-                            method=KERNEL)
-    # Lists of at least the orientation's Delta cannot stall (Galvin).
-    if min(lists[i].bit_count() for i in edges) >= max(s.deg):
-        raise AssertionError("kernel path stalled on lists meeting Galvin's "
-                             "bound")
-
-    # Some list ran dry before its edge was chosen: solve the rest
-    # exactly, honouring the colours already committed, and then, as those
-    # may themselves be the obstruction, from scratch, on what is left of
-    # the budget.  A spent budget stops there.  The outcome counts the
-    # nodes of both searches.
-    sub = g.restrict_edges(ids[i] for i in edges)
-    id_lists = {ids[i]: exact._colours_of(lists[i]) for i in edges}
-    committed = {ids[i]: colour[i] for i in edge_bits(live & ~left)}
-    outcome = exact.solve_list(sub, id_lists, budget, fixed=committed)
-    if outcome.status == UNSOLVABLE:
-        spent = outcome.nodes
-        outcome = exact.solve_list(
-            sub, id_lists, None if budget is None else budget - spent)
-        outcome.nodes += spent
-    outcome.method = EXACT_FALLBACK
-    return outcome
+    if left:
+        if min(lists[i].bit_count() for i in edges) >= max(s.deg):
+            raise AssertionError("kernel path stalled on lists meeting "
+                                 "Galvin's bound")
+        return None
+    seen = list(used)
+    for i in edges:
+        bit = 1 << colour[i]
+        u, v = ends[i]
+        if (seen[u] | seen[v]) & bit:
+            raise AssertionError("kernel colouring is improper")
+        seen[u] |= bit
+        seen[v] |= bit
+    return SolveOutcome(SOLVED, {ids[i]: colour[i] for i in edges},
+                        method=KERNEL)
 
 
 def list_colour_bipartite(g: MultiGraph,
@@ -476,44 +466,61 @@ def list_colour_bipartite(g: MultiGraph,
 
     Guaranteed to succeed whenever every list has size at least
     max{d(u), d(v)}; the colour-by-colour kernel path alone covers lists
-    of size at least Delta, and raises if it stalls there, and an exact
-    search on the residual (then on the whole instance) covers everything
-    else.  The outcome's method tag records which engine finished the job.
+    of size at least Delta, and raises if it stalls there, and where it
+    stalls below that bound ``exact.solve_list`` searches the instance
+    from scratch.  The outcome's method tag records which engine finished
+    the job.
     """
     is_x = _x_sides(g, side_of)
+    for eid in g.ids:
+        if eid not in lists:
+            raise InputError(f"edge {eid!r} has no colour list")
     masks = [exact._mask_of(lists[eid]) for eid in g.ids]
-    return _list_colour(_EdgeSet(g, (), is_x), masks, [0] * g.n, budget)
-
-
-def _extended(c: Mapping[EdgeId, int], outcome: SolveOutcome) -> SolveOutcome:
-    """The outcome with ``c`` merged into its colouring; an extension
-    theorem guarantees a colouring, so only a spent budget may stop it."""
-    if outcome.status == UNSOLVABLE:
-        raise AssertionError("extension failed despite its guarantee")
-    if outcome.solved:
-        outcome.colouring = merge_colourings(c, outcome.colouring)
+    outcome = _list_colour(_EdgeSet(g, (), is_x), masks, [0] * g.n)
+    if outcome is None:
+        outcome = exact.solve_list(g, lists, budget)
+        outcome.method = EXACT_FALLBACK
     return outcome
+
+
+def _prepare(g: MultiGraph, is_x: Sequence[bool] | None,
+             palette_size: Callable[[int], int],
+             need: Callable[[int, int], int]) -> Callable[..., SolveOutcome]:
+    """The run both kernel extenders prepare: palette [palette_size(k)],
+    lists of at least ``need`` of their ends' counts, ``is_x`` as
+    ``_EdgeSet`` takes it.  It keeps the ``_EdgeSet`` of the last
+    precoloured set it saw, so the precolourings of one set in a row
+    share one König colouring, orientation and kernel memo.  When the
+    uncoloured edges hold an odd cycle, or the kernel path stalls, it
+    searches the whole extension exactly; an extension theorem guarantees
+    a colouring, so only a spent budget may stop that search."""
+    last = None
+
+    def run(c, k, budget=None):
+        nonlocal last
+        q = palette_size(k)
+        s = last = _edge_set(g, c, last, is_x)
+        used, lists = s.lists(c, q, need)
+        outcome = None if s.is_x is None else _list_colour(s, lists, used)
+        if outcome is None:
+            outcome = exact.prepare_extend(g, Palette(q))(c, budget)
+            outcome.method = EXACT_FALLBACK
+            if outcome.status == UNSOLVABLE:
+                raise AssertionError("extension failed despite its guarantee")
+        else:
+            outcome.colouring = merge_colourings(c, outcome.colouring)
+        return outcome
+    return run
 
 
 def prepare_bipartite(g: MultiGraph, side_of: Mapping[int, str] | None = None
                       ) -> Callable[..., SolveOutcome]:
     """``extend_bipartite`` on g, prepared once for many precolourings:
     ``run(c, k, budget=None)`` answers as it does, taking ``c`` as proper
-    and meeting each vertex at most k times, unchecked.
-
-    The run keeps the ``_EdgeSet`` of the last precoloured set it saw,
-    so the precolourings of one set in a row share one König colouring,
-    one orientation and one kernel memo, and a new set replaces it.  The
-    list masks, the Galvin bound and the final check stay per run."""
+    and meeting each vertex at most k times, unchecked (see
+    ``_prepare``)."""
     is_x, delta = _x_sides(g, side_of), g.delta()
-    last = None
-
-    def run(c, k, budget=None):
-        nonlocal last
-        s = last = _edge_set(g, c, last, is_x)
-        used, lists = s.lists(c, delta + k, max)
-        return _extended(c, _list_colour(s, lists, used, budget))
-    return run
+    return _prepare(g, is_x, lambda k: delta + k, max)
 
 
 def extend_bipartite(g: MultiGraph,
@@ -536,26 +543,12 @@ def extend_bipartite(g: MultiGraph,
 
 
 def prepare_shannon(g: MultiGraph) -> Callable[..., SolveOutcome]:
-    """``extend_shannon`` on g, prepared as ``prepare_bipartite`` is: the
-    run keeps the last precoloured set's ``_EdgeSet``, whose sides are
-    found on its uncoloured edges alone.  When those hold an odd cycle,
-    the run searches the whole extension exactly instead."""
+    """``extend_shannon`` on g, prepared as ``prepare_bipartite`` is; the
+    sides of each precoloured set's ``_EdgeSet`` are found on its
+    uncoloured edges alone."""
     delta = g.delta()
-    last = None
-
-    def run(c, k, budget=None):
-        nonlocal last
-        q = (3 * delta + k) // 2
-        s = last = _edge_set(g, c, last)
-        used, lists = s.lists(
-            c, q, lambda du, dv: max(du, dv) + min(du, dv) // 2)
-        if s.is_x is None:
-            outcome = exact.prepare_extend(g, Palette(q))(c, budget)
-            outcome.method = EXACT_FALLBACK
-        else:
-            outcome = _list_colour(s, lists, used, budget)
-        return _extended(c, outcome)
-    return run
+    return _prepare(g, None, lambda k: (3 * delta + k) // 2,
+                    lambda du, dv: max(du, dv) + min(du, dv) // 2)
 
 
 def extend_shannon(g: MultiGraph, c: Mapping[EdgeId, int], k: int,

@@ -455,9 +455,9 @@ def list_colour_bipartite(g: MultiGraph,
 
     Guaranteed to succeed whenever every list has size at least
     max{d(u), d(v)}; the colour-by-colour kernel path alone already covers
-    lists of size at least Delta, and an exact search on the residual (then
-    on the whole instance) covers everything else.  The outcome's method
-    tag records which engine finished the job.
+    lists of size at least Delta, and an exact search on the whole instance
+    covers everything else.  The outcome's method tag records which engine
+    finished the job.
     """
     if side_of is None:
         side_of = find_bipartition(g)
@@ -487,28 +487,9 @@ def list_colour_bipartite(g: MultiGraph,
             raise AssertionError("kernel colouring is improper")
         return SolveOutcome(SOLVED, colour, method=KERNEL)
 
-    # Some list ran dry before its edge was chosen: solve the residual
-    # exactly, honouring the colours already committed.
-    residual = g.restrict_edges(remaining.keys())
-    residual_lists = {}
-    for eid in residual.edge_ids:
-        banned = {colour[f] for f in g.adjacent_edges(eid) if f in colour}
-        residual_lists[eid] = set(lists[eid]) - banned
-    outcome = exact.solve_list(residual, residual_lists, budget=budget)
-    if outcome.solved:
-        merged = merge_colourings(colour, outcome.colouring)
-        if not is_proper(g, merged):
-            raise AssertionError("residual merge is improper")
-        return SolveOutcome(SOLVED, merged, nodes=outcome.nodes,
-                            depth=outcome.depth, method=EXACT_FALLBACK)
-    # The committed kernel colours may themselves be the obstruction;
-    # retry from scratch on what is left of the budget, unless it is
-    # spent, and count the nodes of both searches.
-    if outcome.status == UNSOLVABLE:
-        spent = outcome.nodes
-        outcome = exact.solve_list(
-            g, lists, budget=None if budget is None else budget - spent)
-        outcome.nodes += spent
+    # Some list ran dry before its edge was chosen: the committed colours
+    # leave that edge's list empty, so search the instance from scratch.
+    outcome = exact.solve_list(g, lists, budget=budget)
     outcome.method = EXACT_FALLBACK
     return outcome
 

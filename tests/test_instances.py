@@ -298,18 +298,15 @@ def test_bounded_precolourings_are_the_filtered_stream(g, t, bound, extra):
 
 @settings(max_examples=60)
 @given(multigraphs(max_n=5, max_e=6, max_mu=2),
-       st.sampled_from([0, 1, 3]), st.booleans(),
-       st.sampled_from([None, 1, 2]),
+       st.sampled_from([0, 1, 3]), st.sampled_from([None, 1, 2]),
        st.integers(min_value=1, max_value=2))
-def test_precolourings_match_the_set_based_stream(g, t, up_to, bound,
-                                                  extra):
+def test_precolourings_match_the_set_based_stream(g, t, bound, extra):
     palette = Palette(g.delta() + extra)
     expected = [list(pre.items())
                 for subset in enumerate_edge_sets(g, t, bound)
-                for pre in oracles._colourings_of(g, subset, palette, up_to)]
+                for pre in oracles._colourings_of(g, subset, palette, True)]
     assert [list(pre.items()) for pre in enumerate_precolourings(
-        g, palette, t=t, up_to_colour_permutation=up_to,
-        max_load=bound)] == expected
+        g, palette, t=t, max_load=bound)] == expected
 
 
 @settings(max_examples=60)
@@ -387,13 +384,6 @@ def test_precolourings_up_to_colour_permutation():
     assert count == {0: 1, 1: 3, 2: 2}
     for pre in reps:
         assert is_proper(g, pre)
-    # without the quotient, singles come in 3 colours each
-    full = list(enumerate_precolourings(g, pal, t=1,
-                                        up_to_colour_permutation=False))
-    count = {0: 0, 1: 0, 2: 0}
-    for pre in full:
-        count[len(pre)] += 1
-    assert count[1] == 9
 
 
 def test_random_distance_matching_properties():
@@ -405,6 +395,13 @@ def test_random_distance_matching_properties():
         from edgeext.core import is_distance_matching
         assert is_distance_matching(g, pre.keys(), 2)
         assert all(c in pal for c in pre.values())
+
+
+def test_random_distance_matching_refuses_a_distance_below_one():
+    # at t = 0 two chosen edges may meet, and their random colours clash
+    with pytest.raises(InputError, match="t >= 1"):
+        random_distance_matching(edges_cycle(6), 0, Palette(3),
+                                 random.Random(0))
 
 
 # -- the verification harness -------------------------------------------

@@ -152,10 +152,10 @@ def test_a_stall_on_lists_meeting_galvins_bound_raises(monkeypatch):
         extend_bipartite(g, None, {0: 1}, 1)
 
 
-def test_list_colour_searches_again_only_after_unsolvable(monkeypatch):
-    # Degree lists on which the kernel path stalls, and the colours it
-    # committed leave the rest unsolvable.  A spent budget stops the
-    # search; only an unsolvable residual earns a search from scratch.
+def test_list_colour_searches_once_from_scratch(monkeypatch):
+    # Degree lists on which the kernel path stalls.  The colours it
+    # committed leave the stalled edge's list empty, so the fallback is
+    # one search of the whole instance, and the budget is all its own.
     g = MultiGraph(6, [(0, 1, 4), (1, 2, 3), (2, 1, 4), (3, 1, 5),
                        (4, 2, 5)])
     lists = {0: {1, 2, 3}, 1: {1, 3}, 2: {1, 2, 3}, 3: {1, 3, 4}, 4: {1, 3}}
@@ -164,25 +164,28 @@ def test_list_colour_searches_again_only_after_unsolvable(monkeypatch):
 
     def counted(*args, **kwargs):
         out = solve_list(*args, **kwargs)
-        calls.append(out.status)
+        calls.append((args, kwargs, out.status))
         return out
 
     monkeypatch.setattr(exact, "solve_list", counted)
+    out = list_colour_bipartite(g, None, lists)
+    assert (out.status, out.method, out.nodes, out.depth) == \
+        (SOLVED, EXACT_FALLBACK, 5, 4)
+    assert calls == [((g, lists, None), {}, SOLVED)]
+    assert is_proper(g, out.colouring)
+    calls.clear()
     out = list_colour_bipartite(g, None, lists, budget=0)
     assert (out.status, out.method, out.nodes) == (BUDGET, EXACT_FALLBACK, 1)
-    assert calls == [BUDGET]
-    calls.clear()
-    out = list_colour_bipartite(g, None, lists)
-    assert (out.status, out.method) == (SOLVED, EXACT_FALLBACK)
-    assert calls == [UNSOLVABLE, SOLVED]
-    # the outcome counts both searches' nodes: 1 with the committed
-    # colours, 5 from scratch
-    assert out.nodes == 1 + 5
-    # the search from scratch gets only what the first left of the
-    # budget, so 5 nodes no longer do
-    assert list_colour_bipartite(g, None, lists, budget=6).solved
-    out = list_colour_bipartite(g, None, lists, budget=5)
-    assert (out.status, out.nodes) == (BUDGET, 6)
+    assert [status for _, _, status in calls] == [BUDGET]
+    assert list_colour_bipartite(g, None, lists, budget=5).solved
+    out = list_colour_bipartite(g, None, lists, budget=4)
+    assert (out.status, out.nodes) == (BUDGET, 5)
+
+
+def test_list_colour_names_an_edge_without_a_list():
+    g = edges_path(3)
+    with pytest.raises(InputError, match="edge 1 has no colour list"):
+        list_colour_bipartite(g, None, {0: {1, 2}})
 
 
 @given(bipartite_multigraphs(max_side=3, max_e=7),
@@ -285,8 +288,8 @@ def test_extend_bipartite_matches_id_keyed_oracle(g, k, data):
        st.data())
 def test_list_colour_and_kernels_match_id_keyed_oracle(g, data):
     side = find_bipartition(g)
-    # lists from 1..4 of any size, so that the residual and whole-instance
-    # exact fallbacks and unsolvable outcomes are all reached
+    # lists from 1..4 of any size, so that the exact fallback and
+    # unsolvable outcomes are both reached
     lists = {eid: data.draw(st.sets(st.integers(min_value=1, max_value=4)))
              for eid in g.edge_ids}
     budget = data.draw(st.sampled_from([None, 1, 5]))
@@ -302,6 +305,21 @@ def test_list_colour_and_kernels_match_id_keyed_oracle(g, data):
     active = data.draw(st.sets(st.sampled_from(g.edge_ids))) \
         if g.edges else set()
     assert kernel(orient, active) == oracles.kernel(reference, active)
+
+
+@settings(max_examples=200)
+@given(bipartite_multigraphs(max_side=3, max_e=7, max_mu=3, mixed_ids=True),
+       st.data())
+def test_a_list_colour_fallback_is_solve_list_on_the_callers_lists(g, data):
+    # lists from 1..4 of any size, so the kernel path often stalls
+    lists = {eid: data.draw(st.sets(st.integers(min_value=1, max_value=4)))
+             for eid in g.edge_ids}
+    budget = data.draw(st.sampled_from([None, 0, 1, 5]))
+    got = list_colour_bipartite(g, None, lists, budget)
+    if got.method == EXACT_FALLBACK:
+        want = exact.solve_list(g, lists, budget)
+        assert (got.status, got.colouring, got.nodes, got.depth) == \
+            (want.status, want.colouring, want.nodes, want.depth)
 
 
 @settings(max_examples=300)
@@ -402,6 +420,63 @@ def test_prepared_runs_of_two_graphs_share_nothing(engine, rnd, data):
         pre, least = rnd.choice(pool)
         k = rnd.randint(least, 2)
         assert _outcome_key(run(pre, k)) == _outcome_key(fresh(pre, k, None))
+
+
+def _with_pendants(h, k, palette_size, rnd):
+    """h, a star of Delta(h) + k edges, and up to k edges from each vertex
+    of h to new leaves, precoloured from [q], q the palette size at the
+    graph's Delta.  The star keeps the uncoloured edges' Delta the
+    graph's own, while an edge of h loses its ends' precoloured colours,
+    so its list often falls below that Delta.  Returns the graph, the
+    precolouring and q."""
+    delta = h.delta() + k
+    q = palette_size(delta)
+    edges = list(h.edges) + [(f"s{i}", h.n, h.n + 1 + i)
+                             for i in range(delta)]
+    n, pre = h.n + 1 + delta, {}
+    for v in range(h.n):
+        for c in rnd.sample(range(1, q + 1), rnd.randint(0, k)):
+            pre[f"p{n}"] = c
+            edges.append((f"p{n}", v, n))
+            n += 1
+    return MultiGraph(n, edges), pre, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["bipartite", "shannon"]), st.randoms(), st.data())
+def test_a_stalled_prepared_run_answers_as_exact_extend(engine, rnd, data):
+    # _kernel finds one real kernel per run and then none, so the path
+    # stalls with that kernel's colour committed.  On lists below Galvin's
+    # bound the run's one search is exact.extend on its own instance; on
+    # lists meeting it the stall is a bug, and raises.
+    k = rnd.randint(1, 2)
+    if engine == "bipartite":
+        g, pre, q = _with_pendants(_draw_graph(engine, data), k,
+                                   lambda delta: delta + k, rnd)
+        run = prepare_bipartite(g)
+    else:
+        g, pre, q = _with_pendants(_draw_graph(engine, data), k,
+                                   lambda delta: (3 * delta + k) // 2, rnd)
+        run = prepare_shannon(g)
+    budget = rnd.choice([None, None, 0, 3])
+    find, found = kernels._kernel, []
+
+    def first_only(o, active):
+        found.append(active)
+        return find(o, active) if len(found) == 1 else 0
+
+    with mock.patch.object(kernels, "_kernel", first_only):
+        try:
+            got = run(pre, k, budget)
+        except AssertionError as error:
+            assert "Galvin" in str(error)
+            return
+    if got.method == KERNEL:        # one kernel coloured every edge
+        assert len(found) == 1
+        return
+    want = exact.extend(g, pre, Palette(q), budget)
+    assert (got.status, got.method, got.colouring, got.nodes, got.depth) == \
+        (want.status, EXACT_FALLBACK, want.colouring, want.nodes, want.depth)
 
 
 def test_a_run_builds_one_orientation_per_edge_set(monkeypatch):
