@@ -227,7 +227,11 @@ class MultiGraph:
             if not (_is_int(u) and _is_int(v)):
                 raise InputError(f"edge {eid!r}: endpoints must be integers")
             edges.append((eid, u, v))
-        return cls(n, edges)
+        g = cls(n, edges)
+        if len(set(map(str, g.ids))) < len(g.ids):
+            # colourings are keyed by str(id), where 0 and "0" would meet
+            raise InputError("two edge ids share one JSON key")
+        return g
 
     @classmethod
     def from_json(cls, text: str) -> "MultiGraph":

@@ -464,6 +464,38 @@ def vizing_bound(g: MultiGraph) -> int:
     return min(delta + g.mu(), max(3 * delta // 2, delta + 1))
 
 
+def _edge_with_colour(incidence, col, v: int, c: int) -> int:
+    """The edge at v that ``col`` gives colour c."""
+    for i in incidence[v]:
+        if col[i] == c:
+            return i
+    raise AssertionError("colour recorded as present but not found")
+
+
+def _flip_chain(ends, incidence, col, at, start: int, a: int, b: int,
+                anchor: int) -> bool:
+    """Swap the a/b alternating chain from ``start``, where a is missing,
+    unless it ends at ``anchor``; True when swapped.  Edge colours ``col``
+    and each vertex's colour mask ``at`` change in place."""
+    chain = []
+    v, want = start, b
+    while at[v] >> want & 1:
+        i = _edge_with_colour(incidence, col, v, want)
+        chain.append(i)
+        u1, u2 = ends[i]
+        v = u2 if u1 == v else u1
+        want = a if want == b else b
+    if v == anchor:
+        return False
+    # a chain vertex keeps both colours, an end trades one for the other
+    flip = 1 << a | 1 << b
+    for i in chain:
+        col[i] = a if col[i] == b else b
+        for w in ends[i]:
+            at[w] ^= flip
+    return True
+
+
 def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
     """Proper colouring with at most ``vizing_bound(g)`` colours.
 
@@ -482,12 +514,6 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
     col = [0] * len(ends)
     at = [0] * g.n
 
-    def edge_with_colour(v: int, c: int) -> int:
-        for i in inc[v]:
-            if col[i] == c:
-                return i
-        raise AssertionError("colour recorded as present but not found")
-
     def assign(i: int, c: int) -> None:
         u, v = ends[i]
         old = col[i]
@@ -497,30 +523,6 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
         col[i] = c
         at[u] |= 1 << c
         at[v] |= 1 << c
-
-    def swap_chain(start: int, a: int, b: int, anchor: int) -> bool:
-        """Swap the a/b alternating chain from ``start`` unless it meets anchor.
-
-        Precondition: a missing at start.  Returns True when swapped.
-        """
-        chain = []
-        v, want = start, b
-        while at[v] >> want & 1:
-            i = edge_with_colour(v, want)
-            chain.append(i)
-            u1, u2 = ends[i]
-            v = u2 if u1 == v else u1
-            want = a if want == b else b
-        if v == anchor:
-            return False
-        # a chain vertex keeps both colours, an end trades one for the other
-        flip = 1 << a | 1 << b
-        for i in chain:
-            c = a if col[i] == b else b
-            col[i] = c
-            for w in ends[i]:
-                at[w] ^= flip
-        return True
 
     def fold(x: int, fan: list[int], rim: list[int]) -> None:
         # Precondition: some colour is missing at both x and the last rim
@@ -549,7 +551,7 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
             if not candidates:
                 raise AssertionError("fan construction stalled below the bound")
             low = candidates & -candidates
-            nxt = edge_with_colour(x, low.bit_length() - 1)
+            nxt = _edge_with_colour(inc, col, x, low.bit_length() - 1)
             u1, u2 = ends[nxt]
             z = u2 if u1 == x else u1
             fan.append(nxt)
@@ -569,12 +571,12 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
                 both = full & ~at[yi] & miss_z
                 a = (both & -both).bit_length() - 1
                 b = (miss_x & -miss_x).bit_length() - 1
-                if swap_chain(yi, a, b, x):
+                if _flip_chain(ends, inc, col, at, yi, a, b, x):
                     del fan[hit + 1:]
                     del rim[hit + 1:]
                     fold(x, fan, rim)
                 else:
-                    if not swap_chain(z, a, b, x):
+                    if not _flip_chain(ends, inc, col, at, z, a, b, x):
                         raise AssertionError(
                             "both alternating chains reached the fan anchor")
                     fold(x, fan, rim)

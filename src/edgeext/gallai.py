@@ -308,8 +308,11 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
     if not g.is_connected():
         raise InputError("degree-list colouring needs a connected graph")
     nbrs, nmask, region = _neighbours(g)
-    # Isolated vertices: any list choice works.
+    # Isolated vertices: any colour of a non-empty list works.
     verts = set(edge_bits(region))
+    for v in lists:
+        if v not in verts and not lists[v]:
+            raise InputError(f"vertex {v} has an empty colour list")
     colouring = {v: min(lists[v]) for v in lists if v not in verts}
     masks = {}
     root = None

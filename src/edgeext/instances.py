@@ -54,18 +54,6 @@ class FamilySpec:
         return cls(MULTI_STAR, (s, k))
 
 
-def generate(spec: FamilySpec) -> tuple[MultiGraph, dict[EdgeId, int], Palette]:
-    if spec.family == SUBDIVIDED_STAR:
-        return _subdivided_star(*spec.params)
-    if spec.family == CHAIN_BLOCKS:
-        return _chain_blocks(*spec.params)
-    if spec.family == SHANNON_TRIANGLE:
-        return _shannon_triangle(*spec.params)
-    if spec.family == MULTI_STAR:
-        return _multi_star(*spec.params)
-    raise InputError(f"unknown family {spec.family!r}")
-
-
 def _subdivided_star(s: int):
     """Star with s leaves, each leaf edge subdivided; pendants colour 1."""
     if s < 2:
@@ -158,6 +146,25 @@ def _multi_star(s: int, k: int):
             eid += 1
     g = MultiGraph(1 + 2 * s, edges)
     return g, pre, Palette(g.delta() + k - 1)
+
+
+# Each family's builder and its number of parameters.
+FAMILIES = {
+    SUBDIVIDED_STAR: (_subdivided_star, 1),
+    CHAIN_BLOCKS: (_chain_blocks, 2),
+    SHANNON_TRIANGLE: (_shannon_triangle, 3),
+    MULTI_STAR: (_multi_star, 2),
+}
+
+
+def generate(spec: FamilySpec) -> tuple[MultiGraph, dict[EdgeId, int], Palette]:
+    if spec.family not in FAMILIES:
+        raise InputError(f"unknown family {spec.family!r}")
+    build, count = FAMILIES[spec.family]
+    if len(spec.params) != count:
+        raise InputError(f"family {spec.family} takes {count} parameter(s), "
+                         f"got {len(spec.params)}")
+    return build(*spec.params)
 
 
 # -- odd-set density -----------------------------------------------------

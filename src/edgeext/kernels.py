@@ -11,7 +11,9 @@ solves the caller's own instance from scratch.
 The pipeline runs on the graph's edge indices and, for line-graph
 adjacency and edge-id ranks, its dense form (``MultiGraph.dense``):
 colour sets and lists are colour bitmasks, arcs and kernels are edge
-masks.  ``konig_colour``, ``galvin_orient``, ``kernel`` and ``is_kernel``
+masks.  The König colouring keeps one colour mask per vertex and flips
+its alternating chains through ``exact._flip_chain``, as Vizing's fans
+do.  ``konig_colour``, ``galvin_orient``, ``kernel`` and ``is_kernel``
 translate edge ids to indices and back around the same routines.
 """
 
@@ -106,12 +108,12 @@ def _konig(g: MultiGraph, edges: Sequence[int], delta: int) -> list[int]:
 
     Alternating-path augmentation: for an edge uv take the least colour a
     free at u and b free at v; if no colour is free at both, flipping the
-    a/b path from v frees a at both ends (the path cannot reach u, by
-    parity).  ``at[w]`` maps each colour present at w to its edge.
+    a/b chain from v (``exact._flip_chain``) frees a at both ends, since
+    by parity the chain cannot reach u.  ``used[w]`` is the mask of the
+    colours at w.
     """
-    ends = g.ends
+    ends, incidence = g.ends, g.incidence
     phi = [0] * len(ends)
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]
     used = [0] * g.n
     full = (1 << (delta + 1)) - 2
     for i in edges:
@@ -120,38 +122,23 @@ def _konig(g: MultiGraph, edges: Sequence[int], delta: int) -> list[int]:
         if not common:
             a = _lowest(full & ~used[u])
             b = _lowest(full & ~used[v])
-            path = []
-            w, want = v, a
-            while want in at[w]:
-                e = at[w][want]
-                path.append(e)
-                x, y = ends[e]
-                w = y if x == w else x
-                want = a + b - want
-            for e in path:
-                for x in ends[e]:
-                    del at[x][phi[e]]
-            for e in path:
-                phi[e] = a + b - phi[e]
-                for x in ends[e]:
-                    at[x][phi[e]] = e
-            # Inner vertices keep both colours; at v and at the path's
-            # far end w the one present and the one missing trade places.
-            swap = (1 << a) | (1 << b)
-            used[v] ^= swap
-            used[w] ^= swap
+            if not exact._flip_chain(ends, incidence, phi, used, v, b, a, u):
+                raise AssertionError("alternating chain reached the other "
+                                     "end of its edge")
             common = full & ~(used[u] | used[v])
         c = _lowest(common)
         phi[i] = c
-        at[u][c] = at[v][c] = i
         used[u] |= 1 << c
         used[v] |= 1 << c
+    seen = [0] * g.n
     for i in edges:
         c = phi[i]
         u, v = ends[i]
-        if not 1 <= c <= delta or at[u].get(c) != i or at[v].get(c) != i:
+        if not 1 <= c <= delta or (seen[u] | seen[v]) >> c & 1:
             raise AssertionError("alternating-path colouring is improper "
                                  "or exceeded Delta")
+        seen[u] |= 1 << c
+        seen[v] |= 1 << c
     return phi
 
 
@@ -387,15 +374,6 @@ class _EdgeSet:
         return used, lists
 
 
-def _edge_set(g: MultiGraph, c: Mapping[EdgeId, int], last: _EdgeSet | None,
-              is_x: Sequence[bool] | None = None) -> _EdgeSet:
-    """The ``_EdgeSet`` of the edges ``c`` colours: ``last`` when it is
-    that set's, else a new one."""
-    if last is not None and c.keys() == last.key:
-        return last
-    return _EdgeSet(g, c, is_x)
-
-
 def _list_colour(s: _EdgeSet, lists: Sequence[int],
                  used: Sequence[int]) -> SolveOutcome | None:
     """List-colour the uncoloured edges of ``s`` by kernel extraction:
@@ -499,7 +477,9 @@ def _prepare(g: MultiGraph, is_x: Sequence[bool] | None,
     def run(c, k, budget=None):
         nonlocal last
         q = palette_size(k)
-        s = last = _edge_set(g, c, last, is_x)
+        if last is None or c.keys() != last.key:
+            last = _EdgeSet(g, c, is_x)
+        s = last
         used, lists = s.lists(c, q, need)
         outcome = None if s.is_x is None else _list_colour(s, lists, used)
         if outcome is None:

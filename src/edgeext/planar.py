@@ -697,17 +697,16 @@ def _delta_rule(variant, v, vminus, merged, degree, delta, in_t, v1, t2,
         return "delta2", Fraction(3) - Fraction(6, d - 1)
     if 3 <= d <= delta - 4 and v not in in_t:
         return "delta3", Fraction(3) - Fraction(6, d)
-    if d >= delta - 3:
-        others = sorted(vminus - {v})
-        if len(vminus) == 3 and len(others) == 2 \
-                and all(o in adjacency[v] for o in others) \
-                and frozenset(others) in m_pairs:
-            return "delta4", Fraction(4)
-        if any(o in adjacency[v] and o in in_t and degree[o] == 3
-               for o in vminus - {v}):
-            return "delta5", Fraction(3)
-        return "delta6", Fraction(5, 2)
-    return "none", Fraction(0)
+    # d >= delta - 3: reduced faces keep no degree-1 or degree-2 T-vertex
+    others = sorted(vminus - {v})
+    if len(vminus) == 3 and len(others) == 2 \
+            and all(o in adjacency[v] for o in others) \
+            and frozenset(others) in m_pairs:
+        return "delta4", Fraction(4)
+    if any(o in adjacency[v] and o in in_t and degree[o] == 3
+           for o in vminus - {v}):
+        return "delta5", Fraction(3)
+    return "delta6", Fraction(5, 2)
 
 
 def _precondition_report(g, m_ids, variant, delta, degree, v1,

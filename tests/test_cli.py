@@ -223,6 +223,17 @@ def test_input_error_exit(tmp_path, capsys):
     assert code == 2
 
 
+def test_extend_rejects_ids_sharing_a_json_key(tmp_path, capsys):
+    # edges 0 and "0" would print as one entry of the colouring, and the
+    # precoloured colour of one of them would be lost
+    gpath = write(tmp_path, "g.json",
+                  {"n": 3, "edges": [[0, 0, 1], ["0", 1, 2], [2, 2, 0]]})
+    cpath = write(tmp_path, "c.json", {"palette": 3, "colours": {"0": 1}})
+    assert run(["extend", "--graph", gpath, "--colours", cpath,
+                "--no-timestamp"]) == 2
+    assert "share one JSON key" in capsys.readouterr().err
+
+
 def test_avoid_and_solve_list(tmp_path, capsys):
     g = {"n": 3, "edges": [[0, 0, 1], [1, 1, 2]]}
     gpath = write(tmp_path, "g.json", g)

@@ -235,6 +235,15 @@ def test_from_json_rejects_garbage():
         MultiGraph.from_json('{"edges": []}')
 
 
+def test_from_json_rejects_ids_sharing_a_json_key():
+    # colourings key edges by str(id): 0 and "0" would share one entry
+    obj = {"n": 3, "edges": [[0, 0, 1], ["0", 1, 2], [2, 2, 0]]}
+    with pytest.raises(InputError, match="share one JSON key"):
+        MultiGraph.from_json_obj(obj)
+    obj["edges"][1][0] = "1"
+    assert MultiGraph.from_json_obj(obj).ids == (0, 2, "1")
+
+
 def test_edge_distance_small_cases():
     # path with 3 edges: consecutive edges are adjacent (distance 1),
     # the two pendants are at distance 2.

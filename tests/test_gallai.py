@@ -147,6 +147,36 @@ def test_degree_list_colour_even_cycle_tight_succeeds():
     assert not isinstance(result, GallaiCertificate)
 
 
+def test_degree_list_colour_repairs_a_tight_diamond(monkeypatch):
+    # the diamond is one block, neither complete nor an odd cycle, and
+    # every list is tight: the repair colours the non-adjacent 2 and 3
+    # alike, which leaves 0 a spare colour, and greedy colouring finishes
+    from edgeext import gallai
+    g = MultiGraph(4, [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 1, 2),
+                       (4, 1, 3)])
+    lists = {0: {1, 2, 3}, 1: {1, 2, 3}, 2: {1, 2}, 3: {1, 2}}
+    repaired = []
+    repair = gallai._repair
+
+    def recording(*args):
+        repaired.append(repair(*args))
+        return repaired[-1]
+
+    def unreachable(*args):
+        raise AssertionError("the repair should have coloured the diamond")
+
+    monkeypatch.setattr(gallai, "_repair", recording)
+    monkeypatch.setattr(gallai, "_search", unreachable)
+    assert degree_list_colour(g, lists) == {2: 1, 3: 1, 1: 2, 0: 3}
+    assert repaired == [{2: 1, 3: 1, 1: 2, 0: 3}]
+
+
+def test_degree_list_colour_names_an_isolated_vertex_without_colours():
+    g = MultiGraph(3, [(0, 0, 1)])
+    with pytest.raises(InputError, match="vertex 2 has an empty colour list"):
+        degree_list_colour(g, {0: {1}, 1: {1, 2}, 2: set()})
+
+
 # -- exceptional shapes --------------------------------------------------
 
 def test_exception_shapes_detected():

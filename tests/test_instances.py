@@ -53,6 +53,18 @@ def test_chain_blocks_shape():
         generate(FamilySpec.chain_blocks(4, 0))
 
 
+def test_generate_names_the_parameter_count():
+    # a wrong count used to reach the builder and raise a bare TypeError
+    for family, params, count in (("subdivided-star", (3, 4), 1),
+                                  ("chain-blocks", (4,), 2),
+                                  ("shannon-triangle", (1, 1), 3),
+                                  ("multi-star", (), 2)):
+        with pytest.raises(InputError, match=f"takes {count} parameter"):
+            generate(FamilySpec(family, params))
+    with pytest.raises(InputError, match="unknown family"):
+        generate(FamilySpec("no-such-family", (1,)))
+
+
 def test_shannon_triangle_shape():
     g, pre, palette = generate(FamilySpec.shannon_triangle(2, 2, 2))
     assert g.n == 3 and len(g.edges) == 6

@@ -43,6 +43,35 @@ def test_konig_uses_delta_colours(g):
         assert max(colouring.values()) <= g.delta()
 
 
+def test_konig_flips_chains_through_the_fans_routine(monkeypatch):
+    # edge 3 = (0, 4) finds colour 1 at 0 and colour 2 at 4, so no colour
+    # is free at both ends: the 2/1 chain from 4, where 1 is missing, is
+    # flipped by the routine vizing_colour's fans use
+    g = MultiGraph(5, [(0, 1, 2), (1, 0, 3), (2, 1, 4), (3, 0, 4)])
+    flips, flip = [], exact._flip_chain
+
+    def recording(ends, incidence, col, at, start, a, b, anchor):
+        flips.append((start, a, b, anchor))
+        return flip(ends, incidence, col, at, start, a, b, anchor)
+
+    monkeypatch.setattr(exact, "_flip_chain", recording)
+    assert kernels._konig(g, range(4), 2) == [2, 1, 1, 2]
+    assert flips == [(4, 1, 2, 0)]
+
+
+@settings(max_examples=200)
+@given(bipartite_multigraphs(max_e=12), st.data())
+def test_konig_on_an_edge_subset_colours_the_subgraph(g, data):
+    # the form the kernel runs use: the uncoloured edges in index order,
+    # within their own Delta
+    subset = data.draw(st.sets(st.sampled_from(range(len(g.ids))))
+                       if g.ids else st.just(set()))
+    h = g.restrict_edges(g.ids[i] for i in subset)
+    phi = kernels._konig(g, sorted(subset), h.delta())
+    want = oracles.konig_colour(h)
+    assert phi == [want.get(eid, 0) for eid in g.ids]
+
+
 def test_galvin_orientation_star():
     # K_{1,3} with centre on the X side; arcs follow descending colour
     # at the shared X-vertex, so out-degrees are 2, 1, 0.

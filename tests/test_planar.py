@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -319,6 +321,43 @@ def test_audit_literal_rules_flag_changes_rules():
     assert "delta7" not in named
     # conservation holds under either reading
     assert strict.sum_delta == 0 and normal.sum_delta == 0
+
+
+def test_distance3_audit_at_a_hub_of_degree_delta():
+    # a wheel on 17 rim vertices whose hub 0 (degree 20 = delta) also meets
+    # A = 18 with its leaf 19, B = 20 on a marked edge to the rim, and
+    # O = 21, joined to the rim and to its leaf 22, each inside a triangle
+    # of the wheel
+    def at(slot, radius):
+        angle = 2 * math.pi * slot / 20
+        return radius * math.cos(angle), radius * math.sin(angle)
+
+    slots = [s for s in range(20) if s not in (5, 10, 15)]
+    rim = {s: 1 + i for i, s in enumerate(slots)}
+    points = {0: (0.0, 0.0), 18: at(5, 0.5), 19: at(5, 0.75),
+              20: at(10, 0.5), 21: at(15, 0.5), 22: at(15, 0.75)}
+    points.update((v, at(s, 1.0)) for s, v in rim.items())
+    pairs = [(0, v) for v in rim.values()]
+    pairs += [(v, v % 17 + 1) for v in range(1, 18)]     # the rim cycle
+    pairs += [(0, 18), (18, 19), (0, 20), (20, rim[9]), (0, 21),
+              (21, rim[14]), (21, 22)]
+    g = MultiGraph(23, [(i, u, v) for i, (u, v) in enumerate(pairs)])
+    r = rotation_from_points(g, points)
+    marked = pairs.index((20, rim[9]))
+    led = audit_discharge(g, r, [marked], VARIANT_DISTANCE3)
+    assert led.delta == g.delta() == 20
+    # the hub sends 3 to A, a T-vertex of degree 2, and 2 to B, of degree
+    # 2 and covered by the marked edge; A passes its 3 on to its leaf
+    assert {v: x for v, x in led.gamma.items() if x} == {
+        0: -5, 19: 3, 20: 2, 21: -3, 22: 3}
+    assert [led.classification[v] for v in (18, 20, 21)] == \
+        ["T2'", "U2", "T3"]
+    # at the hub: delta4 on the face closed by the marked edge, delta5 on
+    # the two faces at O, delta6 on every other face
+    hub = Counter(rec["rule"] for rec in led.corner_rules
+                  if rec["vertex"] == 0)
+    assert hub == {"delta4": 1, "delta5": 2, "delta6": 16}
+    assert led.sum_gamma == 0 and led.sum_delta == 0
 
 
 def test_audit_reports_a_light_edge_and_an_even_cycle_together():
