@@ -10,7 +10,9 @@ with --pretty) and signals its outcome through the exit code:
     4  known exceptional shape reported
     5  internal error (a bug in edgeext, never a verdict)
 
-All solving commands re-verify any printed colouring before exiting.
+A solving command prints a colouring only once ``colouring.certify`` has
+checked it against the palette or lists and it keeps every fixed colour
+and avoids every forbidden one; otherwise it exits 5.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import traceback
 
 from .core import (InputError, INFINITE_DISTANCE, MultiGraph, edge_distance,
                    _is_int)
-from .colouring import (Palette, colouring_from_json_obj, colouring_to_json_obj,
-                        is_proper, max_precoloured_degree, _resolve_edge_key)
+from .colouring import (Palette, certify, colouring_from_json_obj,
+                        colouring_to_json_obj, max_precoloured_degree,
+                        _resolve_edge_key)
 from . import exact, kernels, gallai, planar, instances
 
 
@@ -83,19 +86,22 @@ def _emit(obj: dict, args) -> None:
 _EXIT = {exact.SOLVED: 0, exact.UNSOLVABLE: 1, exact.BUDGET: 3}
 
 
-def _finish_outcome(g: MultiGraph, outcome, args, extra=None, palette=None,
+def _finish_outcome(g: MultiGraph, outcome, args, extra=None, allowed=None,
                     fixed=(), forbidden=()) -> int:
+    """Print the outcome; a solved one only if it colours exactly g's
+    edges, edge i from the mask ``allowed[i]`` (see module docstring)."""
     if outcome.solved:
         col = outcome.colouring
-        if not is_proper(g, col):
-            raise AssertionError("refusing to print an improper colouring")
-        if len(col) != len(g.edges):
-            raise AssertionError("refusing to print a partial colouring")
-        if (palette is not None and any(c not in palette for c in col.values())
-                or any(col[e] != fixed[e] for e in fixed)
-                or any(col[e] == forbidden[e] for e in forbidden)):
-            raise AssertionError("refusing to print a colouring that leaves "
-                                 "the palette or breaks a fixed colour")
+        out: dict = {}
+        try:
+            certify(g.ids, g.ends, allowed, [0] * g.n,
+                    ((i, col.get(eid, 0)) for i, eid in enumerate(g.ids)), out)
+            if (out != col or any(col[e] != fixed[e] for e in fixed)
+                    or any(col[e] == forbidden[e] for e in forbidden)):
+                raise AssertionError("an unknown edge, or a colour that "
+                                     "breaks a fixed or forbidden one")
+        except AssertionError as exc:
+            raise AssertionError(f"refusing to print: {exc}") from exc
     if outcome.solved and getattr(args, "dot", None):
         _write(args.dot, g.to_dot(outcome.colouring))
     obj = outcome.to_json_obj()
@@ -153,7 +159,8 @@ def _cmd_extend(args) -> int:
         outcome = planar.extend_planar(g, pre, mode, budget=args.budget)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown method {method!r}")
-    return _finish_outcome(g, outcome, args, palette=palette, fixed=pre)
+    allowed = [exact._mask_of(palette.colours)] * len(g.ids)
+    return _finish_outcome(g, outcome, args, allowed=allowed, fixed=pre)
 
 
 def _pick_method(g, pre, palette) -> str:
@@ -178,7 +185,8 @@ def _cmd_avoid(args) -> int:
     forbidden, declared = _load_colouring(g, args.colours)
     palette = declared if args.palette is None else Palette(args.palette)
     outcome = exact.avoid(g, forbidden, palette, budget=args.budget)
-    return _finish_outcome(g, outcome, args, palette=palette,
+    allowed = [exact._mask_of(palette.colours)] * len(g.ids)
+    return _finish_outcome(g, outcome, args, allowed=allowed,
                            forbidden=forbidden)
 
 
@@ -186,7 +194,8 @@ def _cmd_solve_list(args) -> int:
     g = _load_graph(args.graph)
     lists = _load_lists(g, args.lists)
     outcome = exact.solve_list(g, lists, budget=args.budget)
-    return _finish_outcome(g, outcome, args)
+    allowed = [exact._mask_of(lists[eid]) for eid in g.ids]
+    return _finish_outcome(g, outcome, args, allowed=allowed)
 
 
 def _cmd_chi(args) -> int:

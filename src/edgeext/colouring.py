@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, _is_int
 
@@ -118,6 +118,25 @@ def extension_masks(g: MultiGraph, colouring: Mapping[EdgeId, int],
     if not proper:
         raise InputError("precolouring is not proper")
     return used
+
+
+def certify(ids: Sequence[EdgeId], ends: Sequence[tuple[int, int]],
+            allowed: Sequence[int], used: list[int],
+            pairs: Iterable[tuple[int, int]], out: dict) -> None:
+    """The engines' closing check: write each (edge index i, colour c) of
+    ``pairs`` into ``out[ids[i]]``, raising ``AssertionError`` unless c is
+    in the mask ``allowed[i]`` and new at both ends ``ends[i]``; ``used[w]``
+    is vertex w's colour mask, updated in place.  No mask holds bit 0, so
+    colour 0, an uncoloured edge, always fails."""
+    for i, c in pairs:
+        bit = 1 << c
+        u, v = ends[i]
+        if not allowed[i] & bit or (used[u] | used[v]) & bit:
+            raise AssertionError(f"improper colouring: edge {ids[i]!r} "
+                                 f"may not take colour {c}")
+        used[u] |= bit
+        used[v] |= bit
+        out[ids[i]] = c
 
 
 def used_colours(g: MultiGraph, colouring: Mapping[EdgeId, int]) -> list[int]:

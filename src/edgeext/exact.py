@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .core import EdgeId, InputError, MultiGraph
-from .colouring import Palette, is_proper, validate_precolouring
+from .colouring import Palette, certify, validate_precolouring
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -91,8 +91,8 @@ def solve_list(g: MultiGraph,
     copy of ``fixed``.  The symmetry test reads the lists after that loss.
 
     Every exact search enters here.  It checks the solution on every run,
-    not just in tests: each colour must be in its edge's list and new at
-    both of its ends, so no caller need check it again.
+    not just in tests, by ``certify``: each colour must be in its edge's
+    list and new at both of its ends, so no caller need check it again.
     """
     base = {} if fixed is None else fixed
     used = [0] * g.n
@@ -128,16 +128,7 @@ def solve_list(g: MultiGraph,
     if status != SOLVED:
         return SolveOutcome(status, None, nodes=nodes, depth=depth)
     colouring = dict(base)
-    for i, c in assigned:
-        bit = 1 << c
-        u, v = ends[i]
-        if not masks[i] & bit:
-            raise AssertionError(f"edge {ids[i]!r} coloured outside its list")
-        if (used[u] | used[v]) & bit:
-            raise AssertionError("solver produced an improper colouring")
-        used[u] |= bit
-        used[v] |= bit
-        colouring[ids[i]] = c
+    certify(ids, ends, masks, used, assigned, colouring)
     return SolveOutcome(SOLVED, colouring, nodes=nodes, depth=depth)
 
 
@@ -505,7 +496,8 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
     Edges are the graph's indices, and ``at[v]`` is the mask of the
     colours at v.  Every step colours or recolours edges already coloured,
     except that the edge the loop is on is coloured last, so edges are
-    first coloured in ``g.edges`` order.
+    first coloured in ``g.edges`` order.  ``certify`` checks the result
+    against the palette [vizing_bound(g)].
     """
     if not g.edges:
         return {}
@@ -591,9 +583,6 @@ def vizing_colour(g: MultiGraph) -> dict[EdgeId, int]:
         x, y = (u, v) if g.degree(u) <= g.degree(v) else (v, u)
         run_fan(i, x, y)
 
-    colour = {eid: c for eid, c in zip(g.ids, col) if c}
-    if not is_proper(g, colour):
-        raise AssertionError("fan colouring produced an improper colouring")
-    if len(colour) != len(g.edges):
-        raise AssertionError("fan colouring left edges uncoloured")
+    colour: dict[EdgeId, int] = {}
+    certify(g.ids, ends, [full] * len(ends), [0] * g.n, enumerate(col), colour)
     return colour

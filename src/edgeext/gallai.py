@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, degree_stats, edge_bits
-from .colouring import Palette, extension_masks, used_colours
+from .colouring import Palette, certify, extension_masks, used_colours
 from . import exact
 from .exact import BUDGET, SOLVED, BudgetSpent, SolveOutcome, _mask_of
 
@@ -311,6 +311,8 @@ def degree_list_colour(g: MultiGraph, lists: Mapping[int, Iterable[int]],
     # Isolated vertices: any colour of a non-empty list works.
     verts = set(edge_bits(region))
     for v in lists:
+        if v not in range(g.n):
+            raise InputError(f"list key {v!r} is not a vertex")
         if v not in verts and not lists[v]:
             raise InputError(f"vertex {v} has an empty colour list")
     colouring = {v: min(lists[v]) for v in lists if v not in verts}
@@ -404,9 +406,9 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
     line graph from the colours of [q] neither end uses: greedy where a
     list has slack, ``exact.solve_list`` where every list is tight,
     counting the nodes of every search.  The callers ruled out both
-    exceptional shapes, so a failure is a bug and raises, as does a colour
-    outside its edge's list or not new at both ends; a search past
-    ``budget`` is BUDGET."""
+    exceptional shapes, so a failure is a bug and raises, as does a
+    colouring that fails ``certify``; a search past ``budget`` is
+    BUDGET."""
     d = g.dense()
     adjacent = d.adjacent
     ids, ends = g.ids, g.ends
@@ -443,7 +445,7 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
             # every list tight: exact search decides the component
             edges = list(edge_bits(comp))
             outcome = exact.solve_list(
-                g.restrict_edges(ids[i] for i in edges),
+                MultiGraph(g.n, [g.edges[i] for i in edges]),
                 {ids[i]: exact._colours_of(lists[i]) for i in edges}, budget)
             nodes += outcome.nodes
             if outcome.status == BUDGET:
@@ -453,14 +455,7 @@ def _extend(g: MultiGraph, c: Mapping[EdgeId, int], q: int,
                 raise AssertionError("non-exceptional instance failed")
             part = {g.index[eid]: colour
                     for eid, colour in outcome.colouring.items()}
-        for i, colour in part.items():
-            bit = 1 << colour
-            u, v = ends[i]
-            if not lists[i] & bit or (used[u] | used[v]) & bit:
-                raise AssertionError("degree-list colouring is improper")
-            used[u] |= bit
-            used[v] |= bit
-            colouring[ids[i]] = colour
+        certify(ids, ends, lists, used, part.items(), colouring)
     return SolveOutcome(SOLVED, colouring, nodes=nodes, method="gallai")
 
 

@@ -297,10 +297,10 @@ def canonical_form(g: MultiGraph, generators: list | None = None,
 
 
 def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
-                          connected_only: bool = True,
                           delta_max: int | None = None
                           ) -> Iterator[MultiGraph]:
-    """All multigraphs within the bounds, one per isomorphism class.
+    """All connected multigraphs within the bounds, one per isomorphism
+    class.
 
     Graphs have no isolated vertices and at least one edge; the stream is
     produced level by level in edge count, each level in canonical-form
@@ -310,22 +310,20 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
     that augmentation accepts.
     """
     for g, _ in _multigraphs_with_automorphisms(n_max, e_max, mu_max,
-                                                connected_only, delta_max):
+                                                delta_max):
         yield g
 
 
-def _multigraphs_with_automorphisms(n_max, e_max, mu_max, connected_only,
-                                    delta_max):
+def _multigraphs_with_automorphisms(n_max, e_max, mu_max, delta_max):
     """``enumerate_multigraphs``'s stream, each graph with the automorphism
     generators ``canonical_form`` found on it, as vertex images.
 
     Canonical augmentation (McKay 1998, "Isomorph-free exhaustive
     generation").  An edge of a graph is removable if taking it out, and
-    any vertex left isolated, leaves a graph of the family: with
-    ``connected_only`` a pendant edge or a non-bridge, else any edge.  Of
-    the removable edges, the canonical one has the largest invariant (see
-    ``_children``), ties broken by the largest ranked pair under the
-    labelling of ``canonical_form``'s best leaf.  A graph h is kept as a
+    any vertex left isolated, leaves a connected graph: a pendant edge or
+    a non-bridge.  Of the removable edges, the canonical one has the
+    largest invariant (see ``_children``), ties broken by the largest
+    ranked pair under the labelling of ``canonical_form``'s best leaf.  A graph h is kept as a
     child of g, h = g plus a new edge, iff the new edge lies in the
     automorphism orbit of h's canonical edge.  Then h minus its canonical
     edge is isomorphic to g, so h is kept only from the one graph of
@@ -349,7 +347,7 @@ def _multigraphs_with_automorphisms(n_max, e_max, mu_max, connected_only,
             break
         level = [child for _, g, automorphisms in level
                  for child in _children(g, automorphisms, n_max, mu_max,
-                                        delta_max, connected_only)]
+                                        delta_max)]
 
 
 def _orbit(p, image, generators):
@@ -380,12 +378,10 @@ def _pair_image(gamma, pair):
     return (a, b) if a < b else (b, a)
 
 
-def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
-             connected_only, mults):
+def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max, mults):
     """The vertex pairs (u, v), u < v, that a new edge of g may join, one
-    per orbit of g's automorphisms; v = g.n is a new vertex, and (g.n,
-    g.n + 1) a new edge on two new ones.  ``mults`` counts g's edges at
-    each pair."""
+    per orbit of g's automorphisms; v = g.n is a new vertex.  ``mults``
+    counts g's edges at each pair."""
     cap = len(g.edges) + 1 if delta_max is None else delta_max
     # automorphisms keep degrees and multiplicities: they map these to these
     free = [v for v in range(g.n) if g.degree(v) < cap]
@@ -395,16 +391,13 @@ def _augment(g: MultiGraph, generators, n_max, mu_max, delta_max,
     if g.n < n_max:
         for u in _orbit_leaders(free, _vertex_image, generators):
             yield u, g.n
-    if not connected_only and g.n + 2 <= n_max:
-        yield g.n, g.n + 1
 
 
 def _vertex_image(gamma, v):
     return gamma[v]
 
 
-def _children(g: MultiGraph, generators, n_max, mu_max, delta_max,
-              connected_only):
+def _children(g: MultiGraph, generators, n_max, mu_max, delta_max):
     """The children of g that canonical augmentation keeps, as (form,
     graph, generators) (see ``_multigraphs_with_automorphisms``).
 
@@ -425,15 +418,13 @@ def _children(g: MultiGraph, generators, n_max, mu_max, delta_max,
     # the bridges of g, each with the vertices on its first end's side;
     # a bridge stays one in a child unless the new edge crosses it
     sides = {}
-    if connected_only:
-        for (a, b), m in mults.items():
-            if m == 1:
-                side = _side(far, a, b)
-                if not side >> b & 1:
-                    sides[a, b] = side
-    base = list(map(len, g.incidence)) + [0, 0]
-    for u, v in _augment(g, generators, n_max, mu_max, delta_max,
-                         connected_only, mults):
+    for (a, b), m in mults.items():
+        if m == 1:
+            side = _side(far, a, b)
+            if not side >> b & 1:
+                sides[a, b] = side
+    base = list(map(len, g.incidence)) + [0]
+    for u, v in _augment(g, generators, n_max, mu_max, delta_max, mults):
         deg = base[:]
         deg[u] += 1
         deg[v] += 1
@@ -1027,8 +1018,7 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
               "max_k": max_k, "palette_offset": palette_offset}
     report = VerificationReport(claim=claim, bounds=bounds)
     start = time.monotonic()
-    graphs = _multigraphs_with_automorphisms(max_n, max_e, max_mu, True,
-                                             delta_max)
+    graphs = _multigraphs_with_automorphisms(max_n, max_e, max_mu, delta_max)
 
     def tally(result) -> bool:
         """Add one graph's result; True once it holds a counterexample."""

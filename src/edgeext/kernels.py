@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import EdgeId, InputError, MultiGraph, _id_sort_key, edge_bits
-from .colouring import (Palette, check_load, extension_masks, is_proper,
-                        merge_colourings, used_colours)
+from .colouring import (Palette, certify, check_load, extension_masks,
+                        is_proper, used_colours)
 from . import exact
 from .exact import SolveOutcome, SOLVED, UNSOLVABLE
 
@@ -110,7 +110,7 @@ def _konig(g: MultiGraph, edges: Sequence[int], delta: int) -> list[int]:
     free at u and b free at v; if no colour is free at both, flipping the
     a/b chain from v (``exact._flip_chain``) frees a at both ends, since
     by parity the chain cannot reach u.  ``used[w]`` is the mask of the
-    colours at w.
+    colours at w.  The colouring passes ``certify`` against [delta].
     """
     ends, incidence = g.ends, g.incidence
     phi = [0] * len(ends)
@@ -130,15 +130,8 @@ def _konig(g: MultiGraph, edges: Sequence[int], delta: int) -> list[int]:
         phi[i] = c
         used[u] |= 1 << c
         used[v] |= 1 << c
-    seen = [0] * g.n
-    for i in edges:
-        c = phi[i]
-        u, v = ends[i]
-        if not 1 <= c <= delta or (seen[u] | seen[v]) >> c & 1:
-            raise AssertionError("alternating-path colouring is improper "
-                                 "or exceeded Delta")
-        seen[u] |= 1 << c
-        seen[v] |= 1 << c
+    certify(g.ids, ends, [full] * len(ends), [0] * g.n,
+            ((i, phi[i]) for i in edges), {})
     return phi
 
 
@@ -374,14 +367,15 @@ class _EdgeSet:
         return used, lists
 
 
-def _list_colour(s: _EdgeSet, lists: Sequence[int],
-                 used: Sequence[int]) -> SolveOutcome | None:
-    """List-colour the uncoloured edges of ``s`` by kernel extraction:
-    one kernel per colour, from the set's memo by its active mask.
-    ``lists[i]`` is edge i's colour mask and ``used`` the colours coloured
-    edges take at each vertex; a colouring that clashes with them or with
-    itself raises, as does a stall on lists of at least the orientation's
-    Delta, which Galvin's theorem rules out.
+def _list_colour(s: _EdgeSet, lists: Sequence[int], used: list[int],
+                 base: Mapping[EdgeId, int]) -> SolveOutcome | None:
+    """List-colour the uncoloured edges of ``s`` by kernel extraction,
+    one kernel per colour from the set's memo by its active mask, and
+    return that colouring merged into a copy of the precolouring ``base``.
+    ``lists[i]`` is edge i's colour mask and ``used`` the colours ``base``
+    takes at each vertex, updated in place; a colouring that fails
+    ``certify`` raises, as does a stall on lists of at least the
+    orientation's Delta, which Galvin's theorem rules out.
 
     A stall below that bound returns None, and the caller searches its
     own instance from scratch, since the colours committed so far are no
@@ -391,15 +385,12 @@ def _list_colour(s: _EdgeSet, lists: Sequence[int],
     e's list is empty, and a search refutes at its root.
     """
     g, edges = s.g, s.edges
-    ids, ends = g.ids, g.ends
-    if not edges:
-        return SolveOutcome(SOLVED, {}, method=KERNEL)
     kernels = s.kernels
     left = union = 0
     for i in edges:
         left |= 1 << i
         union |= lists[i]
-    colour = [0] * len(ids)
+    colour = [0] * len(g.ids)
     pending = edges
     # one kernel per colour, in increasing order, among the edges still
     # uncoloured whose lists hold it
@@ -424,16 +415,9 @@ def _list_colour(s: _EdgeSet, lists: Sequence[int],
             raise AssertionError("kernel path stalled on lists meeting "
                                  "Galvin's bound")
         return None
-    seen = list(used)
-    for i in edges:
-        bit = 1 << colour[i]
-        u, v = ends[i]
-        if (seen[u] | seen[v]) & bit:
-            raise AssertionError("kernel colouring is improper")
-        seen[u] |= bit
-        seen[v] |= bit
-    return SolveOutcome(SOLVED, {ids[i]: colour[i] for i in edges},
-                        method=KERNEL)
+    out = dict(base)
+    certify(g.ids, g.ends, lists, used, ((i, colour[i]) for i in edges), out)
+    return SolveOutcome(SOLVED, out, method=KERNEL)
 
 
 def list_colour_bipartite(g: MultiGraph,
@@ -454,7 +438,7 @@ def list_colour_bipartite(g: MultiGraph,
         if eid not in lists:
             raise InputError(f"edge {eid!r} has no colour list")
     masks = [exact._mask_of(lists[eid]) for eid in g.ids]
-    outcome = _list_colour(_EdgeSet(g, (), is_x), masks, [0] * g.n)
+    outcome = _list_colour(_EdgeSet(g, (), is_x), masks, [0] * g.n, {})
     if outcome is None:
         outcome = exact.solve_list(g, lists, budget)
         outcome.method = EXACT_FALLBACK
@@ -481,14 +465,12 @@ def _prepare(g: MultiGraph, is_x: Sequence[bool] | None,
             last = _EdgeSet(g, c, is_x)
         s = last
         used, lists = s.lists(c, q, need)
-        outcome = None if s.is_x is None else _list_colour(s, lists, used)
+        outcome = None if s.is_x is None else _list_colour(s, lists, used, c)
         if outcome is None:
             outcome = exact.prepare_extend(g, Palette(q))(c, budget)
             outcome.method = EXACT_FALLBACK
             if outcome.status == UNSOLVABLE:
                 raise AssertionError("extension failed despite its guarantee")
-        else:
-            outcome.colouring = merge_colourings(c, outcome.colouring)
         return outcome
     return run
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (EdgeId, InputError, MultiGraph, _id_sort_key,
                    is_distance_matching)
-from .colouring import Palette, is_proper, validate_precolouring
+from .colouring import Palette, certify, is_proper, validate_precolouring
 from . import exact
 from .exact import SolveOutcome, SOLVED, _colours_of
 
@@ -318,6 +318,7 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
     the current subgraph, which is sound: a subgraph that cannot be
     extended proves the original cannot either.  The outcome then carries
     that search's nodes and depth (0 and 0 when it never runs).
+    ``certify`` checks the colouring against the palette.
     """
     if mode not in (VARIANT_MATCHING, VARIANT_DISTANCE3):
         raise InputError(f"unknown mode {mode!r}")
@@ -419,17 +420,13 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
             for eid, c in colour_even_cycle_lists(g, step.edges,
                                                   lists).items():
                 place(index[eid], c)
-    if not is_proper(g, colouring):
-        raise AssertionError("planar extension is improper")
-    for eid, c in colouring.items():
-        if c not in palette:
-            raise AssertionError("planar extension left the palette")
+    out: dict[EdgeId, int] = {}
+    certify(ids, ends, [free_mask] * len(ids), [0] * g.n,
+            ((i, colouring.get(eid, 0)) for i, eid in enumerate(ids)), out)
     for eid, c in m.items():
-        if colouring.get(eid) != c:
+        if out[eid] != c:
             raise AssertionError("planar extension changed a precoloured edge")
-    if len(colouring) != len(g.edges):
-        raise AssertionError("planar extension left edges uncoloured")
-    return SolveOutcome(SOLVED, colouring, nodes, depth, method)
+    return SolveOutcome(SOLVED, out, nodes, depth, method)
 
 
 # -- discharging audit ---------------------------------------------------
@@ -653,9 +650,6 @@ def audit_discharge(g: MultiGraph, r: RotationSystem,
 def _delta_rule(variant, v, vminus, merged, degree, delta, in_t, v1, t2,
                 v2p, adjacency, m_pairs, literal_rules):
     d = degree[v]
-
-    def nbrs_on_face():
-        return adjacency[v] & (vminus - {v})
 
     if variant == VARIANT_MATCHING:
         if d == 3 and v in in_t:

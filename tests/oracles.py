@@ -1260,10 +1260,10 @@ def canonical_form(g: MultiGraph) -> tuple:
 
 
 def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
-                          connected_only: bool = True,
                           delta_max: int | None = None
                           ) -> Iterator[MultiGraph]:
-    """All multigraphs within the bounds, one per isomorphism class.
+    """All connected multigraphs within the bounds, one per isomorphism
+    class.
 
     Graphs have no isolated vertices and at least one edge; the stream is
     produced level by level in edge count and is deterministic.
@@ -1287,7 +1287,7 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
             break
         nxt = {}
         for _, g in ordered:
-            for h in _augment(g, n_max, mu_max, connected_only):
+            for h in _augment(g, n_max, mu_max):
                 if not ok_degrees(h):
                     continue
                 key = canonical_form(h)
@@ -1296,7 +1296,7 @@ def enumerate_multigraphs(n_max: int, e_max: int, mu_max: int = 1,
         level = nxt
 
 
-def _augment(g: MultiGraph, n_max, mu_max, connected_only):
+def _augment(g: MultiGraph, n_max, mu_max):
     e = len(g.edges)
     mults = {}
     for _, u, v in g.edges:
@@ -1309,8 +1309,6 @@ def _augment(g: MultiGraph, n_max, mu_max, connected_only):
     if g.n < n_max:
         for u in range(g.n):
             yield MultiGraph(g.n + 1, list(g.edges) + [(e, u, g.n)])
-    if not connected_only and g.n + 2 <= n_max:
-        yield MultiGraph(g.n + 2, list(g.edges) + [(e, g.n, g.n + 1)])
 
 
 def _colourings_of(g, subset, palette, up_to_permutation):

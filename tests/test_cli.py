@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import edgeext
-from edgeext import exact
+from edgeext import cli, exact
 from edgeext.cli import run
 
 from conftest import prism, random_extension_instance
@@ -443,6 +443,44 @@ def test_a_colouring_the_input_rules_out_is_never_printed(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "refusing to print" in json.loads(captured.err)["error"]
+
+
+def test_solve_list_never_prints_a_colouring_outside_the_lists(
+        tmp_path, capsys, monkeypatch):
+    # proper, complete and inside [2], but edge 1's list is {2}
+    monkeypatch.setattr(exact, "solve_list", lambda *args, **kwargs:
+                        exact.SolveOutcome(exact.SOLVED, {0: 2, 1: 1}))
+    gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 0, 1],
+                                                         [1, 1, 2]]})
+    lpath = write(tmp_path, "l.json", {"lists": {"0": [1, 2], "1": [2]}})
+    assert run(["solve-list", "--graph", gpath, "--lists", lpath,
+                "--no-timestamp"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to print" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("verb, flag, obj", [
+    ("extend", "--colours", {"palette": 3, "colours": {"0": 1}}),
+    ("avoid", "--colours", {"palette": 3, "colours": {"0": 1}}),
+    ("solve-list", "--lists", {"lists": {"0": [1, 2], "1": [1, 2],
+                                         "2": [2, 3]}}),
+])
+def test_printed_colourings_pass_through_certify(tmp_path, capsys,
+                                                 monkeypatch, verb, flag,
+                                                 obj):
+    # only the CLI's own binding refuses, so the engine's answer reaches it
+    def refuse(*args):
+        raise RuntimeError("certify refused")
+
+    monkeypatch.setattr(cli, "certify", refuse)
+    gpath = write(tmp_path, "g.json", {"n": 3, "edges": [[0, 0, 1], [1, 1, 2],
+                                                         [2, 2, 0]]})
+    path = write(tmp_path, "in.json", obj)
+    assert run([verb, "--graph", gpath, flag, path, "--no-timestamp"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "certify refused" in json.loads(captured.err)["error"]
 
 
 def test_extend_exact_deep_instance(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from edgeext.core import InputError, MultiGraph, edges_path
-from edgeext.colouring import (Palette, check_load, colouring_from_json,
-                               colouring_to_json_obj, extension_masks,
-                               is_proper,
+from edgeext import cli, exact, gallai, kernels, planar
+from edgeext.core import InputError, MultiGraph, edges_cycle, edges_path
+from edgeext.colouring import (Palette, certify, check_load,
+                               colouring_from_json, colouring_to_json_obj,
+                               extension_masks, is_proper,
                                max_precoloured_degree, merge_colourings,
                                precoloured_degree_vertex, reduce_to_lists,
                                validate_precolouring)
@@ -176,3 +177,71 @@ def test_reduction_preserves_extensions(g, k):
     for eid in reduced.edge_ids:
         for c in lists[eid]:
             assert is_proper(g, merge_colourings(pre, {eid: c}))
+
+
+def test_certify_records_checked_colours_and_refuses_the_rest():
+    # a path 0-1-2 of edges "a" and "b", each of which may take 1 or 2
+    ids, ends, allowed = ["a", "b"], [(0, 1), (1, 2)], [0b110, 0b110]
+    used, out = [0, 0, 0], {"x": 3}
+    certify(ids, ends, allowed, used, [(0, 1), (1, 2)], out)
+    assert out == {"x": 3, "a": 1, "b": 2}
+    assert used == [0b10, 0b110, 0b100]
+    for pairs in ([(0, 1), (1, 1)],     # both colour 1 at vertex 1
+                  [(0, 3)],             # outside the list
+                  [(1, 0)]):            # uncoloured
+        with pytest.raises(AssertionError, match="improper"):
+            certify(ids, ends, allowed, [0, 0, 0], pairs, {})
+
+
+class _Certified(Exception):
+    pass
+
+
+def _k(n):
+    return MultiGraph(n, [(i, u, v) for i, (u, v) in enumerate(
+        (u, v) for u in range(n) for v in range(u + 1, n))])
+
+
+# Each engine path on a solvable instance, and the module whose certify it
+# reaches first.
+ROUTES = {
+    "solve_list": (lambda: exact.solve_list(
+        edges_cycle(3), dict.fromkeys(range(3), (1, 2, 3))), "exact"),
+    "extend": (lambda: exact.extend(edges_cycle(3), {0: 1}, Palette(3)),
+               "exact"),
+    "avoid": (lambda: exact.avoid(edges_cycle(3), {0: 1}, Palette(3)),
+              "exact"),
+    "vizing_colour": (lambda: exact.vizing_colour(edges_cycle(3)), "exact"),
+    "list_colour_bipartite": (lambda: kernels.list_colour_bipartite(
+        edges_cycle(4), None, dict.fromkeys(range(4), (1, 2))), "kernels"),
+    "extend_bipartite": (lambda: kernels.extend_bipartite(
+        edges_cycle(4), None, {0: 1}, 1), "kernels"),
+    "extend_shannon kernel": (lambda: kernels.extend_shannon(
+        edges_cycle(4), {0: 1}, 1), "kernels"),
+    "extend_shannon fallback": (lambda: kernels.extend_shannon(
+        edges_cycle(3), {}, 1), "exact"),
+    "extend_gallai": (lambda: gallai.extend_gallai(edges_path(4), {}, 1),
+                      "gallai"),
+    "extend_subcubic greedy": (lambda: gallai.extend_subcubic(
+        edges_path(4), {}), "gallai"),
+    "extend_subcubic tight": (lambda: gallai.extend_subcubic(
+        _k(4), {0: 1, 5: 2}), "exact"),
+    "extend_planar reduction": (lambda: planar.extend_planar(
+        edges_path(4), {}, planar.VARIANT_MATCHING), "planar"),
+    "extend_planar fallback": (lambda: planar.extend_planar(
+        _k(5), {}, planar.VARIANT_MATCHING), "exact"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_every_engine_returns_only_certified_colourings(monkeypatch, route):
+    call, first = ROUTES[route]
+    result = call()
+    assert result if isinstance(result, dict) else result.solved
+    for module in (exact, gallai, kernels, planar, cli):
+        def refuse(*args, name=module.__name__):
+            raise _Certified(name)
+        monkeypatch.setattr(module, "certify", refuse)
+    with pytest.raises(_Certified) as raised:
+        call()
+    assert raised.value.args == (f"edgeext.{first}",)

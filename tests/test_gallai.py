@@ -177,6 +177,13 @@ def test_degree_list_colour_names_an_isolated_vertex_without_colours():
         degree_list_colour(g, {0: {1}, 1: {1, 2}, 2: set()})
 
 
+def test_degree_list_colour_names_a_list_key_that_is_no_vertex():
+    g = MultiGraph(3, [(0, 0, 1)])
+    for key in (7, -1):
+        with pytest.raises(InputError, match=f"list key {key} is not a vertex"):
+            degree_list_colour(g, {0: {1, 2}, 1: {2}, 2: {1}, key: {1}})
+
+
 # -- exceptional shapes --------------------------------------------------
 
 def test_exception_shapes_detected():

@@ -242,19 +242,9 @@ def test_enumeration_respects_delta_max():
         assert g.delta() <= 3
 
 
-def test_enumeration_disconnected_mode():
-    got = [canonical_form(g)
-           for g in enumerate_multigraphs(4, 3, 1, connected_only=False)]
-    assert len(got) == len(set(got))
-    # contains the two-disjoint-edges graph
-    two = MultiGraph(4, [(0, 0, 1), (1, 2, 3)])
-    assert canonical_form(two) in got
-
-
 @pytest.mark.parametrize("bounds, options", [
     ((6, 6, 2), {}),
     ((7, 6, 3), {"delta_max": 3}),
-    ((5, 5, 2), {"connected_only": False}),
 ])
 def test_enumeration_stream_matches_the_unpruned_one(bounds, options):
     # the same classes in the same order, and as many at each level, as
@@ -661,8 +651,7 @@ def test_prepared_runs_answer_as_the_public_extenders(engine, k, rnd,
 def test_edge_automorphisms_map_ends_onto_themselves():
     # each generator's edge permutation moves every edge onto one between
     # the images of its ends; the rest swap two parallel edges
-    for g, automorphisms in _multigraphs_with_automorphisms(5, 6, 3, True,
-                                                            None):
+    for g, automorphisms in _multigraphs_with_automorphisms(5, 6, 3, None):
         perms = _edge_automorphisms(g, automorphisms)
         ends = sorted(map(sorted, g.ends))
         for i, perm in enumerate(perms):
@@ -733,7 +722,7 @@ def test_every_case_is_first_checked_by_dominance(claim):
     # or its palette leaves a colour for each edge added greedily.  Then
     # the instance-by-instance pass runs only after a failure.
     offsets = (0, -1) if claim in OFFSET_CLAIMS else (0,)
-    for g, _ in _multigraphs_with_automorphisms(5, 6, 2, True, None):
+    for g, _ in _multigraphs_with_automorphisms(5, 6, 2, None):
         for max_k, offset in itertools.product((1, 2, 3), offsets):
             cases, _, _ = _plan(claim, g, max_k, offset, None)
             for k, size, t in cases:
@@ -779,10 +768,8 @@ def test_verify_leaves_no_cyclic_garbage():
     try:
         for claim in sorted(CLAIMS):
             assert verify(claim, max_n=4, max_e=5, max_mu=2, max_k=2).ok
-        # the generator on its own, in both modes
+        # the generator on its own
         assert sum(1 for _ in enumerate_multigraphs(6, 6, 2)) == 112
-        assert sum(1 for _ in enumerate_multigraphs(
-            5, 5, 2, connected_only=False)) == 48
         gc.collect()
         left = [type(o).__name__ for o in gc.garbage[before:]]
     finally:

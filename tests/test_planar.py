@@ -323,6 +323,20 @@ def test_audit_literal_rules_flag_changes_rules():
     assert strict.sum_delta == 0 and normal.sum_delta == 0
 
 
+def test_audit_literal_rules_skip_the_fallback_corner_rules():
+    # on a wheel every hub corner takes delta6; here 14 corners fall
+    # through to delta7 and one to delta9, which the literal reading skips
+    g, r = hub_triangulation(18, 60, 1)
+    for literal, suffix in ((False, ""), (True, "-literal-skipped")):
+        led = audit_discharge(g, r, [], VARIANT_MATCHING,
+                              literal_rules=literal)
+        counts = Counter(rec["rule"]
+                         for rec in led.to_json_obj()["corner_rules"])
+        assert (counts["delta7" + suffix], counts["delta9" + suffix]) == \
+            (14, 1)
+        assert led.sum_delta == 0
+
+
 def test_distance3_audit_at_a_hub_of_degree_delta():
     # a wheel on 17 rim vertices whose hub 0 (degree 20 = delta) also meets
     # A = 18 with its leaf 19, B = 20 on a marked edge to the rim, and
