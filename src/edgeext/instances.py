@@ -505,6 +505,80 @@ def _side(far, a, b):
     return reached
 
 
+def _bridges(g: MultiGraph) -> int:
+    """The bridges of g as an edge mask, by low points, in one iterative
+    depth-first search from each unvisited vertex.  Only the tree edge
+    itself is skipped at its far end, so a parallel edge is never a
+    bridge."""
+    ends, incidence = g.ends, g.incidence
+    order = [0] * g.n               # 1 + discovery rank; 0 until visited
+    low = [0] * g.n
+    clock = mask = 0
+    for root in range(g.n):
+        if order[root]:
+            continue
+        clock += 1
+        order[root] = low[root] = clock
+        stack = [(root, -1, iter(incidence[root]))]
+        while stack:
+            v, via, edges = stack[-1]
+            for i in edges:
+                if i == via:
+                    continue
+                a, b = ends[i]
+                w = b if a == v else a
+                if not order[w]:
+                    clock += 1
+                    order[w] = low[w] = clock
+                    stack.append((w, i, iter(incidence[w])))
+                    break
+                low[v] = min(low[v], order[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > order[u]:
+                        mask |= 1 << via
+    return mask
+
+
+def _reducible(g: MultiGraph, q: int, same_degrees: bool) -> int:
+    """The reducible edges of g at palette size q, as an edge mask (see
+    ``_check_graph``).
+
+    An edge e = uv is reducible when d(u) + d(v) - 2 < q and G' = g - e,
+    less a vertex this leaves isolated, is connected: e is no bridge, or e
+    is pendant and g has another edge.  With ``same_degrees``, G' must
+    also keep g's Delta and mu.  O(m): degree and parallel-class counts,
+    and one bridge search.
+    """
+    deg = list(map(len, g.incidence))
+    pairs = [(u, v) if u < v else (v, u) for u, v in g.ends]
+    mults: dict[tuple[int, int], int] = {}
+    for pair in pairs:
+        mults[pair] = mults.get(pair, 0) + 1
+    bridges = _bridges(g)
+    single = len(pairs) == 1
+    if same_degrees:
+        delta = max(deg)
+        mu = max(mults.values())
+        tops = deg.count(delta)             # the vertices of degree Delta
+        widest = list(mults.values()).count(mu)
+    mask = 0
+    for i, (u, v) in enumerate(pairs):
+        du, dv = deg[u], deg[v]
+        if du + dv - 2 >= q:
+            continue
+        if bridges >> i & 1 and (du > 1 and dv > 1 or single):
+            continue
+        if same_degrees and ((du == delta) + (dv == delta) == tops
+                             or mults[u, v] == mu and widest == 1):
+            continue                        # Delta or mu would fall
+        mask |= 1 << i
+    return mask
+
+
 def _within(g: MultiGraph, t: int) -> list[int]:
     """The edges within line-graph distance t of each edge, itself
     included, as edge masks, by one breadth-first search to depth t from
@@ -667,6 +741,16 @@ CLAIMS = {
 OFFSET_CLAIMS = ("matching-extension", "matching-avoidance",
                  "distance3-extension")
 
+#: The claims whose sweeps skip the sets that miss a reducible edge (see
+#: ``_check_graph``), each with whether G' must keep g's Delta and mu:
+#: the offset claims' palettes depend on them, the subcubic claim's [4]
+#: does not.  The others check their engines as well as their theorems
+#: (criterion 4 counts kernel runs), and ``line-degree-extension``
+#: excepts shapes G' may have where g does not.
+REDUCIBLE_CLAIMS = {"matching-extension": True, "matching-avoidance": True,
+                    "distance3-extension": True,
+                    "subcubic-matching-extension": False}
+
 
 @dataclass
 class VerificationReport:
@@ -711,7 +795,9 @@ def _plan(claim: str, g: MultiGraph, max_k: int, palette_offset: int,
     of pairwise distance > t that meet each vertex at most k times (any
     number for k None).  The extender takes a precolouring, k and the
     palette, and returns an outcome, or None for an instance the claim
-    itself excepts.  A claim that does not apply to g has no cases.
+    itself excepts.  A claim that does not apply to g has no cases.  The
+    claims whose maximal sets may skip reducible edges are the
+    ``REDUCIBLE_CLAIMS``.
 
     The engine is prepared here, once per graph, by the ``prepare_*``
     entry of its module, and the extender is its run.  The walk builds
@@ -843,28 +929,51 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
       extender returns restricts, on every later maximal set L, to a
       precolouring of L that phi extends; renamed by first use, it is a
       precolouring ``_colourings`` lists, and it passes with no run.
+    - Reducible edges, for the ``REDUCIBLE_CLAIMS``, whose cases take
+      matchings or distance-3 matchings at a palette of size q fixed by
+      Delta and mu alone, or [4] for the subcubic claim.  Let e = uv be a
+      reducible edge (``_reducible``): d(u) + d(v) - 2 < q, and G' = g -
+      e, less a vertex this isolates, is connected, and keeps g's Delta
+      and mu where the palette depends on them.  G' has one edge fewer and
+      lies inside every bound of the sweep (a subgraph of a subcubic graph
+      is subcubic), so the stream, fewest edges first, has checked the
+      claim on G' before g.  A set S that misses e is a set of the same
+      case in G' (deleting an edge only lengthens distances), at the same
+      palette, so each colouring of G' the claim gives that extends (or
+      avoids) a precolouring of S leaves a colour for e, which meets at
+      most q - 1 coloured edges and is forbidden none.  So in the pruned
+      pass no maximal set that misses a reducible edge runs.
 
     Orbits keep the first failing instance: every set before it passes,
-    or is the image of one that passed.  Dominance and certificates show
-    only that a case passes, not which instance fails first.  So once any
-    check of that pass fails or spends its budget, the case is checked
-    again instance by instance, on every orbit's first set with no
-    certificate, and the counts and the counterexample are those of
-    checking every set.  On a failing graph, ``instances_checked`` counts
-    the runs of the cases that passed and those of that re-check up to the
-    failure, not the runs of the pass that failed.
+    or is the image of one that passed.  Dominance, certificates and
+    reducible edges show only that a case passes, not which instance fails
+    first (and reducible edges only once every graph before g passed, as
+    ``verify`` stops at the first failing graph, in stream order for any
+    ``jobs``).  So once any check of that pass fails or spends its budget,
+    the case is checked again instance by instance, on every orbit's
+    first set with no certificate, and the counts and the counterexample
+    are those of checking every set.  On a failing graph,
+    ``instances_checked`` counts the runs of the cases that passed and
+    those of that re-check up to the failure, not the runs of the pass
+    that failed.
 
     A search that passes ``budget`` raises ``exact.BudgetSpent``.
     """
     cases, extend, note = _plan(claim, g, max_k, palette_offset, budget)
+    if not cases:
+        return 0, 0, None
     perms = _edge_automorphisms(g, automorphisms)
+    same_degrees = REDUCIBLE_CLAIMS.get(claim)
     instances = checked = 0
     for k, size, t in cases:
         palette = Palette(size)
         pruned = t >= 1 or \
             k is not None and size >= 2 * min(k, g.delta()) - 1
+        reducible = 0 if same_degrees is None \
+            else _reducible(g, size, same_degrees)
         counts = _check_case(g, k, t, palette, perms, extend, pruned,
-                             pruned and claim != "matching-avoidance")
+                             pruned and claim != "matching-avoidance",
+                             reducible)
         instances += counts[0]
         checked += counts[1]
         if counts[2] is not None:
@@ -874,23 +983,25 @@ def _check_graph(claim: str, g: MultiGraph, automorphisms, max_k: int,
 
 
 def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
-                dominance: bool, certify: bool):
+                dominance: bool, certify: bool, reducible: int = 0):
     """(instances, instances checked, the first failing precolouring or
     None) of one case (see ``_check_graph``).
 
     The extender runs on the first set of each orbit, in stream order;
-    with ``dominance``, only on the maximal ones, and once an instance
-    fails or spends its budget the case is checked again without
-    dominance or certificates.  With ``certify``, every colouring found
-    is kept, and a set runs only the precolourings that no restriction of
-    one covers; a set they cover is skipped.  Each set counts as many
+    with ``dominance``, only on the maximal ones that hold every edge of
+    the mask ``reducible``, and once an instance fails or spends its
+    budget the case is checked again without dominance, certificates or
+    reducible edges.  With ``certify``, every colouring found is kept,
+    and a set runs only the precolourings that no restriction of one
+    covers; a set they cover is skipped.  Each set counts as many
     instances as its table of ``_colourings`` holds, and runs them in its
     order.  A set the extender may run on is counted once per orbit; a set
-    dominance skips is counted on its own, with no orbit built.  The
-    precolourings a set runs reach the extender in a row, so a prepared
-    run may keep what it derives from the set alone until the set changes
-    (see ``kernels._EdgeSet``).  A solved outcome passes with no second
-    check, as each engine checks its own colouring (see ``_plan``).
+    that dominance or a reducible edge skips is counted on its own, with
+    no orbit built.  The precolourings a set runs reach the extender in a
+    row, so a prepared run may keep what it derives from the set alone
+    until the set changes (see ``kernels._EdgeSet``).  A solved outcome
+    passes with no second check, as each engine checks its own colouring
+    (see ``_plan``).
     """
     q = palette.k
     # every set is a matching for t >= 1 or a cap of at most 1, and its
@@ -898,12 +1009,15 @@ def _check_case(g: MultiGraph, k, t: int, palette: Palette, perms, extend,
     matchings = t >= 1 or k is not None and k <= 1
     counted = {}            # a set of a visited orbit: its precolourings
     found = []              # the colourings found, as lookups
+    bit = {eid: 1 << i for i, eid in enumerate(g.ids)} if reducible else None
     instances = checked = 0
     for subset, maximal in enumerate_edge_sets(g, t, k, True):
         # a set the extender may run on is counted once per orbit; any
-        # other is counted directly, as maximality is invariant under
-        # automorphisms and no set that runs would read its orbit
-        runs = maximal or not dominance
+        # other is counted directly, as maximality and missing a reducible
+        # edge are invariant under automorphisms and no set that runs
+        # would read its orbit
+        runs = not dominance or maximal and not (
+            reducible and reducible & ~sum(map(bit.__getitem__, subset)))
         key = frozenset(subset) if runs else None
         count = counted.get(key)
         if count is not None:
@@ -994,12 +1108,15 @@ def verify(claim: str, max_n: int = 4, max_e: int = 7, max_mu: int = 2,
     Each graph's instances are checked once per orbit of its
     automorphisms, on the maximal sets only where a greedy colouring
     extends every precolouring to one of a maximal set, less the instances
-    a colouring already found certifies (see ``_check_graph``); a failure
-    re-checks that case instance by instance.  ``instances`` counts every
-    labelled instance, ``instances_checked`` the extender runs: on a
-    failing graph, those of its cases that passed and of the re-check up
-    to the failure.  ``budget`` bounds only the searches that run; an
-    instance decided by symmetry, dominance or a certificate runs none.
+    a colouring already found certifies and, for the ``REDUCIBLE_CLAIMS``,
+    the sets that miss a reducible edge, whose instances follow from a
+    graph with one edge fewer that the stream checked first (see
+    ``_check_graph``); a failure re-checks that case instance by instance.
+    ``instances`` counts every labelled instance, ``instances_checked``
+    the extender runs: on a failing graph, those of its cases that passed
+    and of the re-check up to the failure.  ``budget`` bounds only the
+    searches that run; an instance decided by symmetry, dominance, a
+    certificate or a reducible edge runs none.
     The first counterexample in enumeration order (fewest edges first) is
     recorded after an exact-solver replay confirms it.  Bounds that admit
     no instance raise ``InputError``.

@@ -323,6 +323,7 @@ def extend_planar(g: MultiGraph, m: Mapping[EdgeId, int], mode: str,
     if mode not in (VARIANT_MATCHING, VARIANT_DISTANCE3):
         raise InputError(f"unknown mode {mode!r}")
     if not g.edges:
+        validate_precolouring(g, m, Palette(1))     # every id is unknown
         return SolveOutcome(SOLVED, {}, method=REDUCTION)
     delta0 = g.delta()
     k = delta0 + 1 if mode == VARIANT_MATCHING else delta0

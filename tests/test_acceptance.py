@@ -73,6 +73,17 @@ def test_criterion_15_simple_graph_matching_extension_at_nine_vertices(
                        "palette Delta+1 (n<=9, e<=11)", body)
 
 
+def test_criterion_16_simple_graph_matching_extension_at_ten_vertices(
+        capsys):
+    def body():
+        rep = instances.verify("matching-extension",
+                               max_n=10, max_e=12, max_mu=1)
+        assert rep.ok, rep.counterexample
+        assert (rep.graphs, rep.instances) == (23212, 10666769)
+    _check(capsys, 16, "exhaustive matching extension on simple graphs, "
+                       "palette Delta+1 (n<=10, e<=12)", body)
+
+
 def test_criterion_2_subdivided_star_sharpness(capsys):
     def body():
         for s in range(2, 9):

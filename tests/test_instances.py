@@ -1,8 +1,9 @@
+import functools
 import gc
 import itertools
 import random
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from edgeext import exact, gallai, instances, kernels
 from edgeext.instances import (CLAIMS, OFFSET_CLAIMS, FamilySpec,
                                _colourings, _edge_automorphisms,
                                _multigraphs_with_automorphisms,
-                               _pattern, _plan, _within, canonical_form,
+                               _pattern, _plan, _reducible, _within,
+                               canonical_form,
                                compute_rho, enumerate_edge_sets,
                                enumerate_multigraphs,
                                enumerate_precolourings, generate,
@@ -575,8 +577,8 @@ def test_sweeps_hand_their_extenders_only_admissible_precolourings(
     assert rep.ok and len(runs) == rep.instances_checked > 0
 
 
-@pytest.mark.parametrize("claim, runs", [("matching-extension", 839),
-                                         ("distance3-extension", 283)])
+@pytest.mark.parametrize("claim, runs", [("matching-extension", 264),
+                                         ("distance3-extension", 77)])
 def test_exact_backed_sweeps_search_through_solve_list(monkeypatch, claim,
                                                         runs):
     # every exact search enters through ``solve_list``, the prepared runs
@@ -648,6 +650,80 @@ def test_prepared_runs_answer_as_the_public_extenders(engine, k, rnd,
     assert _fields(public) == _fields(prepared)
 
 
+_STREAM_BOUNDS = (7, 8, 3, 4)          # max_n, max_e, max_mu, delta_max
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_levels():
+    """The stream at ``_STREAM_BOUNDS``, and the canonical forms of each
+    of its levels, by edge count."""
+    graphs = [g for g, _ in _multigraphs_with_automorphisms(*_STREAM_BOUNDS)]
+    forms = defaultdict(set)
+    for g in graphs:
+        forms[len(g.edges)].add(canonical_form(g))
+    return graphs, forms
+
+
+def _less_edge(g, i):
+    """g less its edge i and any vertex this isolates, renumbered."""
+    kept = [edge for j, edge in enumerate(g.edges) if j != i]
+    name = {x: j for j, x in enumerate(sorted(
+        {x for _, u, v in kept for x in (u, v)}))}
+    return MultiGraph(len(name), [(eid, name[u], name[v])
+                                  for eid, u, v in kept])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 8), st.booleans())
+def test_reducible_edges_leave_an_earlier_graph_of_the_stream(
+        data, q, same_degrees):
+    # _reducible's O(m) counts and bridge search against G' built whole:
+    # a reducible edge leaves a connected graph inside the bounds, of the
+    # same Delta and mu where asked, that the stream lists a level earlier
+    max_n, _, max_mu, delta_max = _STREAM_BOUNDS
+    graphs, forms = _stream_levels()
+    g = data.draw(st.sampled_from(graphs))
+    mask = _reducible(g, q, same_degrees)
+    for i, (u, v) in enumerate(g.ends):
+        h = _less_edge(g, i)
+        reducible = (g.degree(u) + g.degree(v) - 2 < q and h.edges
+                     and h.is_connected() and (
+                         not same_degrees or
+                         (h.delta(), h.mu()) == (g.delta(), g.mu())))
+        assert bool(mask >> i & 1) == bool(reducible), (g.edges, i)
+        if reducible:
+            assert h.n <= max_n and h.mu() <= max_mu
+            assert h.delta() <= delta_max
+            assert canonical_form(h) in forms[len(g.edges) - 1]
+
+
+def test_reducible_edges_of_small_graphs():
+    # a path of three edges: its middle edge is a bridge between ends of
+    # degree 2, its pendant edges leave a path of the same Delta and mu
+    path = MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 2, 3)])
+    for same_degrees in (False, True):
+        assert _reducible(path, 3, same_degrees) == 0b101
+    # two triangles joined by a bridge: every edge but the bridge, and at
+    # a palette of 3 only those whose ends have degree 2
+    bowtie = MultiGraph(6, [(0, 0, 1), (1, 1, 2), (2, 0, 2), (3, 2, 3),
+                            (4, 3, 4), (5, 4, 5), (6, 3, 5)])
+    for same_degrees in (False, True):
+        assert _reducible(bowtie, 10, same_degrees) == 0b1110111
+        assert _reducible(bowtie, 3, same_degrees) == 0b0100001
+    # a triangle with a pendant edge: the edges at its one vertex of
+    # degree 3 would leave Delta 2
+    pendant = MultiGraph(4, [(0, 0, 1), (1, 1, 2), (2, 0, 2), (3, 2, 3)])
+    assert _reducible(pendant, 10, False) == 0b1111
+    assert _reducible(pendant, 10, True) == 0b0001
+    assert _reducible(pendant, 3, False) == 0b1001
+    # a single edge leaves nothing, and a double edge falls to mu 1
+    for q in (1, 5):
+        assert _reducible(MultiGraph(2, [(0, 0, 1)]), q, False) == 0
+    double = MultiGraph(2, [(0, 0, 1), (1, 0, 1)])
+    assert _reducible(double, 5, False) == 0b11
+    assert _reducible(double, 5, True) == 0
+
+
 def test_edge_automorphisms_map_ends_onto_themselves():
     # each generator's edge permutation moves every edge onto one between
     # the images of its ends; the rest swap two parallel edges
@@ -677,17 +753,18 @@ def test_verify_checks_one_instance_per_orbit():
 
 
 # extender runs per claim at (5, 6, 2), max_k=2: one per orbit, on the
-# maximal sets only, less the certified ones
+# maximal sets only, less the certified ones and, for the
+# ``REDUCIBLE_CLAIMS``, those that miss a reducible edge
 _CHECKED = {
     "bipartite-extension": 261,
     "bipartite-matching-extension": 82,
-    "distance3-extension": 77,
+    "distance3-extension": 31,
     "line-degree-extension": 373,
-    "matching-avoidance": 287,
-    "matching-extension": 155,
+    "matching-avoidance": 86,
+    "matching-extension": 71,
     "shannon-extension": 509,
     "shannon-matching-extension": 156,
-    "subcubic-matching-extension": 77,
+    "subcubic-matching-extension": 19,
 }
 
 

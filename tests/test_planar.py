@@ -166,6 +166,16 @@ def test_extend_planar_rejects_non_matching():
         extend_planar(g, {0: 1, 1: 2}, VARIANT_MATCHING)
 
 
+@pytest.mark.parametrize("mode", [VARIANT_MATCHING, VARIANT_DISTANCE3])
+def test_extend_planar_edgeless_rejects_unknown_edge(mode):
+    # as extend_shannon does on the same input
+    g = MultiGraph(2, [])
+    with pytest.raises(InputError, match="unknown edge id 5"):
+        extend_planar(g, {5: 1}, mode)
+    out = extend_planar(g, {}, mode)
+    assert out.solved and out.colouring == {}
+
+
 def test_extend_planar_falls_back_below_threshold():
     # small maximum degree: no reducible structure is guaranteed, but the
     # exact fallback still decides correctly
